@@ -10,11 +10,16 @@ per trial vs one vectorized batch — at two working points:
 * Figure 6's k = 6, n = 960 (the heavy regime, where the serial
   baseline is extrapolated from a few trials to keep the suite quick).
 
-It also times the compiled kernel tier (``count-jit`` vs ``count`` —
-the floor is 2x at the heavy point whenever a native backend is
-available) and the sharded parallel ensemble tier at several worker
-counts (on single-core CI boxes the scaling curve is honest and flat;
-the numbers are recorded either way).
+The serial baseline is the default ``count`` engine, which runs the
+compiled jump-chain kernel whenever a native backend is present; on
+such a machine the 2.5x floor at the acceptance point no longer holds
+(the ensemble is slower than the kernel).  The benchmark also times
+the compiled kernel (``count-jit`` against the Python loop, forced
+with ``REPRO_KERNEL=python`` — the floor is 2x at the heavy point
+whenever a native backend is available) and the sharded parallel
+ensemble tier at several worker counts (on single-core CI boxes the
+scaling curve is honest and flat; the numbers are recorded either
+way).
 
 Besides the pytest-benchmark stats, the measured throughput is written
 to ``BENCH_ensemble.json`` at the repository root — together with the
@@ -28,6 +33,7 @@ import json
 import os
 import subprocess
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +47,9 @@ from repro.engine import (
     JitCountEngine,
     ParallelEnsembleEngine,
     get_kernels,
+    reset_kernels,
 )
+from repro.engine.kernels import KERNEL_ENV
 from repro.protocols import uniform_k_partition
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_ensemble.json"
@@ -79,6 +87,22 @@ def _provenance() -> dict:
         "numba": numba_version,
         "kernel_backend": get_kernels().backend,
     }
+
+
+@contextmanager
+def _python_loop():
+    """Run ``count`` on its pure-Python jump-chain loop."""
+    previous = os.environ.get(KERNEL_ENV)
+    os.environ[KERNEL_ENV] = "python"
+    reset_kernels()
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[KERNEL_ENV]
+        else:
+            os.environ[KERNEL_ENV] = previous
+        reset_kernels()
 
 
 def _serial_seconds_per_trial(protocol, n, *, seed, trials) -> float:
@@ -158,13 +182,14 @@ def _seconds_per_trial(engine, protocol, n, *, seed, trials) -> float:
     ids=["fig3-k3-n300", "fig6-k6-n960"],
 )
 def test_kernel_tier_vs_count(k, n, trials):
-    """Compiled jump chain (``count-jit``) against the Python tier."""
+    """Compiled jump chain (``count-jit``) against the Python loop."""
     protocol = uniform_k_partition(k)
     protocol.compiled
+    with _python_loop():
+        python_per_trial = _seconds_per_trial(
+            CountBasedEngine(), protocol, n, seed=2026, trials=trials
+        )
     kernels = get_kernels()
-    python_per_trial = _seconds_per_trial(
-        CountBasedEngine(), protocol, n, seed=2026, trials=trials
-    )
     jit_per_trial = _seconds_per_trial(
         JitCountEngine(), protocol, n, seed=2026, trials=trials
     )

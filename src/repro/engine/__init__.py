@@ -1,8 +1,10 @@
 """Simulation engines: reference agent-based, batched uniform, the
-count-based jump-chain engine with null-interaction skipping, the
-ensemble engine that vectorizes the jump chain across replicates, the
-compiled kernel tiers (``count-jit``/``batch-jit``), and the
-process-parallel sharded ensemble tier (``ensemble-parallel``).
+count-based jump-chain engine with null-interaction skipping (its
+loop runs in a compiled kernel when a native backend is available;
+``count-jit`` is the same engine under a second name), the ensemble
+engine that vectorizes the jump chain across replicates, the compiled
+batch tier (``batch-jit``), and the process-parallel sharded ensemble
+tier (``ensemble-parallel``).
 
 Each engine is a stepper factory: ``Engine.start`` returns a resumable
 :class:`EngineSession` (advance/snapshot/restore/result) and

@@ -32,15 +32,19 @@ count (Figure 4), almost all interactions are null, and this engine is
 orders of magnitude faster than agent-level simulation — it is what
 makes the exponential-in-k sweep of Figure 6 feasible in pure Python.
 
-The resumable core is :class:`JumpChain`: one instance owns the class
-tables, Fenwick weights, pre-drawn uniform block, and generator of a
-single jump-chain execution, and advances an external counter context
-(an :class:`~repro.engine.session.EngineSession` or a per-replicate
-proxy).  Three steppers share it: :class:`CountBasedSession`, the
-hybrid engine's phase-2 tail, and the ensemble engine's scalar
-finisher — which is also what guarantees a run's telemetry is emitted
-once, by the owning engine, instead of the internal tail double
-counting as a ``count`` run.
+The resumable core is :class:`JumpChain`: one instance owns the Fenwick
+weights, pre-drawn uniform block, and generator of a single jump-chain
+execution, reads the protocol's shared read-only :class:`ChainTables`,
+and advances an external counter context (an
+:class:`~repro.engine.session.EngineSession` or a per-replicate proxy).
+Three steppers share it: :class:`CountBasedSession`, the hybrid
+engine's phase-2 tail, and the ensemble engine's scalar finisher —
+which is also what guarantees a run's telemetry is emitted once, by
+the owning engine, instead of the internal tail double counting as a
+``count`` run.  :class:`CountBasedSession` runs the same chain in the
+compiled kernel (:class:`~repro.engine.jit.KernelJumpChain`) whenever
+a native kernel backend is present, no ``on_effective`` callback is
+set and any stability predicate has a signature.
 
 Limitation: the derivation requires the uniform scheduler (the one the
 paper simulates); for other schedulers use the agent-based engine.
@@ -49,19 +53,117 @@ paper simulates); for other schedulers use the agent-based engine.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
 
-from ..core.protocol import Protocol
+from ..core.protocol import Protocol, StabilitySignature
 from ..core.rng import SeedLike
 from .base import Engine, StepCallback
 from .sampling import FenwickWeights
 from .session import EngineSession
 
-__all__ = ["CountBasedEngine", "CountBasedSession", "JumpChain"]
+__all__ = ["ChainTables", "CountBasedEngine", "CountBasedSession", "JumpChain"]
 
 _RAND_BLOCK = 4096
+
+
+class ChainTables:
+    """Read-only jump-chain tables of one (protocol, population size).
+
+    :meth:`of` builds them once per pair and every :class:`JumpChain`
+    and :class:`~repro.engine.jit.KernelJumpChain` of that pair shares
+    them.  Campaign workers run chains of one protocol on several
+    threads, so nothing here is written after construction: the Python
+    columns are tuples and the kernel arrays are read-only.  The
+    per-execution state — counts, Fenwick weights, random block, kernel
+    registers — lives on the chain.
+    """
+
+    __slots__ = (
+        "compiled", "classes", "in1", "in2", "out1", "out2", "same", "mult",
+        "affected", "T", "pred", "kernel_arrays",
+    )
+
+    def __init__(self, protocol: Protocol, n_total: int) -> None:
+        compiled = protocol.compiled
+        classes = compiled.classes
+        state_classes = compiled.state_classes
+        self.compiled = compiled
+        self.classes = tuple(classes)
+        self.in1 = tuple(c.in1 for c in classes)
+        self.in2 = tuple(c.in2 for c in classes)
+        self.out1 = tuple(c.out1 for c in classes)
+        self.out2 = tuple(c.out2 for c in classes)
+        self.same = tuple(c.same for c in classes)
+        self.mult = tuple(c.multiplier for c in classes)
+
+        # Per class, the classes whose weights can change when it fires
+        # (those sharing any of its four touched states).  This keeps
+        # the per-event update loop allocation-free.
+        affected: list[tuple[int, ...]] = []
+        for c in classes:
+            dirty: set[int] = set()
+            for s in {c.in1, c.in2, c.out1, c.out2}:
+                dirty.update(state_classes[s])
+            affected.append(tuple(sorted(dirty)))
+        self.affected = tuple(affected)
+
+        # Ordered distinct pairs: the scheduler's sample space.
+        self.T = n_total * (n_total - 1)
+        self.pred = protocol.stability_predicate(n_total)
+        if self.pred is None:
+            # No predicate: silence is the criterion, which the kernel
+            # tests natively under an empty signature.
+            signature = StabilitySignature(groups=())
+        else:
+            signature = protocol.stability_signature(n_total)
+        #: Positional class, affected-CSR and signature arguments of the
+        #: ``jump_chain`` kernel; None when the predicate has no
+        #: signature, so only the Python loop can test stability.
+        self.kernel_arrays = (
+            None if signature is None else self._kernel_arrays(signature)
+        )
+
+    def _kernel_arrays(self, signature: StabilitySignature) -> tuple[np.ndarray, ...]:
+        aff_off = np.zeros(len(self.affected) + 1, dtype=np.int64)
+        aff_off[1:] = np.cumsum([len(dirty) for dirty in self.affected])
+        aff_idx = [j for dirty in self.affected for j in dirty]
+        arrays = (
+            *(
+                np.asarray(column, dtype=np.int64)
+                for column in (
+                    self.in1, self.in2, self.out1, self.out2, self.same, self.mult
+                )
+            ),
+            aff_off,
+            np.asarray(aff_idx, dtype=np.int64),
+            *signature.arrays(),
+        )
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
+    @classmethod
+    def of(cls, protocol: Protocol, n_total: int) -> "ChainTables":
+        """The shared tables of ``(protocol, n_total)``, built on first use."""
+        memo = _TABLES.get(protocol)
+        if memo is None:
+            memo = _TABLES.setdefault(protocol, {})
+        tables = memo.get(n_total)
+        if tables is None:
+            # Racing builders make equal tables; every caller ends up
+            # sharing whichever landed first.
+            tables = memo.setdefault(n_total, cls(protocol, n_total))
+        return tables
+
+
+#: Protocol -> {population size: ChainTables}; an entry lives as long
+#: as its protocol.
+_TABLES: "weakref.WeakKeyDictionary[Protocol, dict[int, ChainTables]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 class JumpChain:
@@ -87,44 +189,14 @@ class JumpChain:
         *,
         draw: bool = True,
     ) -> None:
-        compiled = protocol.compiled
-        classes = compiled.classes
-        state_classes = compiled.state_classes
-        R = len(classes)
-        self._compiled = compiled
-        self.classes = classes
-        self.in1 = [c.in1 for c in classes]
-        self.in2 = [c.in2 for c in classes]
-        self.out1 = [c.out1 for c in classes]
-        self.out2 = [c.out2 for c in classes]
-        self.same = [c.same for c in classes]
-        self.mult = [c.multiplier for c in classes]
-
-        # Precompute, per class, which classes' weights can change when
-        # it fires (classes sharing any of its four touched states).
-        # This keeps the per-event update loop allocation-free.
-        affected: list[list[int]] = []
-        for c in classes:
-            dirty: set[int] = set()
-            for s in {c.in1, c.in2, c.out1, c.out2}:
-                dirty.update(state_classes[s])
-            affected.append(sorted(dirty))
-        self.affected = affected
-
+        self.tables = ChainTables.of(protocol, n_total)
         self.counts = counts
         self.rng = rng
-        # Ordered distinct pairs: the scheduler's sample space.
-        self.T = n_total * (n_total - 1)
-        self.pred = protocol.stability_predicate(n_total)
         self.rebuild_weights()
 
         # Pre-drawn uniforms; two per effective interaction.
-        if draw:
-            self.rand = rng.random(_RAND_BLOCK)
-            self.rand_pos = 0
-        else:
-            self.rand = None
-            self.rand_pos = 0
+        self.rand = rng.random(_RAND_BLOCK) if draw else None
+        self.rand_pos = 0
         self.converged = False
         self.silent = False
         self.exhausted = False
@@ -133,7 +205,8 @@ class JumpChain:
     def rebuild_weights(self) -> None:
         """(Re)derive the Fenwick weights from the current counts."""
         counts = self.counts
-        in1, in2, same, mult = self.in1, self.in2, self.same, self.mult
+        t = self.tables
+        in1, in2, same, mult = t.in1, t.in2, t.same, t.mult
 
         def class_weight(r: int) -> int:
             if same[r]:
@@ -155,12 +228,13 @@ class JumpChain:
         fen_set = weights.set
         fen_find = weights.find
         W = weights.total
-        T = self.T
-        pred = self.pred
-        in1, in2 = self.in1, self.in2
-        out1, out2 = self.out1, self.out2
-        same, mult = self.same, self.mult
-        affected = self.affected
+        t = self.tables
+        T = t.T
+        pred = t.pred
+        in1, in2 = t.in1, t.in2
+        out1, out2 = t.out1, t.out2
+        same, mult = t.same, t.mult
+        affected = t.affected
         rng = self.rng
         rand = self.rand
         rand_pos = self.rand_pos
@@ -274,9 +348,11 @@ class JumpChain:
         self.rand = None if rand is None else np.asarray(rand, dtype=np.float64)
         self.rand_pos = payload["rand_pos"]
         self.rng = EngineSession._rng_from_state(payload["rng"])
-        self.converged = payload["converged"]
-        self.silent = payload["silent"]
-        self.exhausted = payload["exhausted"]
+        # bool(): snapshots taken before the kernel chain reported plain
+        # bools may carry numpy bools.
+        self.converged = bool(payload["converged"])
+        self.silent = bool(payload["silent"])
+        self.exhausted = bool(payload["exhausted"])
         return self.rng
 
     # ------------------------------------------------------------------
@@ -287,7 +363,7 @@ class JumpChain:
         pc = self._pair_class
         if pc is None:
             pc = {}
-            for r, c in enumerate(self.classes):
+            for r, c in enumerate(self.tables.classes):
                 pc[(c.in1, c.in2)] = r
                 if not c.same and c.multiplier == 2:
                     pc[(c.in2, c.in1)] = r
@@ -301,13 +377,14 @@ class JumpChain:
         if r is None:
             return False
         counts = self.counts
-        counts[self.in1[r]] -= 1
-        counts[self.in2[r]] -= 1
-        counts[self.out1[r]] += 1
-        counts[self.out2[r]] += 1
+        t = self.tables
+        in1, in2, same, mult = t.in1, t.in2, t.same, t.mult
+        counts[in1[r]] -= 1
+        counts[in2[r]] -= 1
+        counts[t.out1[r]] += 1
+        counts[t.out2[r]] += 1
         fen_set = self.weights.set
-        in1, in2, same, mult = self.in1, self.in2, self.same, self.mult
-        for j in self.affected[r]:
+        for j in t.affected[r]:
             if same[j]:
                 c = counts[in1[j]]
                 fen_set(j, c * (c - 1))
@@ -316,7 +393,7 @@ class JumpChain:
         return True
 
     def audit(self) -> str | None:
-        true_w = self._compiled.total_active_weight(
+        true_w = self.tables.compiled.total_active_weight(
             np.asarray(self.counts, dtype=np.int64)
         )
         if self.weights.total != true_w:
@@ -355,7 +432,25 @@ class CountBasedSession(EngineSession):
         self._chain = self._make_chain(draw=True)
 
     def _make_chain(self, *, draw: bool = True) -> JumpChain:
-        """Build the jump-chain core (the kernel tier overrides this)."""
+        """The compiled-kernel chain when it can run, else the Python loop.
+
+        The kernel cannot call ``on_effective`` back and tests stability
+        only through a :class:`~repro.core.protocol.StabilitySignature`.
+        On the pure-Python kernel backend the Python loop is the faster
+        of the two bodies, so it runs there too.
+        """
+        if (
+            self._on_effective is None
+            and ChainTables.of(self._protocol, self._n).kernel_arrays is not None
+        ):
+            # Imported here: the kernels load with the first session.
+            from .jit import KernelJumpChain
+            from .kernels import get_kernels
+
+            if get_kernels().native:
+                return KernelJumpChain(
+                    self._protocol, self.counts, self._rng, self._n, draw=draw
+                )
         return JumpChain(self._protocol, self.counts, self._rng, self._n, draw=draw)
 
     def _advance_inner(self, target: int) -> None:
@@ -386,7 +481,6 @@ class CountBasedEngine(Engine):
     """Jump-chain engine: O(log #rules) per effective interaction."""
 
     name = "count"
-    _session_cls: type[CountBasedSession] = CountBasedSession
 
     def start(
         self,
@@ -399,7 +493,7 @@ class CountBasedEngine(Engine):
         track_state: str | int | None = None,
         on_effective: StepCallback | None = None,
     ) -> CountBasedSession:
-        return self._session_cls(
+        return CountBasedSession(
             self,
             protocol,
             n,

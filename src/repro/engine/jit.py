@@ -1,11 +1,17 @@
-"""Kernel-tier engines: ``count-jit`` and ``batch-jit``.
+"""Kernel tier: the compiled jump chain, ``count-jit`` and ``batch-jit``.
 
-These are the :class:`~repro.engine.count_based.CountBasedEngine` and
-:class:`~repro.engine.batch.BatchEngine` with their inner loops routed
-through the compiled kernels of :mod:`repro.engine.kernels`.  The
-science is bit-identical to the plain tiers by construction:
+:class:`KernelJumpChain` runs the jump chain of
+:mod:`~repro.engine.count_based` through the compiled kernels of
+:mod:`repro.engine.kernels`.  There is no separate count-kernel engine:
+:class:`~repro.engine.count_based.CountBasedSession` builds a
+``KernelJumpChain`` whenever it can, and ``count-jit`` is the ``count``
+engine under a second name, kept so JobSpec digests and trial-cache
+keys stay valid.  ``batch-jit`` is the
+:class:`~repro.engine.batch.BatchEngine` with its pair-draw/apply loop
+routed through the kernel.  The science is bit-identical to the Python
+loops by construction:
 
-* kernels consume the *same* pre-drawn random buffers the plain tiers
+* kernels consume the *same* pre-drawn random buffers the Python loops
   draw (and snapshot), at the same stream positions — they never touch
   the Generator themselves;
 * all weight arithmetic is exact integer arithmetic below 2**53, so the
@@ -21,11 +27,11 @@ stability test to be *declarative*:
 * a stability predicate is only usable when the protocol also provides
   the equivalent :class:`~repro.core.protocol.StabilitySignature`.
 
-When either condition fails — or when no native backend is available —
-the sessions transparently run the inherited pure-Python loops, so
-``count-jit`` and ``batch-jit`` are *always* safe to select.  Snapshot
-payloads, driven execution (``apply_scheduled``/``audit``) and restore
-validation are inherited unchanged, which keeps these tiers fully
+When either condition fails — or when no native backend is available
+(``REPRO_KERNEL=python``) — the sessions run the pure-Python loops, so
+every engine name is *always* safe to select.  Snapshot payloads,
+driven execution (``apply_scheduled``/``audit``) and restore validation
+are shared with the Python loops, which keeps the kernel paths fully
 covered by the session-contract and conformance suites.
 """
 
@@ -33,9 +39,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.protocol import Protocol
+from ..core.protocol import Protocol, StabilitySignature
 from .batch import BatchEngine, BatchSession
-from .count_based import _RAND_BLOCK, CountBasedEngine, CountBasedSession, JumpChain
+from .count_based import _RAND_BLOCK, CountBasedEngine, JumpChain
 from .kernels import (
     KERNEL_CONVERGED,
     KERNEL_EXHAUSTED,
@@ -47,18 +53,10 @@ from .sampling import FenwickWeights
 
 __all__ = [
     "JitCountEngine",
-    "JitCountSession",
     "JitBatchEngine",
     "JitBatchSession",
     "KernelJumpChain",
 ]
-
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
-
-
-def _empty_signature() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triple for "no signature" (kernels then test silence)."""
-    return np.zeros(1, dtype=np.int64), _EMPTY_I64, _EMPTY_I64
 
 
 class KernelJumpChain(JumpChain):
@@ -67,7 +65,9 @@ class KernelJumpChain(JumpChain):
     Everything else — construction, snapshot capture/restore, driven
     ``apply_pair``/``audit`` — is inherited, so snapshots interoperate
     and the conformance differ exercises the same data structures the
-    kernel consumes.
+    kernel consumes.  The class tables come from the shared read-only
+    :class:`~repro.engine.count_based.ChainTables`; only the registers
+    and the milestone buffer the kernel writes are per chain.
     """
 
     def __init__(
@@ -80,30 +80,12 @@ class KernelJumpChain(JumpChain):
         draw: bool = True,
     ) -> None:
         super().__init__(protocol, counts, rng, n_total, draw=draw)
+        if self.tables.kernel_arrays is None:
+            raise ValueError(
+                "KernelJumpChain needs a stability signature when the "
+                "protocol has a stability predicate"
+            )
         self._kernels = get_kernels()
-        self._kin1 = np.asarray(self.in1, dtype=np.int64)
-        self._kin2 = np.asarray(self.in2, dtype=np.int64)
-        self._kout1 = np.asarray(self.out1, dtype=np.int64)
-        self._kout2 = np.asarray(self.out2, dtype=np.int64)
-        self._ksame = np.asarray([1 if s else 0 for s in self.same], dtype=np.int64)
-        self._kmult = np.asarray(self.mult, dtype=np.int64)
-        aff_off = np.zeros(len(self.affected) + 1, dtype=np.int64)
-        aff_idx: list[int] = []
-        for r, dirty in enumerate(self.affected):
-            aff_idx.extend(dirty)
-            aff_off[r + 1] = len(aff_idx)
-        self._aff_off = aff_off
-        self._aff_idx = np.asarray(aff_idx, dtype=np.int64)
-        if self.pred is not None:
-            signature = protocol.stability_signature(n_total)
-            if signature is None:
-                raise ValueError(
-                    "KernelJumpChain needs a stability signature when the "
-                    "protocol has a stability predicate"
-                )
-            self._sig_off, self._sig_idx, self._sig_want = signature.arrays()
-        else:
-            self._sig_off, self._sig_idx, self._sig_want = _empty_signature()
         self._ms_buf = np.zeros(n_total + 2, dtype=np.int64)
         self._reg = np.zeros(6, dtype=np.int64)
 
@@ -123,17 +105,15 @@ class KernelJumpChain(JumpChain):
             self.rand = self.rng.random(_RAND_BLOCK)
             reg[0] = 0
         kern = self._kernels.jump_chain
+        arrays = self.tables.kernel_arrays
+        T = self.tables.T
         ms_buf = self._ms_buf
         milestones = ctx.milestones
         while True:
             status = kern(
-                counts_arr, values,
-                self._kin1, self._kin2, self._kout1, self._kout2,
-                self._ksame, self._kmult,
-                self._aff_off, self._aff_idx,
-                self._sig_off, self._sig_idx, self._sig_want,
+                counts_arr, values, *arrays,
                 self.rand, ms_buf, reg,
-                self.T, target, budget, track,
+                T, target, budget, track,
             )
             ms_len = int(reg[5])
             if ms_len:
@@ -147,14 +127,15 @@ class KernelJumpChain(JumpChain):
             break
 
         self.counts[:] = counts_arr.tolist()
-        self.weights = FenwickWeights(int(v) for v in values)
+        self.weights = FenwickWeights(values.tolist())
         self.rand_pos = int(reg[0])
         self.converged = status == KERNEL_CONVERGED
-        self.silent = (
-            status == KERNEL_SILENT
-            or (status == KERNEL_CONVERGED and reg[3] == 0)
+        # int(): comparing the int64 register itself would make
+        # ``silent`` a numpy.bool, which JSON cannot encode.
+        self.silent = status == KERNEL_SILENT or (
+            status == KERNEL_CONVERGED and int(reg[3]) == 0
         )
-        if status == KERNEL_SILENT and self.pred is None:
+        if status == KERNEL_SILENT and self.tables.pred is None:
             self.converged = True
         self.exhausted = status == KERNEL_EXHAUSTED
         ctx.interactions = int(reg[1])
@@ -162,29 +143,15 @@ class KernelJumpChain(JumpChain):
         ctx._high_water = int(reg[4])
 
 
-class JitCountSession(CountBasedSession):
-    """Count-based stepper that advances through the active kernel."""
-
-    def _kernel_eligible(self) -> bool:
-        if self._on_effective is not None:
-            return False
-        if self._protocol.stability_predicate(self._n) is None:
-            return True
-        return self._protocol.stability_signature(self._n) is not None
-
-    def _make_chain(self, *, draw: bool = True) -> JumpChain:
-        if self._kernel_eligible():
-            return KernelJumpChain(
-                self._protocol, self.counts, self._rng, self._n, draw=draw
-            )
-        return super()._make_chain(draw=draw)
-
-
 class JitCountEngine(CountBasedEngine):
-    """Jump-chain engine running the compiled kernel tier."""
+    """The ``count`` engine under the name ``count-jit``.
+
+    ``count`` already runs the compiled kernel whenever it can; the name
+    is kept so results, JobSpec digests and trial-cache keys recorded
+    under it stay valid.
+    """
 
     name = "count-jit"
-    _session_cls = JitCountSession
 
 
 class JitBatchSession(BatchSession):
@@ -234,7 +201,10 @@ class JitBatchSession(BatchSession):
         if signature is not None:
             self._sig_off, self._sig_idx, self._sig_want = signature.arrays()
         else:
-            self._sig_off, self._sig_idx, self._sig_want = _empty_signature()
+            # No signature: the kernel then tests silence.
+            self._sig_off, self._sig_idx, self._sig_want = StabilitySignature(
+                groups=()
+            ).arrays()
         self._ms_buf = np.zeros(self._n + 2, dtype=np.int64)
         self._reg = np.zeros(6, dtype=np.int64)
 

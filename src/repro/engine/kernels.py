@@ -17,9 +17,12 @@ interchangeable backends:
     shared object and called through :mod:`ctypes`.  Used when a C
     compiler is available and Numba is not.
 ``python``
-    The plain-Python kernel bodies themselves.  Always available; the
-    jit engine tiers then run at roughly the speed of the ordinary
-    tiers while keeping the exact same wrapper code paths.
+    The plain-Python kernel bodies themselves.  Always available.  The
+    ``count`` engine does not run this jump-chain body: its own
+    ``JumpChain.advance`` loop is 2-2.5x faster in pure Python, so a
+    non-native backend selects that loop instead.  The body stays as
+    the reference the tests pin against the loop and as the Numba
+    source.
 
 Backend selection is automatic (``numba`` → ``cc`` → ``python``) and
 can be forced with the ``REPRO_KERNEL`` environment variable; forcing
@@ -54,6 +57,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -534,20 +538,29 @@ class KernelSet:
         return self.backend != "python"
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _warmup(jump_chain: Callable, pair_block: Callable) -> None:
     """Call both kernels on degenerate inputs (forces JIT compilation).
 
     The dummy jump chain is silent (W=0) and the dummy pair block is
     buffer-empty with target 0, so neither touches the random buffers.
+    The jump chain's table arguments are read-only, like the shared
+    :class:`~repro.engine.count_based.ChainTables` arrays, so numba
+    compiles the specialization real runs call.
     """
     z1 = np.zeros(1, dtype=np.int64)
     z2 = np.zeros(2, dtype=np.int64)
     e = np.zeros(0, dtype=np.int64)
     reg = np.zeros(6, dtype=np.int64)
+    r1, r2, re = (_read_only(a.copy()) for a in (z1, z2, e))
     jump_chain(
         np.asarray([2], dtype=np.int64), z1.copy(),
-        z1, z1, z1, z1, z1, z1,
-        z2, e, z1.copy(), e, e,
+        r1, r1, r1, r1, r1, r1,
+        r2, re, r1, re, re,
         np.zeros(8, dtype=np.float64), np.zeros(4, dtype=np.int64), reg,
         2, 0, 0, -1,
     )
@@ -589,6 +602,27 @@ def _find_cc() -> str | None:
     return None
 
 
+def _compile_cc(compiler: str, cache: Path, digest: str, so_path: Path) -> None:
+    cache.mkdir(parents=True, exist_ok=True)
+    # Each builder compiles in its own scratch directory, so concurrent
+    # builders (threads or processes) never share a source or output
+    # path; os.replace publishes atomically.
+    scratch = Path(tempfile.mkdtemp(prefix=f"kernels-{digest}.", dir=cache))
+    try:
+        c_path = scratch / "kernels.c"
+        c_path.write_text(_C_SOURCE)
+        tmp_so = scratch / "kernels.so"
+        cmd = [compiler, "-O2", "-fPIC", "-shared", str(c_path), "-o", str(tmp_so), "-lm"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise KernelBuildError(
+                f"C kernel compilation failed ({' '.join(cmd)}):\n{proc.stderr}"
+            )
+        os.replace(tmp_so, so_path)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+
 def _build_cc() -> KernelSet:
     compiler = _find_cc()
     if compiler is None:
@@ -598,17 +632,12 @@ def _build_cc() -> KernelSet:
     cache = _cc_cache_dir()
     so_path = cache / f"kernels-{digest}.so"
     if not so_path.exists():
-        cache.mkdir(parents=True, exist_ok=True)
-        c_path = cache / f"kernels-{digest}.c"
-        c_path.write_text(_C_SOURCE)
-        tmp_so = cache / f"kernels-{digest}.{os.getpid()}.so"
-        cmd = [compiler, "-O2", "-fPIC", "-shared", str(c_path), "-o", str(tmp_so), "-lm"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise KernelBuildError(
-                f"C kernel compilation failed ({' '.join(cmd)}):\n{proc.stderr}"
-            )
-        os.replace(tmp_so, so_path)  # atomic under concurrent builders
+        try:
+            _compile_cc(compiler, cache, digest, so_path)
+        except OSError as exc:
+            # An unwritable or full temp directory disables the backend
+            # (``auto`` falls through to python) instead of failing runs.
+            raise KernelBuildError(f"cc backend unavailable: {exc}") from exc
     try:
         lib = ctypes.CDLL(str(so_path))
     except OSError as exc:
@@ -669,6 +698,9 @@ _BUILDERS = {"numba": _build_numba, "cc": _build_cc, "python": _build_python}
 _AUTO_ORDER = ("numba", "cc", "python")
 
 _ACTIVE: KernelSet | None = None
+#: Serializes the first build: campaign workers start sessions on
+#: several threads at once, and each must not compile its own copy.
+_ACTIVE_LOCK = threading.Lock()
 
 
 def _build(mode: str) -> KernelSet:
@@ -704,13 +736,18 @@ def get_kernels() -> KernelSet:
     :class:`KernelBuildError` when it cannot be built.
     """
     global _ACTIVE
-    if _ACTIVE is None:
-        mode = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
-        _ACTIVE = _build(mode)
-    return _ACTIVE
+    active = _ACTIVE
+    if active is None:
+        with _ACTIVE_LOCK:
+            if _ACTIVE is None:
+                mode = os.environ.get(KERNEL_ENV, "auto").strip().lower() or "auto"
+                _ACTIVE = _build(mode)
+            active = _ACTIVE
+    return active
 
 
 def reset_kernels() -> None:
     """Drop the cached :class:`KernelSet` (tests switching backends)."""
     global _ACTIVE
-    _ACTIVE = None
+    with _ACTIVE_LOCK:
+        _ACTIVE = None

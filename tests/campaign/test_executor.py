@@ -31,6 +31,15 @@ class TestDrain:
         assert report.failed == 0
         assert store.counts()["done"] == 5
 
+    def test_count_jit_spec_executes(self, store):
+        spec = make_spec(engine="count-jit")
+        store.submit_many([spec])
+        report = run_campaign(store)
+        assert (report.executed, report.failed) == (1, 0)
+        record = store.result_record(spec.digest)
+        assert record["engine"] == "count-jit"
+        assert all(r["converged"] for r in record["results"])
+
     def test_max_jobs_stops_early(self, store):
         store.submit_many([make_spec(seed=s) for s in range(4)])
         report = run_campaign(store, max_jobs=2)

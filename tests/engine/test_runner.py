@@ -322,3 +322,23 @@ class TestEngineResolution:
         )
         for name in names:
             assert build_engine(name).name == name
+
+    def test_result_flags_are_plain_bools(self, proto):
+        # numpy bools break json.dumps of records (campaign stores,
+        # result files, HTTP bodies).
+        from repro.engine import available_engines
+
+        for name in available_engines():
+            scheduler = "graph:complete" if name == "graph" else None
+            ts = run_trials(
+                proto, 12, trials=2, seed=5, engine=name, scheduler=scheduler
+            )
+            for result in ts.results:
+                assert type(result.silent) is bool, name
+                assert type(result.converged) is bool, name
+
+    def test_count_jit_record_round_trips_through_json(self, proto):
+        import json
+
+        record = run_trials(proto, 20, trials=2, seed=0, engine="count-jit").to_record()
+        assert json.loads(json.dumps(record)) == record
