@@ -91,7 +91,7 @@ def _provenance() -> dict:
 
 @contextmanager
 def _python_loop():
-    """Run ``count`` on its pure-Python jump-chain loop."""
+    """Run ``count`` and ``batch`` on their pure-Python loops."""
     previous = os.environ.get(KERNEL_ENV)
     os.environ[KERNEL_ENV] = "python"
     reset_kernels()
@@ -212,30 +212,35 @@ def test_kernel_tier_vs_count(k, n, trials):
 
 
 def test_batch_kernel_tier(k=3, n=120):
-    """Compiled pair-draw/apply loop (``batch-jit``) against ``batch``."""
+    """Compiled pair-draw/apply loop (``batch-jit``) against the Python
+    loop (``batch`` under ``REPRO_KERNEL=python``)."""
     from repro.engine import BatchEngine
 
     protocol = uniform_k_partition(k)
     protocol.compiled
-    kernels = get_kernels()
     budget = 2_000_000
     seeds = spawn_seed_sequences(2026, 3)
-    timings = {}
-    for engine in (BatchEngine(), JitBatchEngine()):
+
+    def seconds_per_trial(engine) -> float:
         engine.run(protocol, n, seed=seeds[0], max_interactions=budget)
         start = time.perf_counter()
         for s in seeds:
             engine.run(protocol, n, seed=s, max_interactions=budget)
-        timings[engine.name] = (time.perf_counter() - start) / len(seeds)
+        return (time.perf_counter() - start) / len(seeds)
+
+    with _python_loop():
+        python_per_trial = seconds_per_trial(BatchEngine())
+    kernels = get_kernels()
+    jit_per_trial = seconds_per_trial(JitBatchEngine())
     _record(
         f"batch_kernel_k{k}_n{n}",
         {
             "k": k,
             "n": n,
             "backend": kernels.backend,
-            "batch_seconds_per_trial": round(timings["batch"], 6),
-            "batch_jit_seconds_per_trial": round(timings["batch-jit"], 6),
-            "speedup": round(timings["batch"] / timings["batch-jit"], 2),
+            "batch_seconds_per_trial": round(python_per_trial, 6),
+            "batch_jit_seconds_per_trial": round(jit_per_trial, 6),
+            "speedup": round(python_per_trial / jit_per_trial, 2),
         },
     )
 

@@ -24,9 +24,9 @@ import sys
 
 def _build(protocol: str, raw_params: list[str]):
     """Build a registry protocol, defaulting ``k=3`` where one is needed."""
-    from ..protocols.registry import build_protocol
+    from ..protocols.registry import build_protocol, parse_param
 
-    params = dict(_parse_param(p) for p in raw_params)
+    params = dict(parse_param(p) for p in raw_params)
     if protocol in (
         "uniform-k-partition", "approx-k-partition", "weak-k-partition"
     ):
@@ -43,18 +43,6 @@ def _scheduler_spec(text: str):
         return SchedulerSpec.parse(text)
     except SchedulerError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_param(text: str) -> tuple[str, object]:
-    key, _, raw = text.partition("=")
-    if not key or not raw:
-        raise SystemExit(f"--param expects KEY=VALUE, got {text!r}")
-    if "," in raw:
-        return key, tuple(int(v) for v in raw.split(","))
-    try:
-        return key, int(raw)
-    except ValueError:
-        return key, raw
 
 
 def build_conform_parser() -> argparse.ArgumentParser:

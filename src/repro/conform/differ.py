@@ -7,9 +7,9 @@ What they all share is the transition-application data path — scalar
 ``delta_list`` lookups (agent), ``delta_flat`` with incremental active
 weights (batch), interaction classes with Fenwick-indexed weights
 (count), the batch-to-count hand-off (hybrid), the vectorized
-class/weight matrices (ensemble), and the kernel tiers' sessions
-(count-jit, batch-jit), which drive the same class tables and flat
-transition arrays the compiled kernels consume.  The differ replays one recorded
+class/weight matrices (ensemble), and the sessions behind the
+``-jit`` names (count-jit, batch-jit), which share the class tables
+and flat transition arrays the compiled kernels consume.  The differ replays one recorded
 :class:`~repro.conform.schedule.InteractionSchedule` through the
 **real engine sessions** — every engine's
 :meth:`~repro.engine.session.EngineSession.apply_scheduled` pushes one

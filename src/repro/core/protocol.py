@@ -126,9 +126,10 @@ class Protocol:
     stability_signature_factory:
         Optional factory ``n -> StabilitySignature`` giving the scalar
         predicate in declarative count-sum form.  Must agree with the
-        scalar predicate on every count vector — the compiled kernel
-        tiers (``count-jit``, ``batch-jit``) evaluate the signature in
-        native code and silently fall back to the Python loop for
+        scalar predicate on every count vector — the compiled kernels
+        (``count``, ``batch`` and ``graph`` and their ``-jit`` names)
+        evaluate the signature in native code and silently fall back
+        to the Python loop for
         protocols that provide a predicate without a signature, so
         supplying it is purely a performance optimization.
     metadata:

@@ -1,10 +1,12 @@
-"""Simulation engines: reference agent-based, batched uniform, the
-count-based jump-chain engine with null-interaction skipping (its
-loop runs in a compiled kernel when a native backend is available;
-``count-jit`` is the same engine under a second name), the ensemble
-engine that vectorizes the jump chain across replicates, the compiled
-batch tier (``batch-jit``), and the process-parallel sharded ensemble
-tier (``ensemble-parallel``).
+"""Simulation engines: reference agent-based, the one pair-loop session
+(``batch``; ``batch-jit`` is the same engine under a second name, and
+``graph`` swaps in an edge sampler for graph-restricted schedulers),
+the count-based jump-chain engine with null-interaction skipping
+(``count-jit`` is the same engine under a second name), the ensemble
+engine that vectorizes the jump chain across replicates, and the
+process-parallel sharded ensemble tier (``ensemble-parallel``).  The
+pair loop and the jump chain run in compiled kernels when a native
+backend is available (``REPRO_KERNEL=auto|cc|python``).
 
 Each engine is a stepper factory: ``Engine.start`` returns a resumable
 :class:`EngineSession` (advance/snapshot/restore/result) and

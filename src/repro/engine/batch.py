@@ -1,4 +1,4 @@
-"""Batched uniform-scheduler engine.
+"""Batched uniform-scheduler engine: the one pair-loop session.
 
 Semantically identical to
 :class:`~repro.engine.agent_based.AgentBasedEngine` with the uniform
@@ -12,20 +12,31 @@ Use this engine for moderate workloads where per-interaction fidelity
 matters (e.g. recording callbacks at exact interaction indices); use
 the count-based engine when only counts and totals matter.
 
-The loop lives in :class:`BatchSession`; snapshots carry the RNG state
-and the unconsumed tail of the current pair block (see
-:mod:`repro.engine.session` for the bit-identity discipline).
+:class:`BatchSession` is the only pair-draw/apply loop.  ``batch``,
+``batch-jit`` (the same engine under a second name) and ``graph``
+(:mod:`~repro.engine.graph_batch`, which swaps the pair sampler) all
+run it.  It runs the compiled ``pair_block`` kernel of
+:mod:`repro.engine.kernels` when a native backend is present, no
+``on_effective`` callback is set and any stability predicate has a
+:class:`~repro.core.protocol.StabilitySignature`; otherwise it runs
+its Python loop, which the kernel matches bit for bit.  Snapshots
+carry the RNG state and the unconsumed tail of the current pair block
+(see :mod:`repro.engine.session` for the bit-identity discipline), so
+they move freely between the two loops.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike
 from .base import Engine, StepCallback
+from .count_based import ChainTables
+from .kernels import KERNEL_CONVERGED, KERNEL_REFILL, get_kernels
 from .session import EngineSession
 
 __all__ = ["BatchEngine", "BatchSession"]
@@ -85,6 +96,20 @@ class BatchSession(EngineSession):
         # change (lazily cached; the reachable rule set is small).
         self._dirty_by_pq: dict[int, list[int]] = {}
 
+    def _dirty(self, pq: int) -> list[int]:
+        """Classes whose weight the effective rule ``pq`` can change."""
+        dirty = self._dirty_by_pq.get(pq)
+        if dirty is None:
+            S = self._S
+            p, q = divmod(pq, S)
+            p2, q2 = divmod(self._dflat[pq], S)
+            touched: set[int] = set()
+            for s in (p, q, p2, q2):
+                touched.update(self._state_classes[s])
+            dirty = sorted(touched)
+            self._dirty_by_pq[pq] = dirty
+        return dirty
+
     # ------------------------------------------------------------------
     # Stepper
     # ------------------------------------------------------------------
@@ -97,8 +122,9 @@ class BatchSession(EngineSession):
         The uniform draw lives here (rather than inline in the loop) so
         subclasses can swap the pair distribution — the graph engine
         overrides this with edge sampling — while inheriting the whole
-        advance/snapshot/driven machinery unchanged.  Called once per
-        block refill, so the indirection costs nothing measurable.
+        advance/snapshot/driven machinery, and the kernel, unchanged.
+        Called once per block refill, so the indirection costs nothing
+        measurable.
         """
         rng = self._rng
         n_total = self._n
@@ -107,14 +133,50 @@ class BatchSession(EngineSession):
         b_arr += b_arr >= a_arr
         return a_arr, b_arr
 
+    @cached_property
+    def _pair_kernel(self) -> tuple | None:
+        """The compiled ``pair_block`` and its table arguments, or None
+        when this session must run the Python loop.
+
+        The kernel cannot call ``on_effective`` back, tests stability
+        only through a signature (the shared :class:`ChainTables` decide
+        that), and exists only on a native backend.  Decided on the
+        first advance, so driven sessions never load the kernels.
+        """
+        if self._on_effective is not None:
+            return None
+        arrays = ChainTables.of(self._protocol, self._n).kernel_arrays
+        kernels = get_kernels()
+        if arrays is None or not kernels.native:
+            return None
+        in1, in2, _, _, same, mult, _, _, sig_off, sig_idx, sig_want = arrays
+        # Dirty-class CSR over every rule key pq (rows empty for nulls).
+        S = self._S
+        dflat = self._dflat
+        pq_off = np.zeros(S * S + 1, dtype=np.int64)
+        pq_idx: list[int] = []
+        for pq in range(S * S):
+            if dflat[pq] != pq:
+                pq_idx.extend(self._dirty(pq))
+            pq_off[pq + 1] = len(pq_idx)
+        tables = (
+            np.asarray(dflat, dtype=np.int64), in1, in2, same, mult,
+            pq_off, np.asarray(pq_idx, dtype=np.int64),
+            sig_off, sig_idx, sig_want,
+        )
+        return kernels.pair_block, tables
+
     def _advance_inner(self, target: int) -> None:
+        kernel = self._pair_kernel
+        if kernel is not None:
+            self._advance_kernel(*kernel, target)
+            return
         counts = self.counts
         states = self._states
         S = self._S
         dflat = self._dflat
         pred = self._pred
         classes = self._classes
-        state_classes = self._state_classes
         weights = self._weights
         W_active = self._W
         dirty_by_pq = self._dirty_by_pq
@@ -164,11 +226,7 @@ class BatchSession(EngineSession):
                 effective += 1
                 dirty = dirty_by_pq.get(pq)
                 if dirty is None:
-                    touched: set[int] = set()
-                    for s in (p, q, p2, q2):
-                        touched.update(state_classes[s])
-                    dirty = sorted(touched)
-                    dirty_by_pq[pq] = dirty
+                    dirty = self._dirty(pq)
                 for j in dirty:
                     w = classes[j].weight(counts)
                     W_active += w - weights[j]
@@ -193,6 +251,53 @@ class BatchSession(EngineSession):
         self.effective = effective
         self._high_water = high_water
         self._converged = converged
+
+    def _advance_kernel(self, pair_block, tables: tuple, target: int) -> None:
+        """:meth:`_advance_inner` through the compiled kernel."""
+        states = np.asarray(self._states, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        weights = np.asarray(self._weights, dtype=np.int64)
+        buf_a = np.asarray(self._buf_a, dtype=np.int64)
+        buf_b = np.asarray(self._buf_b, dtype=np.int64)
+        dflat, in1, in2, same, mult, pq_off, pq_idx, sig_off, sig_idx, sig_want = tables
+        reg = np.asarray(
+            [self._pos, self.interactions, self.effective, self._W,
+             self._high_water, 0],
+            dtype=np.int64,
+        )
+        ms_buf = np.empty(self._n + 2, dtype=np.int64)
+        track = -1 if self._track is None else self._track
+        while True:
+            status = pair_block(
+                states, counts, dflat, in1, in2, same, mult, weights,
+                pq_off, pq_idx, sig_off, sig_idx, sig_want,
+                buf_a, buf_b, ms_buf, reg, self._S, target, track,
+            )
+            ms_len = int(reg[5])
+            if ms_len:
+                self.milestones.extend(ms_buf[:ms_len].tolist())
+            if status != KERNEL_REFILL:
+                break
+            # The same block draw the Python loop makes, at the same
+            # interaction count: an identical random stream.
+            a_arr, b_arr = self._sample_pairs(
+                min(self._block, self._budget - int(reg[1]))
+            )
+            buf_a = np.ascontiguousarray(a_arr, dtype=np.int64)
+            buf_b = np.ascontiguousarray(b_arr, dtype=np.int64)
+            reg[0] = 0
+
+        self._states = states.tolist()
+        self.counts[:] = counts.tolist()
+        self._weights = weights.tolist()
+        self._buf_a = buf_a.tolist()
+        self._buf_b = buf_b.tolist()
+        self._pos = int(reg[0])
+        self.interactions = int(reg[1])
+        self.effective = int(reg[2])
+        self._W = int(reg[3])
+        self._high_water = int(reg[4])
+        self._converged = status == KERNEL_CONVERGED
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -237,14 +342,7 @@ class BatchSession(EngineSession):
         counts[q2] += 1
         states[a] = p2
         states[b] = q2
-        dirty = self._dirty_by_pq.get(pq)
-        if dirty is None:
-            touched: set[int] = set()
-            for s in (p_own, q_own, p2, q2):
-                touched.update(self._state_classes[s])
-            dirty = sorted(touched)
-            self._dirty_by_pq[pq] = dirty
-        for j in dirty:
+        for j in self._dirty(pq):
             w = self._classes[j].weight(counts)
             self._W += w - self._weights[j]
             self._weights[j] = w

@@ -72,8 +72,9 @@ _RAND_BLOCK = 4096
 class ChainTables:
     """Read-only jump-chain tables of one (protocol, population size).
 
-    :meth:`of` builds them once per pair and every :class:`JumpChain`
-    and :class:`~repro.engine.jit.KernelJumpChain` of that pair shares
+    :meth:`of` builds them once per pair and every :class:`JumpChain`,
+    :class:`~repro.engine.jit.KernelJumpChain` and kernel-running
+    :class:`~repro.engine.batch.BatchSession` of that pair shares
     them.  Campaign workers run chains of one protocol on several
     threads, so nothing here is written after construction: the Python
     columns are tuples and the kernel arrays are read-only.  The
@@ -120,8 +121,9 @@ class ChainTables:
         else:
             signature = protocol.stability_signature(n_total)
         #: Positional class, affected-CSR and signature arguments of the
-        #: ``jump_chain`` kernel; None when the predicate has no
-        #: signature, so only the Python loop can test stability.
+        #: ``jump_chain`` kernel (the ``pair_block`` kernel takes the
+        #: class and signature arrays); None when the predicate has no
+        #: signature, so only the Python loops can test stability.
         self.kernel_arrays = (
             None if signature is None else self._kernel_arrays(signature)
         )

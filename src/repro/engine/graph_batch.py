@@ -10,9 +10,12 @@ engine's uniform draw.
 
 :class:`GraphBatchSession` is therefore a
 :class:`~repro.engine.batch.BatchSession` with one method swapped — the
-pair sampler — inheriting the tight loop, the incremental active-weight
-silence check, snapshot/restore with pre-drawn block tails, and driven
-execution.  The sampler replicates
+pair sampler — inheriting the pair loop (the compiled ``pair_block``
+kernel when it can run, which refills its buffers through this
+sampler, else the Python loop), the incremental active-weight silence
+check, snapshot/restore with pre-drawn block tails, and driven
+execution.  With the kernel, ``graph`` beats ``agent`` on the
+graph-bipartition schedules (see ``docs/performance.md``).  The sampler replicates
 :meth:`~repro.scheduling.graph.GraphScheduler.next_block` draw for
 draw (edge index draw, then orientation draw), so for the same seed and
 block size this engine reproduces the agent engine + GraphScheduler

@@ -306,23 +306,11 @@ def _signature_params(fn: Callable) -> set[str]:
     return set(inspect.signature(fn).parameters)
 
 
-def _parse_param(text: str) -> tuple[str, object]:
-    key, _, raw = text.partition("=")
-    if not key or not raw:
-        raise SystemExit(f"--param expects KEY=VALUE, got {text!r}")
-    if "," in raw:
-        return key, tuple(int(v) for v in raw.split(","))
-    try:
-        return key, int(raw)
-    except ValueError:
-        return key, raw
-
-
 def describe_protocol(name: str, params: list[str]) -> str:
     """Render a registry protocol's structure (the 'describe' command)."""
-    from ..protocols.registry import build_protocol
+    from ..protocols.registry import build_protocol, parse_param
 
-    kwargs = dict(_parse_param(p) for p in params)
+    kwargs = dict(parse_param(p) for p in params)
     return build_protocol(name, **kwargs).describe()
 
 

@@ -25,7 +25,12 @@ from .repeated_bipartition import repeated_bipartition
 from .rgeneralized import r_generalized_partition
 from .weak_kpartition import weak_k_partition
 
-__all__ = ["PROTOCOL_BUILDERS", "build_protocol", "available_protocols"]
+__all__ = [
+    "PROTOCOL_BUILDERS",
+    "build_protocol",
+    "available_protocols",
+    "parse_param",
+]
 
 #: Maps protocol name to a builder callable.  Builders take the
 #: protocol-specific parameters as keyword arguments.
@@ -68,6 +73,26 @@ def build_protocol(name: str, /, **params: object) -> Protocol:
         return builder(**params)  # type: ignore[arg-type]
     except TypeError as exc:
         raise ProtocolError(f"bad parameters for protocol {name!r}: {exc}") from exc
+
+
+def parse_param(text: str) -> tuple[str, object]:
+    """One ``--param KEY=VALUE`` command-line item as a keyword argument.
+
+    ``VALUE`` becomes an int when it parses as one, a tuple of ints when
+    it is a comma-separated list (``ratio=1,2,3``), and stays a string
+    otherwise.  A malformed item exits with a usage error, never a
+    traceback.
+    """
+    key, _, raw = text.partition("=")
+    if key and raw:
+        try:
+            if "," in raw:
+                return key, tuple(int(v) for v in raw.split(","))
+            return key, int(raw)
+        except ValueError:
+            if "," not in raw:
+                return key, raw
+    raise SystemExit(f"--param expects KEY=VALUE, got {text!r}")
 
 
 def register_protocol(name: str, builder: Callable[..., Protocol]) -> None:

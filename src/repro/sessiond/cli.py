@@ -28,18 +28,6 @@ import sys
 from pathlib import Path
 
 
-def _parse_param(text: str) -> tuple[str, object]:
-    key, _, raw = text.partition("=")
-    if not key or not raw:
-        raise SystemExit(f"--param expects KEY=VALUE, got {text!r}")
-    if "," in raw:
-        return key, tuple(int(v) for v in raw.split(","))
-    try:
-        return key, int(raw)
-    except ValueError:
-        return key, raw
-
-
 def build_session_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments session",
@@ -186,9 +174,11 @@ def _emit(payload: dict | list) -> None:
 
 
 def _cmd_create(args: argparse.Namespace) -> int:
+    from ..protocols.registry import parse_param
+
     config: dict = {
         "protocol": args.protocol,
-        "params": dict(_parse_param(p) for p in args.param),
+        "params": dict(parse_param(p) for p in args.param),
         "engine": args.engine,
         "mode": args.mode,
     }

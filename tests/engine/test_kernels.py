@@ -3,18 +3,18 @@
 The compiled kernels consume the same pre-drawn random buffers the
 pure-Python loops draw, so a kernel run must be *bit-identical* to the
 Python loop — same counts, interaction totals, milestones, convergence
-flags.  ``count`` runs the kernel on a native backend and the Python
-``JumpChain.advance`` loop under ``REPRO_KERNEL=python``, so its pins
-compare the two backends; ``batch-jit`` is pinned against ``batch``.
-These tests cover seeds, protocols, slicing, budget exhaustion, and
-the forced pure-Python fallback, so the suite passes with no native
+flags.  ``count`` (the jump chain) and ``batch``, ``batch-jit`` and
+``graph`` (the one pair loop) run the kernel on a native backend and
+their Python loops under ``REPRO_KERNEL=python``, so the pins compare
+the two backends.  These tests cover seeds, protocols, schedulers,
+slicing, snapshots moved between the loops, budget exhaustion, and the
+forced pure-Python fallback, so the suite passes with no native
 toolchain at all.
 """
 
 from __future__ import annotations
 
 import gc
-import importlib.util
 import pickle
 import sys
 import tempfile
@@ -29,6 +29,7 @@ import pytest
 from repro.engine import (
     BatchEngine,
     CountBasedEngine,
+    GraphBatchEngine,
     JitBatchEngine,
     JitCountEngine,
     KernelBuildError,
@@ -43,12 +44,11 @@ from repro.engine.kernels import KERNEL_ENV, _build_cc, _find_cc
 from repro.obs import Telemetry, use_telemetry
 from repro.protocols import (
     approximate_k_partition,
+    graph_bipartition,
     leader_election,
     uniform_bipartition,
     uniform_k_partition,
 )
-
-_HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 def _science(result) -> tuple:
@@ -92,17 +92,21 @@ class TestBackendSelection:
     def test_unknown_backend_raises(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV, "warp-drive")
         reset_kernels()
-        with pytest.raises(KernelBuildError, match="warp-drive"):
+        with pytest.raises(KernelBuildError) as err:
             get_kernels()
         reset_kernels()
+        assert repr("warp-drive") in str(err.value)
+        assert str(err.value).endswith("choose auto, cc, python")
 
-    @pytest.mark.skipif(_HAS_NUMBA, reason="numba is installed")
     def test_forced_numba_raises_without_numba(self, monkeypatch):
+        # The numba backend is gone: a stale REPRO_KERNEL=numba must
+        # fail like any unknown value rather than fall back silently.
         monkeypatch.setenv(KERNEL_ENV, "numba")
         reset_kernels()
-        with pytest.raises(KernelBuildError, match="numba"):
+        with pytest.raises(KernelBuildError, match="numba") as err:
             get_kernels()
         reset_kernels()
+        assert str(err.value).endswith("choose auto, cc, python")
 
     @pytest.mark.skipif(_find_cc() is None, reason="no C compiler on PATH")
     def test_cc_backend_builds_and_is_cached(self):
@@ -146,7 +150,6 @@ class TestBackendSelection:
         cache = list(tmp_path.glob("repro-kernels-*/*"))
         assert [p.suffix for p in cache] == [".so"]  # no scratch left behind
 
-    @pytest.mark.skipif(_HAS_NUMBA, reason="auto would pick numba")
     def test_unusable_kernel_cache_falls_back_to_python(self, monkeypatch, tmp_path):
         # The cache cannot be created under a TMPDIR that is a regular
         # file (permission bits would not stop a root user).  The cc
@@ -192,17 +195,6 @@ def _count_run(backend: str, monkeypatch, **kwargs):
         return CountBasedEngine().run(**kwargs)
 
 
-def _kernel_session(proto, n, **kwargs):
-    """A ``count`` session whose chain is a :class:`KernelJumpChain`
-    whatever the backend, starting from the same drawn block."""
-    session = CountBasedEngine().start(proto, n, **kwargs)
-    python_chain = session._chain
-    chain = KernelJumpChain(proto, session.counts, session._rng, session._n, draw=False)
-    session._rng = chain.apply_capture(python_chain.capture())
-    session._chain = chain
-    return session
-
-
 class TestCountTierIdentity:
     """``count`` runs the kernel on a native backend and the Python
     ``JumpChain.advance`` loop under ``REPRO_KERNEL=python``; the two
@@ -227,18 +219,6 @@ class TestCountTierIdentity:
         native = _count_run("auto", monkeypatch, **kwargs)
         assert python.interactions == native.interactions == 5000
         assert _science(native) == _science(python)
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_python_backend_identical(self, python_backend, seed):
-        # _jump_chain_py is only reachable through a KernelJumpChain
-        # built by hand: sessions on the python backend run the loop.
-        for proto, n, track in PROTOCOLS.values():
-            loop = CountBasedEngine().start(proto, n, seed=seed, track_state=track)
-            assert type(loop._chain) is JumpChain
-            loop.advance()
-            kernel = _kernel_session(proto, n, seed=seed, track_state=track)
-            kernel.advance()
-            assert _science(kernel.result()) == _science(loop.result())
 
     @pytest.mark.parametrize("cut", [7, 97])
     def test_sliced_with_snapshots_equals_straight_python_tier(self, monkeypatch, cut):
@@ -381,67 +361,146 @@ class TestChainTables:
         )
 
 
+#: The pair-loop engines and the schedules they run here: ``batch`` and
+#: its second name on the uniform scheduler, ``graph`` on two
+#: graph-restricted ones.
+PAIR_ENGINES = {
+    "batch": BatchEngine,
+    "batch-jit": JitBatchEngine,
+    "graph:cycle": lambda: GraphBatchEngine("graph:cycle"),
+    "graph:regular:4": lambda: GraphBatchEngine("graph:regular:4"),
+}
+GRAPH_PROTO = graph_bipartition()
+
+
+def _pair_case(engine: str):
+    """``(engine, protocol, n, track)`` of one pair-loop case; the batch
+    tier simulates every null interaction, so n stays small."""
+    if engine.startswith("graph:"):
+        return PAIR_ENGINES[engine](), GRAPH_PROTO, 60, "g1"
+    proto, _, track = PROTOCOLS["k3"]
+    return PAIR_ENGINES[engine](), proto, 72, track
+
+
+def _ran_kernel(session) -> bool:
+    """Whether the session chose the compiled pair loop (it decides on
+    its first advance)."""
+    return session.__dict__["_pair_kernel"] is not None
+
+
 class TestBatchTierIdentity:
+    """``batch``, ``batch-jit`` and ``graph`` run the compiled pair loop
+    on a native backend and the Python loop under
+    ``REPRO_KERNEL=python``; the two must agree bit for bit."""
+
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_bit_identical_to_batch_tier(self, name, seed):
+    def test_bit_identical_to_batch_tier(self, monkeypatch, name, seed):
         proto, n, track = PROTOCOLS[name]
         n = min(n, 72)  # the batch tier simulates every null interaction
-        plain = BatchEngine().run(
-            proto, n, seed=seed, track_state=track, max_interactions=30_000
-        )
-        jit = JitBatchEngine().run(
-            proto, n, seed=seed, track_state=track, max_interactions=30_000
-        )
-        assert _science(jit) == _science(plain)
-        assert jit.engine == "batch-jit"
+        for engine in ("batch", "batch-jit"):
+            runs = {}
+            for backend in ("python", "auto"):
+                with _backend(monkeypatch, backend):
+                    runs[backend] = PAIR_ENGINES[engine]().run(
+                        proto, n, seed=seed, track_state=track,
+                        max_interactions=30_000,
+                    )
+            assert _science(runs["auto"]) == _science(runs["python"]), engine
+            assert runs["auto"].engine == engine
+
+    @pytest.mark.parametrize("scheduler", ["graph:cycle", "graph:regular:4"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_graph_bit_identical_across_backends(self, monkeypatch, scheduler, seed):
+        runs = {}
+        for backend in ("python", "auto"):
+            with _backend(monkeypatch, backend):
+                runs[backend] = GraphBatchEngine(scheduler).run(
+                    GRAPH_PROTO, 60, seed=seed, track_state="g1",
+                    max_interactions=2_000_000,
+                )
+        assert runs["python"].converged
+        assert _science(runs["auto"]) == _science(runs["python"])
+        assert runs["auto"].engine == "graph"
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_budget_exhaustion_parity(self, seed):
-        proto, _, track = PROTOCOLS["k3"]
-        plain = BatchEngine().run(
-            proto, 72, seed=seed, track_state=track, max_interactions=500
-        )
-        jit = JitBatchEngine().run(
-            proto, 72, seed=seed, track_state=track, max_interactions=500
-        )
-        assert _science(jit) == _science(plain)
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_python_backend_identical(self, python_backend, seed):
-        proto, _, track = PROTOCOLS["k3"]
-        plain = BatchEngine().run(
-            proto, 72, seed=seed, track_state=track, max_interactions=30_000
-        )
-        jit = JitBatchEngine().run(
-            proto, 72, seed=seed, track_state=track, max_interactions=30_000
-        )
-        assert _science(jit) == _science(plain)
+    def test_budget_exhaustion_parity(self, monkeypatch, seed):
+        for engine in PAIR_ENGINES:
+            runs = {}
+            for backend in ("python", "auto"):
+                eng, proto, n, track = _pair_case(engine)
+                with _backend(monkeypatch, backend):
+                    runs[backend] = eng.run(
+                        proto, n, seed=seed, track_state=track,
+                        max_interactions=500,
+                    )
+            assert runs["python"].interactions == runs["auto"].interactions == 500
+            assert _science(runs["auto"]) == _science(runs["python"]), engine
 
     @pytest.mark.parametrize("cut", [13, 512])
-    def test_sliced_with_snapshots_equals_straight_python_tier(self, cut):
-        proto, _, track = PROTOCOLS["k3"]
-        straight = BatchEngine().run(
-            proto, 72, seed=5, track_state=track, max_interactions=30_000
-        )
-        engine = JitBatchEngine()
-        session = engine.start(
-            proto, 72, seed=5, track_state=track, max_interactions=30_000
-        )
-        while not session.advance(cut).terminal:
-            blob = session.snapshot().to_bytes()
-            session = engine.start(
-                proto, 72, seed=99, track_state=track, max_interactions=30_000
-            )
-            session.restore(SessionState.from_bytes(blob))
-        assert _science(session.result()) == _science(straight)
+    def test_sliced_with_snapshots_equals_straight_python_tier(self, monkeypatch, cut):
+        for engine in PAIR_ENGINES:
+            eng, proto, n, track = _pair_case(engine)
+            kwargs = dict(track_state=track, max_interactions=30_000)
+            with _backend(monkeypatch, "python"):
+                straight = eng.run(proto, n, seed=5, **kwargs)
+            native = get_kernels().native
+            session = eng.start(proto, n, seed=5, **kwargs)
+            while not session.advance(cut).terminal:
+                assert _ran_kernel(session) == native, engine
+                blob = session.snapshot().to_bytes()
+                session = eng.start(proto, n, seed=99, **kwargs)
+                session.restore(SessionState.from_bytes(blob))
+            assert _ran_kernel(session) == native, engine
+            assert _science(session.result()) == _science(straight), engine
 
-    def test_callback_forces_python_loop(self):
-        proto, _, _ = PROTOCOLS["k3"]
-        session = JitBatchEngine().start(
-            proto, 72, seed=1, on_effective=lambda i, c: None
-        )
-        assert not session._use_kernel
+    @pytest.mark.parametrize("engine", sorted(PAIR_ENGINES))
+    def test_python_loop_snapshot_restores_into_kernel_session(
+        self, monkeypatch, engine
+    ):
+        eng, proto, n, track = _pair_case(engine)
+        kwargs = dict(track_state=track, max_interactions=30_000)
+        with _backend(monkeypatch, "python"):
+            straight = eng.run(proto, n, seed=8, **kwargs)
+            session = eng.start(proto, n, seed=8, **kwargs)
+            assert not session.advance(777).terminal
+            assert not _ran_kernel(session)
+            blob = session.snapshot().to_bytes()
+        restored = eng.start(proto, n, seed=0, **kwargs)
+        restored.restore(SessionState.from_bytes(blob))
+        restored.advance()
+        assert _ran_kernel(restored) == get_kernels().native
+        assert _science(restored.result()) == _science(straight)
+
+    def test_kernel_path_used_when_native_backend_exists(self, monkeypatch):
+        for engine in PAIR_ENGINES:
+            eng, proto, n, track = _pair_case(engine)
+            session = eng.start(proto, n, seed=0, max_interactions=100)
+            session.advance()
+            assert _ran_kernel(session) == get_kernels().native, engine
+            with _backend(monkeypatch, "python"):
+                session = eng.start(proto, n, seed=0, max_interactions=100)
+                session.advance()
+            assert not _ran_kernel(session), engine
+        # A predicate without a signature keeps the Python loop too.
+        session = BatchEngine().start(approximate_k_partition(3), 30, seed=0)
+        session.advance(100)
+        assert not _ran_kernel(session)
+
+    def test_callback_forces_python_loop(self, monkeypatch):
+        for engine in PAIR_ENGINES:
+            eng, proto, n, _ = _pair_case(engine)
+            with _backend(monkeypatch, "python"):
+                plain = eng.run(proto, n, seed=1, max_interactions=30_000)
+            seen: list[int] = []
+            session = eng.start(
+                proto, n, seed=1, max_interactions=30_000,
+                on_effective=lambda i, c: seen.append(i),
+            )
+            session.advance()
+            assert not _ran_kernel(session), engine
+            assert _science(session.result()) == _science(plain), engine
+            assert len(seen) == plain.effective_interactions
 
 
 class TestSignatureAgreement:

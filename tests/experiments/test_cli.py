@@ -135,6 +135,25 @@ class TestDescribe:
         with pytest.raises(SystemExit):
             main(["describe", "--protocol", "leader-election", "--param", "oops"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["describe", "--protocol", "r-generalized-partition"],
+            ["conform", "diff", "--protocol", "r-generalized-partition"],
+            ["session", "create", "--store", "unused.db",
+             "--protocol", "r-generalized-partition"],
+        ],
+        ids=["describe", "conform", "session"],
+    )
+    def test_non_integer_list_param_is_a_usage_error(self, argv, tmp_path, monkeypatch):
+        # All three CLIs share one --param parser; a list item that is
+        # not an integer exits with the usage message, not a traceback.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--param", "ratio=1,x"])
+        assert str(exc.value) == "--param expects KEY=VALUE, got 'ratio=1,x'"
+        assert not (tmp_path / "unused.db").exists()
+
     def test_describe_function(self):
         from repro.experiments.cli import describe_protocol
 
