@@ -116,15 +116,15 @@ def execute_spec_resumable(
     The session-based twin of :func:`execute_spec`: each trial is an
     :class:`~repro.engine.session.EngineSession` advanced in slices of
     ``checkpoint_interactions`` scheduler interactions.  After every
-    slice (and at every trial boundary) the job's progress — the
-    records of completed trials plus the in-flight session's snapshot —
-    is written to the store's ``checkpoints`` table.  When a checkpoint
-    for ``digest`` already exists, execution picks up exactly where it
-    stopped: completed trials are not re-run and the interrupted trial
-    restarts *mid-flight* from its snapshot.  Because sliced session
-    execution is bit-identical to straight execution, the payload is
-    byte-for-byte the one an uninterrupted :func:`execute_spec` run
-    would have produced.
+    slice the in-flight session's snapshot, and at every trial boundary
+    the finished trial's record, is written to the store's checkpoint
+    tables — one appended row per trial, never the whole history.  When
+    a checkpoint for ``digest`` already exists, execution picks up
+    exactly where it stopped: completed trials are not re-run and the
+    interrupted trial restarts *mid-flight* from its snapshot.  Because
+    sliced session execution is bit-identical to straight execution,
+    the payload is byte-for-byte the one an uninterrupted
+    :func:`execute_spec` run would have produced.
 
     ``on_slice(trial_index, interactions)`` fires after each mid-trial
     checkpoint — the deterministic interruption hook the kill/resume
@@ -136,7 +136,7 @@ def execute_spec_resumable(
     t0 = time.perf_counter()
 
     ckpt = store.load_checkpoint(digest, tenant=tenant)
-    completed: list[dict] = list(ckpt["completed"]) if ckpt else []
+    completed: list[dict] = ckpt["completed"] if ckpt else []
     resume_index = ckpt["trial_index"] if ckpt else 0
     session_bytes: bytes | None = ckpt["session"] if ckpt else None
 
@@ -175,7 +175,7 @@ def execute_spec_resumable(
                 store.save_checkpoint(
                     digest,
                     trial_index=t,
-                    completed=completed,
+                    completed=[],
                     session=session.snapshot().to_bytes(),
                     tenant=tenant,
                 )
@@ -183,10 +183,10 @@ def execute_spec_resumable(
                     on_slice(t, session.interactions)
             result = session.result()
             results.append(result)
-            completed.append(result.to_record())
+            # The store keeps earlier trials' rows: append this one only.
             store.save_checkpoint(
-                digest, trial_index=t + 1, completed=completed, session=None,
-                tenant=tenant,
+                digest, trial_index=t + 1, completed=[result.to_record()],
+                session=None, tenant=tenant,
             )
 
     ts = finalize_trials(
@@ -294,6 +294,16 @@ def _commit_success(
     sink: "ShardWriter | None" = None,
     spec: JobSpec | None = None,
 ) -> None:
+    # mark_done commits last: a done job is never run again, so anything
+    # written after it would be lost for good by a crash in between.
+    # Everything before it is idempotent, so such a crash only re-runs
+    # the job.
+    if sink is not None and spec is not None:
+        # Keyed by digest: a retried or resumed drain re-commits the
+        # same job without duplicating its trial rows in the shards.
+        sink.append_keyed(digest, trial_sink_rows(spec, payload))
+    if payload.get("trial_key"):
+        store.trial_cache(tenant).put(payload["trial_key"], payload["record"])
     store.mark_done(
         digest,
         summary=payload["summary"],
@@ -301,12 +311,6 @@ def _commit_success(
         wall_time=payload["wall_time"],
         tenant=tenant,
     )
-    if payload.get("trial_key"):
-        store.trial_cache(tenant).put(payload["trial_key"], payload["record"])
-    if sink is not None and spec is not None:
-        # Keyed by digest: a retried or resumed drain re-commits the
-        # same job without duplicating its trial rows in the shards.
-        sink.append_keyed(digest, trial_sink_rows(spec, payload))
 
 
 def _handle_failure(

@@ -13,18 +13,25 @@ with ``BEGIN IMMEDIATE`` so two executors never run the same job.
 A second table, ``trial_cache``, memoizes raw ``run_trials`` calls by
 their :func:`~repro.engine.runner.trial_fingerprint` — the hook that
 makes plain ``repro-experiments`` sweeps incremental even when they
-were never submitted as campaign jobs.  A third, ``checkpoints``,
-holds each running job's partial progress — completed-trial records
-plus the in-flight trial's serialized
+were never submitted as campaign jobs.  ``checkpoints`` and
+``checkpoint_trials`` hold each running job's partial progress — one
+row per finished trial's record, plus the next trial index and the
+in-flight trial's serialized
 :class:`~repro.engine.session.SessionState` — so a killed executor
-resumes mid-trial instead of restarting the job from scratch.
+resumes mid-trial instead of restarting the job from scratch.  A trial
+boundary appends one row, so a checkpoint costs the same at trial 99
+as at trial 1.
 
 Tenancy: every table carries a ``tenant`` column (auth-less
 namespacing for the multi-tenant service v2); the ``"default"``
 tenant is what every pre-tenant API call operates on, so existing
-digests, cache keys and call sites are untouched.  Pre-tenant
-databases (schema v1) are migrated in place on first open — rows
-land under the default tenant with their bytes unchanged.
+digests, cache keys and call sites are untouched.
+
+Older databases are migrated in place on first open: pre-tenant files
+(schema v1) land under the default tenant with their bytes unchanged,
+and v2 files, which kept each job's finished trials as one JSON list,
+get one ``checkpoint_trials`` row per list entry.  A v1 file goes
+through both steps in the same transaction.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
-import subprocess
 import threading
 import time
 from dataclasses import dataclass
@@ -40,6 +46,7 @@ from pathlib import Path
 
 from .. import __version__ as _PACKAGE_VERSION
 from ..core.errors import CampaignError, StoreClosedError
+from ..obs.trace import git_rev
 from .spec import JobSpec
 
 __all__ = [
@@ -56,12 +63,13 @@ JOB_STATUSES = ("pending", "running", "done", "failed")
 DEFAULT_TENANT = "default"
 
 #: Schema generation recorded in ``PRAGMA user_version``.  0 is a
-#: fresh (or pre-versioning v1) database; 2 is the tenant-aware layout.
-_SCHEMA_VERSION = 2
+#: fresh (or pre-versioning v1) database; 2 added tenants; 3 stores one
+#: row per finished trial in ``checkpoint_trials``.
+_SCHEMA_VERSION = 3
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 
-_SCHEMA = """
+_JOB_TABLES = """
 CREATE TABLE IF NOT EXISTS jobs (
     tenant          TEXT NOT NULL DEFAULT 'default',
     digest          TEXT NOT NULL,
@@ -91,7 +99,41 @@ CREATE TABLE IF NOT EXISTS trial_cache (
     created_at REAL NOT NULL,
     PRIMARY KEY (tenant, key)
 );
+"""
+
+_CHECKPOINT_TABLES = """
 CREATE TABLE IF NOT EXISTS checkpoints (
+    tenant      TEXT NOT NULL DEFAULT 'default',
+    digest      TEXT NOT NULL,
+    trial_index INTEGER NOT NULL,
+    session     BLOB,
+    updated_at  REAL NOT NULL,
+    PRIMARY KEY (tenant, digest)
+);
+CREATE TABLE IF NOT EXISTS checkpoint_trials (
+    tenant TEXT NOT NULL,
+    digest TEXT NOT NULL,
+    trial  INTEGER NOT NULL,
+    record TEXT NOT NULL,
+    PRIMARY KEY (tenant, digest, trial)
+) WITHOUT ROWID;
+"""
+
+_SCHEMA = _JOB_TABLES + _CHECKPOINT_TABLES
+
+#: v1 tables (digest-keyed, no tenant column) copied verbatim into the
+#: v2 layout under the default tenant.  Column lists are explicit so a
+#: copy never silently reorders.  The v2 ``checkpoints`` table, which
+#: kept every finished trial in one ``completed`` JSON list, is spelled
+#: out here because the v2→v3 step reads it.
+_MIGRATE_V1_TO_V2 = """
+ALTER TABLE jobs RENAME TO jobs_v1;
+ALTER TABLE trial_cache RENAME TO trial_cache_v1;
+ALTER TABLE checkpoints RENAME TO checkpoints_v1;
+DROP INDEX IF EXISTS jobs_by_status;
+DROP INDEX IF EXISTS jobs_by_campaign;
+""" + _JOB_TABLES + """
+CREATE TABLE checkpoints (
     tenant      TEXT NOT NULL DEFAULT 'default',
     digest      TEXT NOT NULL,
     trial_index INTEGER NOT NULL,
@@ -100,18 +142,6 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     updated_at  REAL NOT NULL,
     PRIMARY KEY (tenant, digest)
 );
-"""
-
-#: v1 tables (digest-keyed, no tenant column) copied verbatim into the
-#: v2 layout under the default tenant.  Column lists are explicit so a
-#: copy never silently reorders.
-_MIGRATE_V1_TO_V2 = """
-ALTER TABLE jobs RENAME TO jobs_v1;
-ALTER TABLE trial_cache RENAME TO trial_cache_v1;
-ALTER TABLE checkpoints RENAME TO checkpoints_v1;
-DROP INDEX IF EXISTS jobs_by_status;
-DROP INDEX IF EXISTS jobs_by_campaign;
-""" + _SCHEMA + """
 INSERT INTO jobs (tenant, digest, spec, status, attempts, error, summary,
                   record, campaign, git_rev, package_version, wall_time,
                   created_at, started_at, finished_at)
@@ -129,18 +159,88 @@ DROP TABLE trial_cache_v1;
 DROP TABLE checkpoints_v1;
 """
 
+#: The SQL half of v2→v3; :func:`_migrate_v2_to_v3` splits each
+#: ``completed`` list into ``checkpoint_trials`` rows before the old
+#: table is dropped.
+_MIGRATE_V2_TO_V3 = """
+ALTER TABLE checkpoints RENAME TO checkpoints_v2;
+""" + _CHECKPOINT_TABLES + """
+INSERT INTO checkpoints (tenant, digest, trial_index, session, updated_at)
+    SELECT tenant, digest, trial_index, session, updated_at
+    FROM checkpoints_v2;
+"""
 
-def _git_rev() -> str | None:
-    """Current git revision, or None outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=5, check=False,
-        )
-    except OSError:
-        return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
+
+def _run_script(conn: sqlite3.Connection, script: str) -> None:
+    """Run ``;``-separated statements inside the open transaction.
+
+    ``executescript`` would implicitly commit first and break the
+    migration's atomicity.
+    """
+    for stmt in script.split(";"):
+        if stmt.strip():
+            conn.execute(stmt)
+
+
+def _columns(conn: sqlite3.Connection, table: str) -> list[str]:
+    return [r[1] for r in conn.execute(f"PRAGMA table_info({table})")]
+
+
+def _schema_generation(conn: sqlite3.Connection) -> int:
+    """The layout's schema version, read from its structure.
+
+    A v1 ``jobs`` table has no ``tenant`` column; a v2 ``checkpoints``
+    table still has ``completed``.  A fresh file reads as current.
+    """
+    jobs = _columns(conn, "jobs")
+    if jobs and "tenant" not in jobs:
+        return 1
+    if "completed" in _columns(conn, "checkpoints"):
+        return 2
+    return _SCHEMA_VERSION
+
+
+def _insert_trials(
+    conn: sqlite3.Connection,
+    tenant: str,
+    digest: str,
+    first: int,
+    records: list[dict],
+) -> None:
+    """Store ``records`` as the rows of trials ``first``, ``first + 1``, …"""
+    conn.executemany(
+        "INSERT OR REPLACE INTO checkpoint_trials (tenant, digest, trial, record) "
+        "VALUES (?, ?, ?, ?)",
+        [
+            (tenant, digest, first + i, json.dumps(record))
+            for i, record in enumerate(records)
+        ],
+    )
+
+
+def _migrate_v2_to_v3(conn: sqlite3.Connection) -> None:
+    """Split every v2 ``completed`` list into per-trial rows.
+
+    Each record is re-encoded by ``json.dumps`` — the encoder
+    :meth:`CampaignStore.save_checkpoint` uses — not by SQLite's
+    ``json_each``, which re-renders floats.
+    """
+    _run_script(conn, _MIGRATE_V2_TO_V3)
+    rows = conn.execute(
+        "SELECT tenant, digest, trial_index, completed FROM checkpoints_v2"
+    ).fetchall()
+    for tenant, digest, trial_index, completed in rows:
+        records = json.loads(completed)
+        _insert_trials(conn, tenant, digest, trial_index - len(records), records)
+    conn.execute("DROP TABLE checkpoints_v2")
+
+
+def _delete_checkpoint(conn: sqlite3.Connection, tenant: str, digest: str) -> None:
+    args = (tenant, digest)
+    conn.execute("DELETE FROM checkpoints WHERE tenant = ? AND digest = ?", args)
+    conn.execute(
+        "DELETE FROM checkpoint_trials WHERE tenant = ? AND digest = ?", args
+    )
 
 
 def _check_tenant(tenant: str) -> str:
@@ -254,12 +354,16 @@ class CampaignStore:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = sqlite3.connect(self.path, timeout=30.0)
-            conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            self._ensure_schema(conn)
-            conn.commit()
+            try:
+                conn.row_factory = sqlite3.Row
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=NORMAL")
+                conn.execute("PRAGMA busy_timeout=30000")
+                self._ensure_schema(conn)
+                conn.commit()
+            except BaseException:
+                conn.close()
+                raise
             with self._conns_lock:
                 if self._closed:
                     # close() ran while this connection was being set
@@ -275,28 +379,26 @@ class CampaignStore:
 
     @staticmethod
     def _ensure_schema(conn: sqlite3.Connection) -> None:
-        """Create the v2 schema, migrating a v1 database in place.
+        """Create the v3 schema, migrating a v1 or v2 database in place.
 
-        A v1 layout is recognized structurally (a ``jobs`` table with
-        no ``tenant`` column); the rebuild runs inside one immediate
-        transaction so concurrent openers serialize behind it and the
-        check-then-migrate pair cannot race.
+        The old layout is recognized structurally (see
+        :func:`_schema_generation`); every step up to v3 runs inside one
+        immediate transaction, so concurrent openers serialize behind
+        it, the check-then-migrate pair cannot race, and a failure
+        leaves the file wholly at its old version.
         """
-        cols = [r[1] for r in conn.execute("PRAGMA table_info(jobs)")]
-        if cols and "tenant" not in cols:
-            # Statements run one by one: executescript would implicitly
-            # commit the open transaction and break atomicity.
+        if _schema_generation(conn) < _SCHEMA_VERSION:
             conn.execute("BEGIN IMMEDIATE")
             try:
                 # Re-check under the write lock: another process may
                 # have migrated while we waited.
-                cols = [r[1] for r in conn.execute("PRAGMA table_info(jobs)")]
-                if cols and "tenant" not in cols:
-                    for stmt in _MIGRATE_V1_TO_V2.split(";"):
-                        if stmt.strip():
-                            conn.execute(stmt)
+                generation = _schema_generation(conn)
+                if generation == 1:
+                    _run_script(conn, _MIGRATE_V1_TO_V2)
+                if generation <= 2:
+                    _migrate_v2_to_v3(conn)
                 conn.execute("COMMIT")
-            except sqlite3.Error:
+            except BaseException:
                 conn.execute("ROLLBACK")
                 raise
         else:
@@ -443,16 +545,13 @@ class CampaignStore:
                     json.dumps(record),
                     wall_time,
                     time.time(),
-                    _git_rev(),
+                    git_rev(),
                     _PACKAGE_VERSION,
                     tenant,
                     digest,
                 ),
             )
-            conn.execute(
-                "DELETE FROM checkpoints WHERE tenant = ? AND digest = ?",
-                (tenant, digest),
-            )
+            _delete_checkpoint(conn, tenant, digest)
 
     def mark_failed(
         self, digest: str, error: str, *, tenant: str = DEFAULT_TENANT
@@ -463,10 +562,7 @@ class CampaignStore:
                 "WHERE tenant = ? AND digest = ?",
                 (error, time.time(), tenant, digest),
             )
-            conn.execute(
-                "DELETE FROM checkpoints WHERE tenant = ? AND digest = ?",
-                (tenant, digest),
-            )
+            _delete_checkpoint(conn, tenant, digest)
 
     def reset_to_pending(
         self, digest: str, *, tenant: str = DEFAULT_TENANT
@@ -507,25 +603,27 @@ class CampaignStore:
     ) -> None:
         """Persist a job's partial progress (idempotent per digest).
 
-        ``completed`` holds :meth:`SimulationResult.to_record` dicts of
-        finished trials; ``session`` is the in-flight trial's
-        ``SessionState.to_bytes()`` snapshot (None at a trial boundary).
-        One row per job — each save replaces the previous one, so a
-        resume always picks up the latest durable state.
+        ``trial_index`` is the trial in flight (or next to start);
+        ``completed`` holds the :meth:`SimulationResult.to_record` dicts
+        of trials ``trial_index - len(completed)`` … ``trial_index - 1``
+        — typically the one trial just finished, or none mid-trial.
+        Rows already stored for earlier trials are kept, so a caller
+        passing every finished trial stores the same state as one
+        passing only the new ones.  ``session`` is the in-flight
+        trial's ``SessionState.to_bytes()`` snapshot (None at a trial
+        boundary).  The new trial rows and the job's checkpoint row
+        commit in one transaction, so a resume always picks up the
+        latest durable state.
         """
         with self._write() as conn:
+            _insert_trials(
+                conn, tenant, digest, trial_index - len(completed), completed
+            )
             conn.execute(
                 "INSERT OR REPLACE INTO checkpoints "
-                "(tenant, digest, trial_index, completed, session, updated_at) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    tenant,
-                    digest,
-                    trial_index,
-                    json.dumps(completed),
-                    session,
-                    time.time(),
-                ),
+                "(tenant, digest, trial_index, session, updated_at) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (tenant, digest, trial_index, session, time.time()),
             )
 
     def load_checkpoint(
@@ -534,18 +632,24 @@ class CampaignStore:
         """The saved progress of a job, or None when it never checkpointed.
 
         Returns ``{"trial_index": int, "completed": list[dict],
-        "session": bytes | None}``.
+        "session": bytes | None}``; ``completed`` holds the stored
+        records of the trials before ``trial_index``, in trial order.
         """
         row = self._query(
-            "SELECT trial_index, completed, session FROM checkpoints "
+            "SELECT trial_index, session FROM checkpoints "
             "WHERE tenant = ? AND digest = ?",
             (tenant, digest),
         ).fetchone()
         if row is None:
             return None
+        trials = self._query(
+            "SELECT record FROM checkpoint_trials "
+            "WHERE tenant = ? AND digest = ? AND trial < ? ORDER BY trial",
+            (tenant, digest, row["trial_index"]),
+        )
         return {
             "trial_index": row["trial_index"],
-            "completed": json.loads(row["completed"]),
+            "completed": [json.loads(t["record"]) for t in trials],
             "session": row["session"],
         }
 
@@ -553,10 +657,7 @@ class CampaignStore:
         self, digest: str, *, tenant: str = DEFAULT_TENANT
     ) -> None:
         with self._write() as conn:
-            conn.execute(
-                "DELETE FROM checkpoints WHERE tenant = ? AND digest = ?",
-                (tenant, digest),
-            )
+            _delete_checkpoint(conn, tenant, digest)
 
     def checkpoint_count(self) -> int:
         row = self._query("SELECT COUNT(*) AS c FROM checkpoints").fetchone()
@@ -662,7 +763,9 @@ class CampaignStore:
 
         ``done_older_than`` is an age threshold in seconds applied to
         ``finished_at``; trial-cache entries older than the same
-        threshold are pruned too.  Returns per-category deletion counts.
+        threshold are pruned too.  Checkpoints whose job row is gone are
+        pruned with their trial rows.  Returns per-category deletion
+        counts.
         """
         removed = {"failed": 0, "done": 0, "trial_cache": 0, "checkpoints": 0}
         with self._write() as conn:
@@ -675,6 +778,12 @@ class CampaignStore:
                 "AND jobs.digest = checkpoints.digest)"
             )
             removed["checkpoints"] = cur.rowcount
+            conn.execute(
+                "DELETE FROM checkpoint_trials WHERE NOT EXISTS "
+                "(SELECT 1 FROM checkpoints WHERE "
+                "checkpoints.tenant = checkpoint_trials.tenant "
+                "AND checkpoints.digest = checkpoint_trials.digest)"
+            )
             if done_older_than is not None:
                 cutoff = time.time() - done_older_than
                 cur = conn.execute(

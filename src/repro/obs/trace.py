@@ -21,6 +21,7 @@ is a thin wrapper around that.  Render a trace in the terminal with
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
 import subprocess
@@ -46,14 +47,22 @@ __all__ = [
 TRACE_SCHEMA = 1
 
 
-def _git_rev() -> str | None:
-    """Current git revision, or None outside a checkout."""
+@functools.cache
+def git_rev() -> str | None:
+    """The git revision of the checkout this package runs from, or None.
+
+    Resolved once per process, in the package's own directory: the
+    caller's working directory may be another repository, and a
+    campaign that stamps every finished job must not fork ``git`` for
+    each one.  None when the package is not inside a git checkout.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True, text=True, timeout=5, check=False,
         )
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return None
     rev = out.stdout.strip()
     return rev if out.returncode == 0 and rev else None
@@ -66,7 +75,7 @@ def provenance() -> dict[str, object]:
     from .. import __version__
 
     return {
-        "git_rev": _git_rev(),
+        "git_rev": git_rev(),
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": numpy.__version__,

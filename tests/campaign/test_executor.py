@@ -270,6 +270,40 @@ class TestColumnarSink:
         ]
         assert {r["engine"] for r in rows} == {record["engine"]}
 
+    @pytest.mark.parametrize("crash", ["before", "after"])
+    def test_crash_around_mark_done_keeps_every_trial_once(
+        self, store, tmp_path, monkeypatch, crash
+    ):
+        # A kill right before or right after mark_done commits: once
+        # re-drained, the shards hold every trial of every job once.
+        from repro.io.columnar import group_reduce
+
+        specs = [make_spec(seed=s) for s in range(3)]
+        store.submit_many(specs)
+        real_mark_done = CampaignStore.mark_done
+
+        def dying_mark_done(self, digest, **kwargs):
+            if crash == "after":
+                real_mark_done(self, digest, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(CampaignStore, "mark_done", dying_mark_done)
+        report, _ = self.drain(store, tmp_path)
+        assert report.interrupted
+        assert store.counts()["done"] == (1 if crash == "after" else 0)
+
+        monkeypatch.setattr(CampaignStore, "mark_done", real_mark_done)
+        report, cstore = self.drain(store, tmp_path)
+        assert not report.interrupted
+        assert store.counts()["done"] == 3
+        counts = group_reduce(
+            cstore, by=["digest", "trial"], values=["interactions"],
+            reducers=["count"],
+        )
+        assert sorted((g["digest"], g["trial"], g["count"]) for g in counts) == sorted(
+            (spec.digest, t, 1) for spec in specs for t in range(spec.trials)
+        )
+
     def test_trial_sink_rows_are_scalar(self, store, tmp_path):
         spec = make_spec()
         store.submit(spec)

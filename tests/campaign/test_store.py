@@ -7,13 +7,22 @@ hits, and concurrent submission from multiple threads.
 
 from __future__ import annotations
 
+import json
+import shutil
+import sqlite3
+import subprocess
 import threading
+import time
+import types
+from pathlib import Path
 
 import pytest
 
 from repro.campaign import CampaignStore, JobSpec, run_campaign
-from repro.campaign.executor import execute_spec
+from repro.campaign import store as store_module
+from repro.campaign.executor import execute_spec, execute_spec_resumable
 from repro.core.errors import CampaignError
+from repro.obs import trace as trace_module
 
 
 def make_spec(seed: int = 7, **overrides) -> JobSpec:
@@ -40,6 +49,35 @@ def store(tmp_path):
     s = CampaignStore(tmp_path / "campaign.db")
     yield s
     s.close()
+
+
+def trial_row_count(store: CampaignStore) -> int:
+    return store._query("SELECT COUNT(*) AS c FROM checkpoint_trials").fetchone()["c"]
+
+
+def user_version(path) -> int:
+    conn = sqlite3.connect(path)
+    try:
+        return conn.execute("PRAGMA user_version").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def table_columns(path) -> dict[str, list[str]]:
+    """``{table: [column, ...]}`` of a database file, read with raw SQL."""
+    conn = sqlite3.connect(path)
+    try:
+        tables = [
+            r[0] for r in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type='table'"
+            )
+        ]
+        return {
+            t: [r[1] for r in conn.execute(f"PRAGMA table_info({t})")]
+            for t in tables
+        }
+    finally:
+        conn.close()
 
 
 class TestSubmission:
@@ -257,6 +295,152 @@ class TestCheckpoints:
         assert store.load_checkpoint(digest) is not None
 
 
+class TestCheckpointTrialRows:
+    """Schema v3: one ``checkpoint_trials`` row per finished trial."""
+
+    def test_boundary_saves_encode_one_trial_each(self, store, monkeypatch):
+        # Count the bytes the store JSON-encodes on every save of a
+        # 200-trial job: a boundary save appends one record, so the last
+        # one costs what the first does (a full re-encode is ~200x).
+        encoded: list[int] = []
+
+        def dumps(obj, *args, **kwargs):
+            text = json.dumps(obj, *args, **kwargs)
+            encoded[-1] += len(text)
+            return text
+
+        real_save = CampaignStore.save_checkpoint
+
+        def save(self, digest, **kwargs):
+            encoded.append(0)
+            real_save(self, digest, **kwargs)
+
+        monkeypatch.setattr(
+            store_module, "json", types.SimpleNamespace(dumps=dumps, loads=json.loads)
+        )
+        monkeypatch.setattr(CampaignStore, "save_checkpoint", save)
+        spec = make_spec(trials=200, seed=5)
+        digest, _ = store.submit(spec)
+        payload = execute_spec_resumable(spec.canonical(), store, digest=digest)
+        assert len(encoded) == 200  # one boundary save per trial
+        assert 0 < encoded[-1] <= 2 * encoded[0]
+        assert store.load_checkpoint(digest)["completed"] == payload["record"]["results"]
+
+    def test_partial_and_full_lists_store_the_same_state(self, store):
+        records = [{"trial": t, "x": t / 3} for t in range(4)]
+        a, b = "a" * 64, "b" * 64
+        for t in range(4):
+            store.save_checkpoint(a, trial_index=t + 1, completed=[records[t]], session=None)
+            store.save_checkpoint(b, trial_index=t + 1, completed=records[: t + 1], session=None)
+        store.save_checkpoint(a, trial_index=4, completed=[], session=b"mid")
+        store.save_checkpoint(b, trial_index=4, completed=records, session=b"mid")
+        assert store.load_checkpoint(a) == store.load_checkpoint(b) == {
+            "trial_index": 4, "completed": records, "session": b"mid",
+        }
+        assert trial_row_count(store) == 8
+
+    def test_trial_rows_past_trial_index_are_not_loaded(self, store):
+        digest = "c" * 64
+        store.save_checkpoint(
+            digest, trial_index=3, completed=[{"t": 0}, {"t": 1}, {"t": 2}], session=None
+        )
+        store.save_checkpoint(digest, trial_index=1, completed=[], session=b"s")
+        assert store.load_checkpoint(digest)["completed"] == [{"t": 0}]
+
+    @pytest.mark.parametrize("verb", ["done", "failed", "clear"])
+    def test_finishing_a_job_deletes_its_trial_rows(self, store, verb):
+        digest, _ = store.submit(make_spec(seed=60))
+        other, _ = store.submit(make_spec(seed=61))
+        for d in (digest, other):
+            store.save_checkpoint(
+                d, trial_index=2, completed=[{"t": 0}, {"t": 1}], session=b"s"
+            )
+        if verb == "done":
+            store.mark_done(digest, summary={}, record={}, wall_time=0.0)
+        elif verb == "failed":
+            store.mark_failed(digest, "boom")
+        else:
+            store.clear_checkpoint(digest)
+        assert store.load_checkpoint(digest) is None
+        assert trial_row_count(store) == 2  # the other job's rows remain
+        assert store.load_checkpoint(other)["completed"] == [{"t": 0}, {"t": 1}]
+
+    def test_gc_prunes_orphan_trial_rows(self, store):
+        digest, _ = store.submit(make_spec(seed=62))
+        store.save_checkpoint(digest, trial_index=1, completed=[{"t": 0}], session=None)
+        # Orphans: a checkpoint whose job row is gone, and trial rows
+        # whose checkpoint row is gone.
+        store.save_checkpoint("feed" * 16, trial_index=2, completed=[{}, {}], session=None)
+        with store._write() as conn:
+            conn.execute(
+                "INSERT INTO checkpoint_trials (tenant, digest, trial, record) "
+                "VALUES ('default', ?, 0, '{}')",
+                ("beef" * 16,),
+            )
+        assert trial_row_count(store) == 4
+        removed = store.gc(vacuum=False)
+        assert removed["checkpoints"] == 1
+        assert trial_row_count(store) == 1
+        assert store.load_checkpoint(digest)["completed"] == [{"t": 0}]
+
+
+class TestProvenance:
+    """``git_rev`` names the package's own checkout, resolved once."""
+
+    @pytest.fixture()
+    def other_repo(self, tmp_path):
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        repo = tmp_path / "other-repo"
+        repo.mkdir()
+        git = [
+            "git", "-C", str(repo),
+            "-c", "user.name=test", "-c", "user.email=test@example.invalid",
+        ]
+        subprocess.run(git + ["init", "-q"], check=True)
+        (repo / "file.txt").write_text("unrelated\n")
+        subprocess.run(git + ["add", "file.txt"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "unrelated"], check=True)
+        head = subprocess.run(
+            git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        return repo, head
+
+    def test_mark_done_ignores_cwd_and_runs_git_once(
+        self, store, other_repo, monkeypatch
+    ):
+        repo, head = other_repo
+        git_calls = []
+        real_run = subprocess.run
+
+        def run(args, *a, **kw):
+            if args and args[0] == "git":
+                git_calls.append(args)
+            return real_run(args, *a, **kw)
+
+        digests = [store.submit(make_spec(seed=200 + s))[0] for s in range(20)]
+        monkeypatch.setattr(subprocess, "run", run)
+        monkeypatch.chdir(repo)
+        for digest in digests:
+            store.mark_done(digest, summary={}, record={}, wall_time=0.0)
+        revs = {store.get(digest).git_rev for digest in digests}
+        assert len(revs) == 1
+        assert head not in revs
+        assert len(git_calls) <= 1
+
+    def test_provenance_names_the_package_checkout(self, other_repo, monkeypatch):
+        repo, head = other_repo
+        package_dir = Path(trace_module.__file__).resolve().parent
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=package_dir,
+            capture_output=True, text=True, check=False,
+        )
+        expected = out.stdout.strip() if out.returncode == 0 else None
+        monkeypatch.chdir(repo)
+        trace_module.git_rev.cache_clear()
+        assert trace_module.provenance()["git_rev"] == expected != head
+
+
 class TestTenancy:
     def test_same_spec_distinct_tenants(self, store):
         spec = make_spec()
@@ -472,7 +656,7 @@ class TestV1Migration:
                 )
             }
             assert "jobs_v1" not in names and "trial_cache_v1" not in names
-            assert conn.execute("PRAGMA user_version").fetchone()[0] == 2
+            assert conn.execute("PRAGMA user_version").fetchone()[0] == 3
         finally:
             conn.close()
 
@@ -483,6 +667,252 @@ class TestV1Migration:
             store = CampaignStore(path)
             assert store.get(done_spec.digest).status == "done"
             store.close()
+
+    def test_v1_lands_directly_at_v3(self, tmp_path):
+        path = tmp_path / "old.db"
+        _, pending_spec = self._build_v1(path)
+        records = [{"interactions": 11, "elapsed": 0.1}, {"interactions": 12, "elapsed": 0.2}]
+        conn = sqlite3.connect(path)
+        conn.execute(
+            "UPDATE checkpoints SET trial_index = 2, completed = ? WHERE digest = ?",
+            (json.dumps(records), pending_spec.digest),
+        )
+        conn.commit()
+        conn.close()
+        store = CampaignStore(path)
+        try:
+            ckpt = store.load_checkpoint(pending_spec.digest)
+            assert ckpt == {"trial_index": 2, "completed": records, "session": b"\x01snap"}
+        finally:
+            store.close()
+        assert user_version(path) == 3
+        tables = table_columns(path)
+        assert "completed" not in tables["checkpoints"]
+        assert tables["checkpoint_trials"] == ["tenant", "digest", "trial", "record"]
+        assert not {"jobs_v1", "checkpoints_v1", "checkpoints_v2"} & tables.keys()
+
+
+#: The schema-v2 layout as the v2 store created it: tenant-aware, with
+#: each job's finished trials in one ``completed`` JSON list.
+_V2_SCHEMA = """
+CREATE TABLE jobs (
+    tenant          TEXT NOT NULL DEFAULT 'default',
+    digest          TEXT NOT NULL,
+    spec            TEXT NOT NULL,
+    status          TEXT NOT NULL DEFAULT 'pending'
+                    CHECK (status IN ('pending', 'running', 'done', 'failed')),
+    attempts        INTEGER NOT NULL DEFAULT 0,
+    error           TEXT,
+    summary         TEXT,
+    record          TEXT,
+    campaign        TEXT,
+    git_rev         TEXT,
+    package_version TEXT,
+    wall_time       REAL,
+    created_at      REAL NOT NULL,
+    started_at      REAL,
+    finished_at     REAL,
+    PRIMARY KEY (tenant, digest)
+);
+CREATE INDEX jobs_by_tenant_status ON jobs (tenant, status, created_at);
+CREATE INDEX jobs_by_status ON jobs (status, created_at);
+CREATE INDEX jobs_by_campaign ON jobs (campaign);
+CREATE TABLE trial_cache (
+    tenant     TEXT NOT NULL DEFAULT 'default',
+    key        TEXT NOT NULL,
+    record     TEXT NOT NULL,
+    created_at REAL NOT NULL,
+    PRIMARY KEY (tenant, key)
+);
+CREATE TABLE checkpoints (
+    tenant      TEXT NOT NULL DEFAULT 'default',
+    digest      TEXT NOT NULL,
+    trial_index INTEGER NOT NULL,
+    completed   TEXT NOT NULL,
+    session     BLOB,
+    updated_at  REAL NOT NULL,
+    PRIMARY KEY (tenant, digest)
+);
+PRAGMA user_version = 2;
+"""
+
+
+class TestV2Migration:
+    """v2 → v3: each stored ``completed`` list becomes per-trial rows."""
+
+    SPEC = make_spec(n=40, trials=3, seed=7)
+
+    @pytest.fixture(scope="class")
+    def interrupted(self, tmp_path_factory):
+        """A real mid-job checkpoint (killed inside trial 1) and the
+        uninterrupted record of the same job."""
+        spec = self.SPEC
+        store = CampaignStore(tmp_path_factory.mktemp("v3") / "run.db")
+        try:
+            digest, _ = store.submit(spec)
+
+            def bomb(trial_index, interactions):
+                if trial_index == 1:
+                    raise KeyboardInterrupt
+
+            with pytest.raises(KeyboardInterrupt):
+                execute_spec_resumable(
+                    spec.canonical(), store, digest=digest,
+                    checkpoint_interactions=40, on_slice=bomb,
+                )
+            ckpt = store.load_checkpoint(digest)
+        finally:
+            store.close()
+        assert ckpt["trial_index"] == 1 and len(ckpt["completed"]) == 1
+        assert ckpt["session"] is not None
+        return ckpt, execute_spec(spec.canonical())["record"]
+
+    def _build_v2(self, path, ckpt):
+        conn = sqlite3.connect(path)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.executescript(_V2_SCHEMA)
+        now = time.time()
+        done = make_spec(seed=70)
+        conn.execute(
+            "INSERT INTO jobs (tenant, digest, spec, status, attempts, summary, "
+            "record, wall_time, created_at, finished_at) "
+            "VALUES ('alice', ?, ?, 'done', 1, ?, ?, 0.5, ?, ?)",
+            (done.digest, done.to_json(), json.dumps({"trials": 2}),
+             json.dumps({"results": []}), now, now),
+        )
+        conn.execute(
+            "INSERT INTO jobs (tenant, digest, spec, status, attempts, created_at, "
+            "started_at) VALUES ('default', ?, ?, 'running', 1, ?, ?)",
+            (self.SPEC.digest, self.SPEC.to_json(), now, now),
+        )
+        conn.execute(
+            "INSERT INTO trial_cache (tenant, key, record, created_at) "
+            "VALUES ('alice', 'cache-key', ?, ?)",
+            (json.dumps({"cached": True}), now),
+        )
+        conn.execute(
+            "INSERT INTO checkpoints (tenant, digest, trial_index, completed, "
+            "session, updated_at) VALUES ('default', ?, ?, ?, ?, ?)",
+            (self.SPEC.digest, ckpt["trial_index"], json.dumps(ckpt["completed"]),
+             ckpt["session"], now),
+        )
+        # A boundary checkpoint of another tenant's job, two trials in.
+        conn.execute(
+            "INSERT INTO checkpoints (tenant, digest, trial_index, completed, "
+            "session, updated_at) VALUES ('alice', ?, 2, ?, NULL, ?)",
+            (done.digest, json.dumps([{"t": 0.1}, {"t": 1e-300}]), now),
+        )
+        conn.commit()
+        conn.close()
+        return done
+
+    def assert_is_v2(self, path, ckpt):
+        tables = table_columns(path)
+        assert user_version(path) == 2
+        assert "completed" in tables["checkpoints"]
+        assert not {"checkpoint_trials", "checkpoints_v2"} & tables.keys()
+        conn = sqlite3.connect(path)
+        try:
+            row = conn.execute(
+                "SELECT completed, session FROM checkpoints WHERE digest = ?",
+                (self.SPEC.digest,),
+            ).fetchone()
+        finally:
+            conn.close()
+        assert row == (json.dumps(ckpt["completed"]), ckpt["session"])
+
+    def test_checkpoint_survives_exactly_and_resumes(self, tmp_path, interrupted):
+        ckpt, uninterrupted = interrupted
+        path = tmp_path / "v2.db"
+        done = self._build_v2(path, ckpt)
+        store = CampaignStore(path)
+        try:
+            # The records come back exactly, elapsed included.
+            assert store.load_checkpoint(self.SPEC.digest) == ckpt
+            assert store.load_checkpoint(done.digest, tenant="alice") == {
+                "trial_index": 2, "completed": [{"t": 0.1}, {"t": 1e-300}],
+                "session": None,
+            }
+            assert store.get(done.digest, tenant="alice").summary == {"trials": 2}
+            assert store.trial_cache("alice").get("cache-key") == {"cached": True}
+            payload = execute_spec_resumable(
+                self.SPEC.canonical(), store, digest=self.SPEC.digest,
+                checkpoint_interactions=40,
+            )
+        finally:
+            store.close()
+        assert payload["resumed"]
+        assert payload["record"]["results"][0] == ckpt["completed"][0]
+        assert scientific_content(payload["record"]) == scientific_content(uninterrupted)
+        assert user_version(path) == 3
+
+    def test_failure_mid_migration_leaves_v2_then_migrates(
+        self, tmp_path, interrupted, monkeypatch
+    ):
+        ckpt, _ = interrupted
+        path = tmp_path / "v2.db"
+        self._build_v2(path, ckpt)
+
+        def fail(conn, tenant, digest, first, records):
+            raise RuntimeError("injected mid-migration failure")
+
+        with monkeypatch.context() as m:
+            m.setattr(store_module, "_insert_trials", fail)
+            with pytest.raises(RuntimeError, match="injected"):
+                CampaignStore(path)
+        self.assert_is_v2(path, ckpt)
+
+        store = CampaignStore(path)
+        try:
+            assert store.load_checkpoint(self.SPEC.digest) == ckpt
+        finally:
+            store.close()
+        assert user_version(path) == 3
+
+    def test_concurrent_openers_migrate_once(self, tmp_path, interrupted, monkeypatch):
+        ckpt, _ = interrupted
+        path = tmp_path / "v2.db"
+        self._build_v2(path, ckpt)
+        real_migrate = store_module._migrate_v2_to_v3
+        migrations: list[str] = []
+        migrating = threading.Event()
+
+        def slow_migrate(conn):
+            migrations.append(threading.current_thread().name)
+            migrating.set()
+            time.sleep(0.3)  # hold the write lock while the other opener arrives
+            real_migrate(conn)
+
+        monkeypatch.setattr(store_module, "_migrate_v2_to_v3", slow_migrate)
+        stores: dict[str, CampaignStore] = {}
+        errors: list[BaseException] = []
+
+        def open_store(name):
+            try:
+                if name == "second":
+                    assert migrating.wait(timeout=30)
+                stores[name] = CampaignStore(path)
+            except BaseException as exc:  # noqa: BLE001 — recorded for assertion
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=open_store, args=(name,), name=name)
+            for name in ("first", "second")
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        try:
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert migrations == ["first"]
+            for store in stores.values():
+                assert store.load_checkpoint(self.SPEC.digest) == ckpt
+            assert trial_row_count(stores["second"]) == 3
+        finally:
+            for store in stores.values():
+                store.close()
 
 
 class TestClaimRaces:
