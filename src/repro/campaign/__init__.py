@@ -5,12 +5,11 @@ are content-addressed (:class:`JobSpec`), a SQLite store records every
 job's status and results across invocations (:class:`CampaignStore`),
 an executor drains the queue with retries and Ctrl-C checkpointing
 (:func:`run_campaign`), figure grids decompose into independent jobs
-(:func:`experiment_specs`), and an HTTP daemon serves
-submit/status/result/metrics for detached operation — the asyncio
-multi-tenant service v2 (:class:`AsyncCampaignService`: worker pool,
-streaming status, 429 backpressure) or the legacy synchronous v1
-(:class:`CampaignService`).  A load harness (:func:`run_closed_loop`,
-:func:`run_open_loop`) drives either at campaign scale.  See
+(:func:`experiment_specs`), and an asyncio multi-tenant HTTP daemon
+(:class:`AsyncCampaignService`: worker pool, streaming status, 429
+backpressure) serves submit/status/result/metrics for detached
+operation.  A load harness (:func:`run_closed_loop`,
+:func:`run_open_loop`) drives it at campaign scale.  See
 ``docs/campaign.md``.
 """
 
@@ -23,7 +22,6 @@ from .executor import (
 )
 from .grids import GRID_EXPERIMENTS, experiment_specs
 from .loadgen import LoadReport, make_specs, run_closed_loop, run_open_loop
-from .service import CampaignService
 from .service_v2 import AsyncCampaignService
 from .spec import JobSpec
 from .store import DEFAULT_TENANT, CampaignStore, JobRecord, StoreTrialCache
@@ -34,7 +32,6 @@ __all__ = [
     "CampaignStore",
     "StoreTrialCache",
     "CampaignReport",
-    "CampaignService",
     "AsyncCampaignService",
     "DEFAULT_TENANT",
     "LoadReport",

@@ -21,12 +21,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from ..experiments.common import DEFAULT_SEED, ProgressPrinter
 from .executor import run_campaign
 from .grids import GRID_EXPERIMENTS, experiment_specs
-from .service import CampaignService
+from .service_v2 import AsyncCampaignService
 from .store import CampaignStore
 
 __all__ = ["build_campaign_parser", "campaign_main"]
@@ -130,29 +129,20 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--no-vacuum", action="store_true")
 
     p_serve = sub.add_parser(
-        "serve", parents=[common], help="run the HTTP service daemon (v2)"
+        "serve", parents=[common], help="run the HTTP service daemon"
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8642)
     p_serve.add_argument(
-        "--v1", action="store_true",
-        help="run the legacy synchronous ThreadingHTTPServer daemon",
-    )
-    p_serve.add_argument(
         "--workers", type=int, default=2,
-        help="v2 drain-pool width (0 = serve submit/status only)",
+        help=(
+            "drain-pool width (0 = serve submit/status only; drain with "
+            "'campaign run' elsewhere)"
+        ),
     )
     p_serve.add_argument(
         "--queue-limit", type=int, default=256, metavar="N",
-        help="v2 submit-queue bound: saturated submissions get 429 (default 256)",
-    )
-    p_serve.add_argument(
-        "--executor", choices=("thread", "process"), default="thread",
-        help="v2 job executor (default thread)",
-    )
-    p_serve.add_argument(
-        "--no-worker", action="store_true",
-        help="serve submit/status only; drain with 'campaign run' elsewhere",
+        help="submit-queue bound: saturated submissions get 429 (default 256)",
     )
 
     p_load = sub.add_parser(
@@ -301,38 +291,16 @@ def _cmd_gc(store: CampaignStore, args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(store: CampaignStore, args: argparse.Namespace) -> int:
-    if args.v1:
-        service = CampaignService(
-            store.path, host=args.host, port=args.port,
-            worker=not args.no_worker,
-        )
-        service.start()
-        print(
-            f"campaign service v1 on {service.url} (db {store.path}); "
-            "Ctrl-C to stop"
-        )
-    else:
-        from .service_v2 import AsyncCampaignService
-
-        service = AsyncCampaignService(
-            store.path, host=args.host, port=args.port,
-            workers=0 if args.no_worker else args.workers,
-            queue_limit=args.queue_limit,
-            executor=args.executor,
-        )
-        service.start()
-        print(
-            f"campaign service v2 on {service.url} (db {store.path}, "
-            f"{service.workers} worker(s), queue_limit={service.queue_limit}); "
-            "Ctrl-C to stop"
-        )
-    try:
-        while True:
-            time.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.stop()
+    service = AsyncCampaignService(
+        store.path, host=args.host, port=args.port,
+        workers=args.workers, queue_limit=args.queue_limit,
+    ).start()
+    print(
+        f"campaign service v2 on {service.url} (db {store.path}, "
+        f"{service.workers} worker(s), queue_limit={service.queue_limit}); "
+        "Ctrl-C to stop"
+    )
+    service.serve_forever()
     return 0
 
 

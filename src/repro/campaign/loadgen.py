@@ -1,7 +1,7 @@
 """Load-generation harness for the campaign service.
 
-Two client models drive a running service (v1 or v2 — the wire format
-is shared) with thousands of concurrent requests from one process:
+Two client models drive a running service with thousands of
+concurrent requests from one process:
 
 * **closed loop** (:func:`run_closed_loop`): N clients, each holding
   one keep-alive connection, cycle submit → status → result as fast as

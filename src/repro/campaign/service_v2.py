@@ -1,17 +1,16 @@
-"""Campaign service v2: asyncio, multi-tenant, streaming, backpressured.
+"""Campaign service: asyncio, multi-tenant, streaming, backpressured.
 
-The v1 daemon (:class:`~repro.campaign.service.CampaignService`) is a
-``ThreadingHTTPServer`` with one synchronous worker thread — fine for
-a handful of pollers, but a thread per connection and a serial drain
-cap it far below campaign-scale fan-out.  v2 keeps the same store,
-digests and JSON wire format while rebuilding the serving layer on
-stdlib ``asyncio``:
+A JSON API over the campaign store so long sweeps run detached from
+any terminal: clients POST job specs (or whole figure grids), a worker
+pool drains the queue, and pollers read status and results by digest.
+Pure stdlib ``asyncio``:
 
 * one event loop multiplexes thousands of keep-alive connections
   through a hand-rolled (thin) HTTP/1.1 handler layer;
 * a **worker pool** of N async tasks drains the SQLite WAL store
-  through a thread (or process) executor, so job execution never
-  blocks request handling;
+  through a thread pool, so job execution never blocks request
+  handling; a finished job commits through the same helper as
+  ``campaign run`` (:func:`~repro.campaign.executor._commit_success`);
 * **streaming** endpoints push chunked JSON lines: ``GET /jobs/stream``
   follows queue status changes live, ``GET /jobs/<digest>/progress``
   follows one job (checkpointed trial index included) to completion;
@@ -46,15 +45,15 @@ import asyncio
 import json
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
 from ..core.errors import CampaignError, ReproError
 from ..core.httputil import BadRequest, parse_content_length, parse_limit
 from ..obs import Telemetry, get_telemetry, set_telemetry
-from .executor import execute_spec
-from .service import CampaignService, _Metrics
+from .executor import _commit_success, execute_spec
+from .grids import experiment_specs
 from .spec import JobSpec
 from .store import DEFAULT_TENANT, CampaignStore, JOB_STATUSES, _check_tenant
 
@@ -62,6 +61,49 @@ __all__ = ["AsyncCampaignService"]
 
 #: Largest request head (request line + headers) the parser accepts.
 _MAX_HEAD_BYTES = 32 * 1024
+
+
+class _Metrics:
+    """Cumulative service counters, behind a lock so any thread may read them."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.started_at = time.time()
+        self.requests = 0
+        self.submitted = 0
+        self.executed = 0
+        self.failed = 0
+        self.wall_time_total = 0.0
+
+    def bump(self, field: str, amount: float = 1) -> None:
+        with self._lock:
+            setattr(self, field, getattr(self, field) + amount)
+
+    def snapshot(self) -> dict[str, object]:
+        with self._lock:
+            return {
+                "uptime_seconds": time.time() - self.started_at,
+                "requests": self.requests,
+                "submitted": self.submitted,
+                "executed": self.executed,
+                "failed": self.failed,
+                "wall_time_total": self.wall_time_total,
+            }
+
+
+def _specs_from_body(body: dict) -> list[JobSpec]:
+    """The job specs a ``POST /submit`` body names: a list or a figure grid."""
+    if "specs" in body:
+        return [JobSpec.from_dict(s) for s in body["specs"]]
+    if "experiment" in body:
+        return experiment_specs(
+            body["experiment"],
+            quick=bool(body.get("quick", False)),
+            trials=body.get("trials"),
+            seed=int(body.get("seed", 201801)),
+            engine=body.get("engine", "count"),
+        )
+    raise CampaignError("submit body needs either 'specs' or 'experiment'")
 
 
 class _HTTPError(Exception):
@@ -90,9 +132,6 @@ class AsyncCampaignService:
     queue_limit:
         Submit-queue bound: when ``pending + running`` reaches this,
         ``POST /submit`` returns 429 with ``Retry-After``.
-    executor:
-        ``"thread"`` (default) runs jobs on a thread pool sharing the
-        process; ``"process"`` fans out to a ``ProcessPoolExecutor``.
     poll_interval:
         Worker sleep between empty-queue polls, in seconds.
     retry_after:
@@ -109,15 +148,10 @@ class AsyncCampaignService:
         *,
         workers: int = 2,
         queue_limit: int = 256,
-        executor: str = "thread",
         poll_interval: float = 0.05,
         retry_after: float = 1.0,
         stream_interval: float = 0.1,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise CampaignError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         if queue_limit < 1:
             raise CampaignError(f"queue_limit must be positive, got {queue_limit}")
         self.store = CampaignStore(store_path)
@@ -130,7 +164,6 @@ class AsyncCampaignService:
         self._port = port
         self.workers = workers
         self.queue_limit = queue_limit
-        self.executor_kind = executor
         self.poll_interval = poll_interval
         self.retry_after = retry_after
         self.stream_interval = stream_interval
@@ -146,7 +179,7 @@ class AsyncCampaignService:
         self._startup_error: BaseException | None = None
         self._address: tuple[str, int] | None = None
         self._db_pool: ThreadPoolExecutor | None = None
-        self._exec_pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._exec_pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -178,8 +211,9 @@ class AsyncCampaignService:
         return self
 
     def serve_forever(self) -> None:
-        """Blocking variant for the CLI ``serve`` verb."""
-        self.start()
+        """Block until Ctrl-C, then stop; starts the service if not running."""
+        if self._thread is None:
+            self.start()
         try:
             while self._thread is not None and self._thread.is_alive():
                 self._thread.join(timeout=0.5)
@@ -220,12 +254,9 @@ class AsyncCampaignService:
         self._db_pool = ThreadPoolExecutor(
             max_workers=4, thread_name_prefix="campaign-db"
         )
-        if self.executor_kind == "process":
-            self._exec_pool = ProcessPoolExecutor(max_workers=max(1, self.workers))
-        else:
-            self._exec_pool = ThreadPoolExecutor(
-                max_workers=max(1, self.workers), thread_name_prefix="campaign-exec"
-            )
+        self._exec_pool = ThreadPoolExecutor(
+            max_workers=max(1, self.workers), thread_name_prefix="campaign-exec"
+        )
         try:
             recovered = await self._db(self.store.recover_running)
             counts = await self._db(self.store.counts)
@@ -299,19 +330,12 @@ class AsyncCampaignService:
             return
         # Post-execute commit path wrapped too: a store hiccup (disk
         # full, contention) marks the job failed instead of wedging it
-        # in 'running' with a dead worker.
+        # in 'running' with a dead worker.  mark_done commits last, so
+        # a failed job never passed through 'done'.
         try:
             await self._db(
-                self.store.mark_done,
-                job.digest,
-                summary=payload["summary"],
-                record=payload["record"],
-                wall_time=payload["wall_time"],
-                tenant=job.tenant,
+                _commit_success, self.store, job.digest, payload, job.tenant
             )
-            if payload.get("trial_key"):
-                cache = self.store.trial_cache(job.tenant)
-                await self._db(cache.put, payload["trial_key"], payload["record"])
         except Exception as exc:  # noqa: BLE001 — recorded, not fatal
             await self._record_failure(
                 job, f"result commit failed: {type(exc).__name__}: {exc}"
@@ -439,8 +463,8 @@ class AsyncCampaignService:
         try:
             length = parse_content_length(None, headers.get("content-length"))
         except BadRequest as exc:
-            # Same fix as v1: a malformed Content-Length is a JSON 400,
-            # not an unhandled ValueError that drops the connection.
+            # A malformed Content-Length is a JSON 400, not an
+            # unhandled ValueError that drops the connection.
             self._send_json(writer, 400, {"error": str(exc)}, False)
             await writer.drain()
             return None
@@ -600,7 +624,7 @@ class AsyncCampaignService:
             error.headers["Retry-After"] = f"{self.retry_after:g}"
             raise error
         try:
-            specs = CampaignService._specs_from_body(body)
+            specs = _specs_from_body(body)
         except (ReproError, TypeError, ValueError, KeyError) as exc:
             raise _HTTPError(400, str(exc)) from None
         outcome = await self._db(

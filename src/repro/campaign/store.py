@@ -23,7 +23,7 @@ boundary appends one row, so a checkpoint costs the same at trial 99
 as at trial 1.
 
 Tenancy: every table carries a ``tenant`` column (auth-less
-namespacing for the multi-tenant service v2); the ``"default"``
+namespacing for the multi-tenant service); the ``"default"``
 tenant is what every pre-tenant API call operates on, so existing
 digests, cache keys and call sites are untouched.
 

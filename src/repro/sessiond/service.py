@@ -40,7 +40,7 @@ from pathlib import Path
 
 from ..core.errors import ReproError, SimulationError
 from ..core.httputil import BadRequest, parse_content_length, parse_limit
-from ..obs import Telemetry, set_telemetry
+from ..obs import Telemetry, get_telemetry, set_telemetry
 from .bisect import bisect_divergence
 from .manager import SessionManager
 from .store import SnapshotStore
@@ -156,7 +156,11 @@ class SessionService:
             self._server_thread.join(timeout=10)
         self.manager.close()
         if self._previous_telemetry is not None:
-            set_telemetry(self._previous_telemetry)
+            # Only restore if our telemetry is still the installed one —
+            # a later service may have replaced it, and re-installing our
+            # saved predecessor would displace that service's registry.
+            if get_telemetry() is self.telemetry:
+                set_telemetry(self._previous_telemetry)
             self._previous_telemetry = None
 
     # ------------------------------------------------------------------

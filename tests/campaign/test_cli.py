@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.campaign import CampaignStore, experiment_specs
 from repro.campaign.cli import campaign_main
 from repro.experiments.cli import main as experiments_main
@@ -133,7 +135,7 @@ class TestIncrementalExperiments:
 
 
 class TestServeAndLoadParsers:
-    """Parser coverage for the v2 serve flags and the load verb."""
+    """Parser coverage for the serve flags and the load verb."""
 
     def _parse(self, argv):
         from repro.campaign.cli import build_campaign_parser
@@ -142,26 +144,24 @@ class TestServeAndLoadParsers:
 
     def test_serve_defaults_to_v2(self):
         args = self._parse(["serve"])
-        assert args.v1 is False
         assert args.workers == 2
         assert args.queue_limit == 256
-        assert args.executor == "thread"
 
-    def test_serve_v1_flag(self):
-        assert self._parse(["serve", "--v1"]).v1 is True
+    def test_serve_v1_flag(self, capsys):
+        # The legacy daemon and its knobs are gone: each is a usage
+        # error (--workers 0 replaces --no-worker).
+        for flags in (["--v1"], ["--no-worker"], ["--executor", "process"]):
+            with pytest.raises(SystemExit) as exc:
+                self._parse(["serve", *flags])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_v2_flags(self):
-        args = self._parse([
-            "serve", "--workers", "4", "--queue-limit", "8",
-            "--executor", "process",
-        ])
+        args = self._parse(["serve", "--workers", "4", "--queue-limit", "8"])
         assert args.workers == 4
         assert args.queue_limit == 8
-        assert args.executor == "process"
 
     def test_load_requires_url(self, capsys):
-        import pytest
-
         with pytest.raises(SystemExit):
             self._parse(["load"])
         capsys.readouterr()
@@ -197,3 +197,43 @@ class TestLoadVerb:
         assert report["server_errors_5xx"] == 0
         assert report["by_code"].get("200", 0) > 0
         assert "p50" in report["latency_seconds"]
+
+
+class TestServeVerb:
+    def test_serve_prints_banner_and_stops_on_ctrl_c(self, tmp_path):
+        """``campaign serve`` blocks in serve_forever until SIGINT."""
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+        from pathlib import Path
+
+        import repro
+
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+            PYTHONUNBUFFERED="1",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.cli", "campaign",
+             "serve", "--db", str(tmp_path / "c.db"), "--port", "0",
+             "--workers", "1"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            match = re.search(r"http://[\d.]+:\d+", banner)
+            assert match, banner
+            assert "(db " in banner and "1 worker(s), queue_limit=256" in banner
+            with urllib.request.urlopen(match.group(0) + "/healthz", timeout=10) as r:
+                assert json.loads(r.read())["v"] == 2
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()

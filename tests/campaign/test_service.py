@@ -1,4 +1,9 @@
-"""Tests for the HTTP service daemon (stdlib client, ephemeral port)."""
+"""Core routes of the campaign daemon (stdlib client, ephemeral port).
+
+Submit/status/jobs/result/metrics, their 4xx errors and the drain
+worker.  Tenants, streams and backpressure live in
+``test_service_v2.py``.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import urllib.request
 
 import pytest
 
-from repro.campaign import CampaignService
+from repro.campaign import AsyncCampaignService
 
 
 def raw_request(address: tuple[str, int], payload: bytes) -> bytes:
@@ -49,15 +54,15 @@ SPEC = {
 
 @pytest.fixture()
 def service(tmp_path):
-    svc = CampaignService(tmp_path / "campaign.db", worker=False).start()
+    svc = AsyncCampaignService(tmp_path / "campaign.db", workers=0).start()
     yield svc
     svc.stop()
 
 
 @pytest.fixture()
 def worker_service(tmp_path):
-    svc = CampaignService(
-        tmp_path / "campaign.db", worker=True, poll_interval=0.05
+    svc = AsyncCampaignService(
+        tmp_path / "campaign.db", workers=1, poll_interval=0.05
     ).start()
     yield svc
     svc.stop()
@@ -74,7 +79,7 @@ class TestRoutes:
         assert code == 200
         assert body["jobs"]["pending"] == 1
         assert body["queue_depth"] == 1
-        assert body["worker"] is False
+        assert body["workers"] == []
 
     def test_submit_specs_idempotent(self, service):
         code, body = http(service.url + "/submit", {"specs": [SPEC]})
@@ -167,8 +172,8 @@ class TestWorker:
 
     def test_post_execute_failure_does_not_kill_worker(self, worker_service):
         # Regression: an exception from mark_done (after a successful
-        # execute) used to propagate out of _worker_loop, silently
-        # killing the worker thread and wedging the job in 'running'.
+        # execute) used to propagate out of the worker loop, silently
+        # killing the worker and wedging the job in 'running'.
         svc = worker_service
         real_mark_done = svc.store.mark_done
         calls = {"n": 0}
@@ -187,7 +192,8 @@ class TestWorker:
             assert "result commit failed" in body["error"]
             assert "synthetic store hiccup" in body["error"]
             # The worker survives and still drains subsequent jobs.
-            assert svc.worker_alive()
+            _, status = http(svc.url + "/status")
+            assert status["workers_alive"] == 1
             follow_up = {**SPEC, "seed": SPEC["seed"] + 1}
             _, submitted = http(svc.url + "/submit", {"specs": [follow_up]})
             body = self.wait_done(svc, submitted["digests"][0])
@@ -197,17 +203,17 @@ class TestWorker:
 
     def test_status_exposes_worker_liveness(self, worker_service):
         _, body = http(worker_service.url + "/status")
-        assert body["worker_alive"] is True
         deadline = time.monotonic() + 5
-        while body["worker_last_beat_age"] is None:
+        while body["workers_alive"] == 0:
             assert time.monotonic() < deadline, "worker never heartbeat"
             time.sleep(0.05)
             _, body = http(worker_service.url + "/status")
-        assert body["worker_last_beat_age"] >= 0
+        assert body["workers_alive"] == 1
+        assert body["workers"][0]["last_beat_age"] >= 0
 
     def test_status_worker_alive_false_without_worker(self, service):
         _, body = http(service.url + "/status")
-        assert body["worker_alive"] is False
+        assert body["workers_alive"] == 0
 
 
 class TestHTTPRegressions:
@@ -215,7 +221,7 @@ class TestHTTPRegressions:
 
     def test_jobs_non_integer_limit_400(self, service):
         # Regression: bare int(query['limit']) raised ValueError in the
-        # handler thread and surfaced as a 500.
+        # handler and surfaced as a 500.
         code, body = http(service.url + "/jobs?limit=abc")
         assert code == 400
         assert "limit" in body["error"]

@@ -1,8 +1,9 @@
-"""Tests for the asyncio campaign service v2.
+"""Tests for the asyncio campaign daemon.
 
-Covers wire-format parity with v1, tenant namespacing, streaming
-endpoints, 429 backpressure, the HTTP parsing sweep, and a v1-vs-v2
-differential proving both daemons produce identical job results.
+Covers the submit/status/jobs/result wire format, tenant namespacing,
+streaming endpoints, 429 backpressure, the HTTP parsing sweep, the
+worker pool's commit path, and a differential proving the daemon's
+job records equal a ``campaign run`` drain of the same specs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import urllib.request
 
 import pytest
 
-from repro.campaign import AsyncCampaignService, CampaignService
+from repro.campaign import (
+    AsyncCampaignService,
+    CampaignStore,
+    JobSpec,
+    StoreTrialCache,
+    run_campaign,
+)
 
 from .test_store import scientific_content
 
@@ -329,6 +336,27 @@ class TestWorkerPool:
         assert result["status"] == "failed"
         assert "bogus" in result["error"]
 
+    def test_failed_trial_cache_write_never_reports_done(
+        self, worker_service, monkeypatch
+    ):
+        """A failed cache write fails the job before mark_done commits."""
+        svc = worker_service
+
+        def disk_full(self, key, record):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(StoreTrialCache, "put", disk_full)
+            _, body, _ = http_json(svc.url + "/submit", {"specs": [SPEC]})
+            result = wait_done(svc, body["digests"][0])
+        assert result["status"] == "failed"
+        assert result["summary"] is None
+        assert "result commit failed: OSError: disk full" in result["error"]
+        _, body, _ = http_json(
+            svc.url + "/submit", {"specs": [{**SPEC, "seed": 78}]}
+        )
+        assert wait_done(svc, body["digests"][0])["status"] == "done"
+
     def test_post_execute_failure_marks_failed_not_wedged(self, worker_service):
         svc = worker_service
         real_mark_done = svc.store.mark_done
@@ -430,45 +458,46 @@ class TestStreams:
         assert code == 404
 
 
-class TestV1V2Differential:
+class TestDrainDifferential:
     def test_same_specs_identical_results(self, tmp_path):
-        """Both daemons must produce identical job results."""
+        """The daemon's job records equal a ``campaign run`` drain's."""
         specs = [{**SPEC, "seed": s} for s in (11, 12)]
-        v1 = CampaignService(
-            tmp_path / "v1.db", worker=True, poll_interval=0.02
+        svc = AsyncCampaignService(
+            tmp_path / "daemon.db", workers=2, poll_interval=0.02
         ).start()
-        v2 = AsyncCampaignService(
-            tmp_path / "v2.db", workers=2, poll_interval=0.02
-        ).start()
+        drain = CampaignStore(tmp_path / "drain.db")
         try:
-            _, b1, _ = http_json(v1.url + "/submit", {"specs": specs})
-            _, b2, _ = http_json(v2.url + "/submit", {"specs": specs})
-            assert b1["digests"] == b2["digests"]  # digest scheme unchanged
-            for digest in b1["digests"]:
-                r1 = wait_done(v1, digest)
-                r2 = wait_done(v2, digest)
-                assert r1["status"] == r2["status"] == "done"
-                assert r1["summary"] == r2["summary"]  # deterministic stats
-                assert r1["spec"] == r2["spec"]
-                rec1 = v1.store.result_record(digest)
-                rec2 = v2.store.result_record(digest)
-                assert scientific_content(rec1) == scientific_content(rec2)
+            _, body, _ = http_json(svc.url + "/submit", {"specs": specs})
+            drain.submit_many([JobSpec.from_dict(s) for s in specs])
+            report = run_campaign(drain)
+            assert report.executed == len(specs) and not report.failed
+            # Digests hash the spec alone, whichever path submits it.
+            assert body["digests"] == [
+                JobSpec.from_dict(s).digest for s in specs
+            ]
+            for digest in body["digests"]:
+                result = wait_done(svc, digest)
+                drained = drain.get(digest)
+                assert result["status"] == drained.status == "done"
+                assert result["summary"] == drained.summary
+                assert result["spec"] == drained.spec.canonical()
+                assert scientific_content(
+                    svc.store.result_record(digest)
+                ) == scientific_content(drain.result_record(digest))
         finally:
-            # LIFO: each service restores the process-wide telemetry it
-            # displaced, so teardown must unwind in reverse start order.
-            v2.stop()
-            v1.stop()
+            svc.stop()
+            drain.close()
 
     def test_overlapping_stop_does_not_clobber_live_telemetry(self, tmp_path):
         """Stopping an older service must not displace a newer one's hook."""
         from repro.obs import get_telemetry, set_telemetry
 
         original = get_telemetry()
-        v1 = CampaignService(tmp_path / "a.db", worker=False).start()
-        v2 = AsyncCampaignService(tmp_path / "b.db", workers=0).start()
+        older = AsyncCampaignService(tmp_path / "a.db", workers=0).start()
+        newer = AsyncCampaignService(tmp_path / "b.db", workers=0).start()
         try:
-            v1.stop()  # out of order: v2's telemetry must stay installed
-            assert get_telemetry() is v2.telemetry
+            older.stop()  # out of order: the newer telemetry must stay
+            assert get_telemetry() is newer.telemetry
         finally:
-            v2.stop()
+            newer.stop()
             set_telemetry(original)

@@ -8,7 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.campaign import CampaignService
+from repro.campaign import AsyncCampaignService
 from repro.obs import get_telemetry
 
 
@@ -34,7 +34,7 @@ SPEC = {
 
 class TestServiceTelemetry:
     def test_metrics_endpoint_includes_telemetry(self, tmp_path):
-        svc = CampaignService(tmp_path / "c.db", worker=False).start()
+        svc = AsyncCampaignService(tmp_path / "c.db", workers=0).start()
         try:
             code, body = get(svc.url + "/metrics")
             assert code == 200
@@ -47,7 +47,7 @@ class TestServiceTelemetry:
 
     def test_start_installs_and_stop_restores_registry(self, tmp_path):
         before = get_telemetry()
-        svc = CampaignService(tmp_path / "c.db", worker=False).start()
+        svc = AsyncCampaignService(tmp_path / "c.db", workers=0).start()
         try:
             assert get_telemetry() is svc.telemetry
         finally:
@@ -55,8 +55,8 @@ class TestServiceTelemetry:
         assert get_telemetry() is before
 
     def test_worker_activity_shows_in_telemetry(self, tmp_path):
-        svc = CampaignService(
-            tmp_path / "c.db", worker=True, poll_interval=0.05
+        svc = AsyncCampaignService(
+            tmp_path / "c.db", workers=1, poll_interval=0.05
         ).start()
         try:
             post(svc.url + "/submit", {"specs": [SPEC]})

@@ -187,3 +187,31 @@ class TestErrors:
                 pass
         response = b"".join(chunks)
         assert response.startswith(b"HTTP/1.1 400")
+
+
+class TestTelemetryInstall:
+    def test_start_installs_and_stop_restores_registry(self, tmp_path):
+        from repro.obs import get_telemetry
+
+        before = get_telemetry()
+        svc = SessionService(tmp_path / "s.db", port=0).start()
+        try:
+            assert get_telemetry() is svc.telemetry
+        finally:
+            svc.stop()
+        assert get_telemetry() is before
+
+    def test_overlapping_stop_does_not_clobber_live_telemetry(self, tmp_path):
+        """Stopping sessiond first must not displace a later daemon's hook."""
+        from repro.campaign import AsyncCampaignService
+        from repro.obs import get_telemetry, set_telemetry
+
+        original = get_telemetry()
+        sessiond = SessionService(tmp_path / "s.db", port=0).start()
+        campaign = AsyncCampaignService(tmp_path / "c.db", workers=0).start()
+        try:
+            sessiond.stop()  # out of order: campaign telemetry must stay
+            assert get_telemetry() is campaign.telemetry
+        finally:
+            campaign.stop()
+            set_telemetry(original)
