@@ -40,7 +40,7 @@ def broken_partition_protocol():
         space,
         table,
         "initial",
-        stability_predicate_factory=good._make_stability_predicate,
+        stability_signature_factory=good.stability_signature,
     )
 
 

@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 
+from ..core.errors import UnknownEngineError, UnknownProtocolError
 from ..experiments.common import DEFAULT_SEED, ProgressPrinter
 from .executor import run_campaign
 from .grids import GRID_EXPERIMENTS, experiment_specs
@@ -174,12 +175,30 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_submit(store: CampaignStore, args: argparse.Namespace) -> int:
+def _enqueue(
+    store: CampaignStore, args: argparse.Namespace
+) -> tuple[int, dict[str, int]] | None:
+    """Submit the requested grid; returns ``(points, outcome)``.
+
+    A grid naming an unknown engine or protocol is refused by the
+    store: the error goes to stderr and the result is None.
+    """
     specs = experiment_specs(
         args.experiment, quick=args.quick, trials=args.trials,
         seed=args.seed, engine=args.engine,
     )
-    outcome = store.submit_many(specs, campaign=args.campaign)
+    try:
+        return len(specs), store.submit_many(specs, campaign=args.campaign)
+    except (UnknownEngineError, UnknownProtocolError) as exc:
+        print(f"campaign {args.verb}: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_submit(store: CampaignStore, args: argparse.Namespace) -> int:
+    enqueued = _enqueue(store, args)
+    if enqueued is None:
+        return 2
+    _, outcome = enqueued
     print(
         f"submitted {outcome['created']} new job(s); "
         f"{outcome['existing']} already known "
@@ -190,12 +209,10 @@ def _cmd_submit(store: CampaignStore, args: argparse.Namespace) -> int:
 
 def _cmd_run(store: CampaignStore, args: argparse.Namespace) -> int:
     if not args.no_submit:
-        specs = experiment_specs(
-            args.experiment, quick=args.quick, trials=args.trials,
-            seed=args.seed, engine=args.engine,
-        )
-        outcome = store.submit_many(specs, campaign=args.campaign)
-        total = len(specs)
+        enqueued = _enqueue(store, args)
+        if enqueued is None:
+            return 2
+        total, outcome = enqueued
         hits = outcome["done"]
         pct = 100.0 * hits / total if total else 0.0
         print(

@@ -49,7 +49,12 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
-from ..core.errors import CampaignError, ReproError
+from ..core.errors import (
+    CampaignError,
+    ReproError,
+    UnknownEngineError,
+    UnknownProtocolError,
+)
 from ..core.httputil import BadRequest, parse_content_length, parse_limit
 from ..obs import Telemetry, get_telemetry, set_telemetry
 from .executor import _commit_success, execute_spec
@@ -627,12 +632,15 @@ class AsyncCampaignService:
             specs = _specs_from_body(body)
         except (ReproError, TypeError, ValueError, KeyError) as exc:
             raise _HTTPError(400, str(exc)) from None
-        outcome = await self._db(
-            self.store.submit_many,
-            specs,
-            campaign=body.get("campaign"),
-            tenant=tenant,
-        )
+        try:
+            outcome = await self._db(
+                self.store.submit_many,
+                specs,
+                campaign=body.get("campaign"),
+                tenant=tenant,
+            )
+        except (UnknownEngineError, UnknownProtocolError) as exc:
+            raise _HTTPError(400, str(exc)) from None
         self._depth += outcome["created"]
         self.telemetry.gauge("campaign.queue.depth").set(self._depth)
         self.metrics.bump("submitted", outcome["created"])

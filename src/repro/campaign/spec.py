@@ -16,7 +16,12 @@ import json
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
-from ..core.errors import CampaignError, SchedulerError
+from ..core.errors import (
+    CampaignError,
+    SchedulerError,
+    UnknownEngineError,
+    UnknownProtocolError,
+)
 from ..core.protocol import Protocol
 from ..scheduling.spec import SchedulerSpec, scheduler_names
 
@@ -157,6 +162,28 @@ class JobSpec:
             for k, v in self.params.items()
         }
         return build_protocol(self.protocol, **params)
+
+    def check_runnable(self) -> None:
+        """Raise unless the engine and protocol registries know this spec.
+
+        Raises :class:`~repro.core.errors.UnknownEngineError` or
+        :class:`~repro.core.errors.UnknownProtocolError` naming the known
+        names.  The store calls it where new specs enter, never on load:
+        a stored spec that names a since-deleted engine must still load.
+        """
+        from ..engine.registry import available_engines
+        from ..protocols.registry import available_protocols
+
+        if self.engine not in available_engines():
+            raise UnknownEngineError(
+                f"unknown engine {self.engine!r}; known engines: "
+                + ", ".join(available_engines())
+            )
+        if self.protocol not in available_protocols():
+            raise UnknownProtocolError(
+                f"unknown protocol {self.protocol!r}; known protocols: "
+                + ", ".join(available_protocols())
+            )
 
     def label(self) -> str:
         """Short human-readable identity for progress lines."""

@@ -450,8 +450,11 @@ class CampaignStore:
 
         Submission is idempotent by ``(tenant, digest)``: re-submitting
         an existing job (any status) changes nothing and returns
-        ``created=False`` — that is the job-level cache hit.
+        ``created=False`` — that is the job-level cache hit.  A spec
+        naming an unknown engine or protocol is refused (see
+        :meth:`JobSpec.check_runnable`).
         """
+        spec.check_runnable()
         digest = spec.digest
         _check_tenant(tenant)
         with self._write() as conn:
@@ -469,7 +472,13 @@ class CampaignStore:
         campaign: str | None = None,
         tenant: str = DEFAULT_TENANT,
     ) -> dict[str, int]:
-        """Submit a batch; returns ``{"created": .., "existing": .., "done": ..}``."""
+        """Submit a batch; returns ``{"created": .., "existing": .., "done": ..}``.
+
+        Every spec is checked before any is written, so a batch with one
+        unrunnable spec records nothing.
+        """
+        for spec in specs:
+            spec.check_runnable()
         created = existing = done = 0
         for spec in specs:
             digest, was_new = self.submit(spec, campaign=campaign, tenant=tenant)

@@ -51,9 +51,9 @@ def mutate_protocol(
     second *input*; if that also coincides the rule is nulled out.
 
     The mutated protocol shares the original's state space, group map,
-    initial state and stability predicate — only ``delta`` differs, so
-    any disagreement a checker reports is attributable to exactly one
-    table entry.
+    initial state and stability test (its signature, or its predicate
+    when it has none) — only ``delta`` differs, so any disagreement a
+    checker reports is attributable to exactly one table entry.
     """
     table = protocol.transitions
     if isinstance(rule, int):
@@ -100,12 +100,14 @@ def mutate_protocol(
             mutated.p, mutated.q, mutated.p2, mutated.q2, mirror=mirror_folded
         )
 
+    signed = protocol.has_stability_signature
     return Protocol(
         f"{protocol.name}-mutated",
         protocol.space,
         new_table,
         protocol.initial_state,
-        stability_predicate_factory=protocol.stability_predicate,
+        stability_signature_factory=protocol.stability_signature if signed else None,
+        stability_predicate_factory=None if signed else protocol.stability_predicate,
         metadata={
             **protocol.metadata,
             "mutation": f"{target} => {mutated}",

@@ -42,16 +42,17 @@ class StabilitySignature:
 
     ``groups`` is a tuple of ``(state_indices, expected)`` pairs; a
     configuration is stable iff, for every pair, the counts at
-    ``state_indices`` sum to ``expected``.  This is the declarative
-    form of a stability predicate: unlike an opaque callable it can be
-    flattened to integer arrays and evaluated inside a compiled kernel
-    (see :mod:`repro.engine.kernels`) with exactly the same result.
+    ``state_indices`` sum to ``expected``.  This is the one stability
+    test a protocol writes: :meth:`predicate` and :meth:`batch` derive
+    the scalar and vectorized Python forms from it, and the compiled
+    kernels (see :mod:`repro.engine.kernels`) evaluate its flattened
+    :meth:`arrays` with exactly the same result.
 
-    Group order matters only for speed, never for the result — kernels
-    short-circuit on the first violated constraint, so protocols should
-    put their cheapest near-always-rejecting constraint first (the
-    k-partition protocol leads with ``#g_k == floor(n/k)``, the same
-    cheap reject its scalar predicate uses).
+    Group order matters only for speed, never for the result — every
+    form tests the leading constraint first and stops at the first
+    violated one, so protocols should lead with their cheapest
+    near-always-rejecting single-state constraint (the k-partition
+    protocol leads with ``#g_k == floor(n/k)``).
     """
 
     groups: tuple[tuple[tuple[int, ...], int], ...]
@@ -83,6 +84,90 @@ class StabilitySignature:
                 return False
         return True
 
+    def _parts(self) -> tuple[int, int, tuple, tuple] | None:
+        """``(lead, lead_want, singles, sums)`` for a single-state lead.
+
+        ``singles`` holds the other single-state constraints as
+        ``(index, expected)`` pairs and ``sums`` the multi-state ones,
+        both in signature order.  None when the signature is empty or
+        leads with a multi-state constraint.
+        """
+        if not self.groups or len(self.groups[0][0]) != 1:
+            return None
+        ((lead,), lead_want), *rest = self.groups
+        singles = tuple((s[0], w) for s, w in rest if len(s) == 1)
+        sums = tuple((s, w) for s, w in rest if len(s) != 1)
+        return lead, lead_want, singles, sums
+
+    def predicate(self) -> StabilityPredicate:
+        """The scalar test over one count vector, specialised once.
+
+        The leading constraint is one comparison; the other single-state
+        constraints compare one count each, then multi-state ones sum.
+        A signature without a single-state lead gets :meth:`evaluate`.
+        """
+        parts = self._parts()
+        if parts is None:
+            return self.evaluate
+        lead, lead_want, singles, sums = parts
+
+        def stable(counts: Sequence[int] | np.ndarray) -> bool:
+            if counts[lead] != lead_want:
+                return False
+            for i, want in singles:
+                if counts[i] != want:
+                    return False
+            for states, want in sums:
+                # map, not a generator expression: capturing ``counts``
+                # in a closure would cost every call, even a reject.
+                if sum(map(counts.__getitem__, states)) != want:
+                    return False
+            return True
+
+        return stable
+
+    def batch(self) -> BatchStabilityPredicate:
+        """The vectorized test over a ``(B, S)`` count matrix.
+
+        Tests the leading constraint on all rows; on the rows that pass,
+        checks every other single-state constraint in one fused
+        comparison, then any multi-state sums.
+        """
+        parts = self._parts()
+        if parts is None:
+            return _rowwise(self.evaluate)
+        lead, lead_want, singles, sums = parts
+        single_idx = np.array([i for i, _ in singles], dtype=np.intp)
+        single_want = np.array([w for _, w in singles], dtype=np.int64)
+
+        def stable(count_matrix: np.ndarray) -> np.ndarray:
+            count_matrix = np.asarray(count_matrix)
+            ok = count_matrix[:, lead] == lead_want
+            if not ok.any():
+                return ok
+            cand = np.flatnonzero(ok)
+            sub = count_matrix[cand]
+            good = (sub[:, single_idx] == single_want).all(axis=1)
+            for states, want in sums:
+                good &= sum(sub[:, i] for i in states) == want
+            ok[cand] = good
+            return ok
+
+        return stable
+
+
+def _rowwise(pred: StabilityPredicate) -> BatchStabilityPredicate:
+    """Vectorized form of a scalar predicate, evaluated row by row."""
+
+    def batched(count_matrix: np.ndarray) -> np.ndarray:
+        return np.fromiter(
+            (pred(row) for row in count_matrix),
+            dtype=bool,
+            count=len(count_matrix),
+        )
+
+    return batched
+
 
 class Protocol:
     """A deterministic population protocol with designated initial states.
@@ -107,31 +192,28 @@ class Protocol:
         the factory instead of placing all ``n`` agents in
         ``initial_state``.  The factory must return a non-negative vector
         of length ``num_states`` summing to ``n``.
-    stability_predicate_factory:
-        Optional factory ``n -> predicate(counts) -> bool`` producing an
-        exact stability test for populations of size ``n``.  Protocols
-        whose stable configurations are *silent* can omit it — engines
-        fall back to silence detection (no applicable non-null pair).
-        The k-partition protocol needs an explicit predicate because its
-        stable configuration for ``n mod k == 1`` still admits
-        group-preserving ``initial <-> initial'`` flips (rule 4) and is
-        therefore stable but not silent.
-    batch_stability_predicate_factory:
-        Optional factory ``n -> predicate(count_matrix) -> bool_vector``
-        producing a *vectorized* stability test over ``(B, S)`` count
-        matrices.  When omitted, :meth:`batch_stability_predicate`
-        falls back to evaluating the scalar predicate row by row, so
-        providing it is purely a performance optimization (the ensemble
-        engine evaluates it once per jump-chain step).
     stability_signature_factory:
-        Optional factory ``n -> StabilitySignature`` giving the scalar
-        predicate in declarative count-sum form.  Must agree with the
-        scalar predicate on every count vector — the compiled kernels
-        (``count``, ``batch`` and ``graph`` and their ``-jit`` names)
-        evaluate the signature in native code and silently fall back
-        to the Python loop for
-        protocols that provide a predicate without a signature, so
-        supplying it is purely a performance optimization.
+        Optional factory ``n -> StabilitySignature`` giving the exact
+        stability test for populations of size ``n`` (Section 2.2: the
+        group of every agent can never change again) as count-sum
+        equalities.  It is the protocol's one stability test:
+        :meth:`stability_predicate` and :meth:`batch_stability_predicate`
+        derive the scalar and vectorized forms from it, and the compiled
+        kernels (``count``, ``batch`` and ``graph`` and their ``-jit``
+        names) evaluate it natively.  Protocols whose stable
+        configurations are *silent* can omit every stability factory —
+        engines then fall back to silence detection (no applicable
+        non-null pair).  The k-partition protocol needs a signature
+        because its stable configuration for ``n mod k == 1`` still
+        admits group-preserving ``initial <-> initial'`` flips (rule 4)
+        and is therefore stable but not silent.
+    stability_predicate_factory:
+        Optional factory ``n -> predicate(counts) -> bool``, for tests
+        that count-sum equalities cannot express (``<=`` bounds,
+        marginals of composed protocols).  The vectorized form then
+        evaluates it row by row, and the kernel tiers fall back to the
+        Python loops.  Passing both factories raises
+        :class:`~repro.core.errors.ProtocolError`.
     metadata:
         Free-form information (e.g. ``{"k": 5, "paper": "..."}``).
     """
@@ -144,13 +226,10 @@ class Protocol:
         initial_state: str | None,
         *,
         initial_counts_factory: Callable[[int], np.ndarray] | None = None,
-        stability_predicate_factory: Callable[[int], StabilityPredicate] | None = None,
-        batch_stability_predicate_factory: (
-            Callable[[int], BatchStabilityPredicate] | None
-        ) = None,
         stability_signature_factory: (
             Callable[[int], StabilitySignature] | None
         ) = None,
+        stability_predicate_factory: Callable[[int], StabilityPredicate] | None = None,
         metadata: Mapping[str, object] | None = None,
         require_symmetric: bool = False,
     ) -> None:
@@ -163,6 +242,11 @@ class Protocol:
             raise ProtocolError("transition table is defined over a different state space")
         if initial_state is not None and initial_state not in space:
             raise ProtocolError(f"initial state {initial_state!r} is not in the state space")
+        if stability_signature_factory and stability_predicate_factory:
+            raise ProtocolError(
+                f"protocol {name!r} takes a stability signature or a "
+                "stability predicate, not both"
+            )
         transitions.validate()
         if require_symmetric:
             offenders = transitions.asymmetric_rules()
@@ -178,7 +262,6 @@ class Protocol:
         self._initial_state = initial_state
         self._initial_counts_factory = initial_counts_factory
         self._stability_factory = stability_predicate_factory
-        self._batch_stability_factory = batch_stability_predicate_factory
         self._signature_factory = stability_signature_factory
         self._metadata = dict(metadata or {})
 
@@ -266,47 +349,47 @@ class Protocol:
         counts[self._space.index(self._initial_state)] = n
         return counts
 
-    def stability_predicate(self, n: int) -> StabilityPredicate | None:
-        """Exact stability test for population size ``n`` (or None)."""
-        if self._stability_factory is None:
-            return None
-        return self._stability_factory(n)
+    @property
+    def has_stability_signature(self) -> bool:
+        """Whether stability is declared as a :class:`StabilitySignature`."""
+        return self._signature_factory is not None
 
     def stability_signature(self, n: int) -> StabilitySignature | None:
         """Declarative count-sum form of the stability test (or None).
 
         ``None`` means the protocol has no signature — either it has no
-        stability predicate at all (silence is then the criterion,
-        which kernels handle natively) or its predicate cannot be
-        expressed as count-sum equalities (kernel tiers then fall back
-        to the Python loop).
+        stability test at all (silence is then the criterion, which
+        kernels handle natively) or its predicate cannot be expressed
+        as count-sum equalities (kernel tiers then fall back to the
+        Python loop).
         """
         if self._signature_factory is None:
             return None
         return self._signature_factory(n)
 
+    def stability_predicate(self, n: int) -> StabilityPredicate | None:
+        """Exact stability test for population size ``n`` (or None).
+
+        Derived from the signature when the protocol has one.
+        """
+        if self._signature_factory is not None:
+            return self._signature_factory(n).predicate()
+        if self._stability_factory is None:
+            return None
+        return self._stability_factory(n)
+
     def batch_stability_predicate(self, n: int) -> BatchStabilityPredicate | None:
         """Vectorized stability test over ``(B, S)`` count matrices.
 
-        Protocols that supply a ``batch_stability_predicate_factory``
-        get their native vectorized test; protocols with only a scalar
-        predicate get a row-wise wrapper; protocols with neither return
-        None (engines then fall back to silence detection).
+        Derived from the signature when the protocol has one; protocols
+        with only a predicate get a row-wise wrapper; protocols with
+        neither return None (engines then fall back to silence
+        detection).
         """
-        if self._batch_stability_factory is not None:
-            return self._batch_stability_factory(n)
+        if self._signature_factory is not None:
+            return self._signature_factory(n).batch()
         pred = self.stability_predicate(n)
-        if pred is None:
-            return None
-
-        def batched(count_matrix: np.ndarray) -> np.ndarray:
-            return np.fromiter(
-                (pred(row) for row in count_matrix),
-                dtype=bool,
-                count=len(count_matrix),
-            )
-
-        return batched
+        return None if pred is None else _rowwise(pred)
 
     def group_sizes(self, counts: Sequence[int] | np.ndarray) -> np.ndarray:
         """Per-group agent totals under the group map ``f``.

@@ -24,12 +24,10 @@ interaction.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..core.errors import ProtocolError
-from ..core.protocol import Protocol
+from ..core.protocol import Protocol, StabilitySignature
 from ..core.state import StateSpace
 from ..core.transitions import TransitionTable
 from .kpartition import INITIAL, INITIAL_PRIME
@@ -58,7 +56,6 @@ class UniformBipartitionProtocol(Protocol):
             space=space,
             transitions=table,
             initial_state=INITIAL,
-            stability_predicate_factory=self._make_stability_predicate,
             stability_signature_factory=self._make_stability_signature,
             metadata={"k": 2, "paper": "Yasumi et al., OPODIS 2017 [25]", "states": 4},
             require_symmetric=True,
@@ -66,24 +63,8 @@ class UniformBipartitionProtocol(Protocol):
         self._g_idx = (space.index("g1"), space.index("g2"))
         self._i_idx = (space.index(INITIAL), space.index(INITIAL_PRIME))
 
-    def _make_stability_predicate(self, n: int):
-        half, r = divmod(n, 2)
-        g1, g2 = self._g_idx
-        i0, i1 = self._i_idx
-
-        def stable(counts: Sequence[int]) -> bool:
-            return (
-                counts[g1] == half
-                and counts[g2] == half
-                and counts[i0] + counts[i1] == r
-            )
-
-        return stable
-
-    def _make_stability_signature(self, n: int):
-        """Count-sum form of the predicate for the compiled kernel tiers."""
-        from ..core.protocol import StabilitySignature
-
+    def _make_stability_signature(self, n: int) -> StabilitySignature:
+        """Stable iff ``#g1 == #g2 == n // 2`` and ``n mod 2`` agents are free."""
         half, r = divmod(n, 2)
         g1, g2 = self._g_idx
         return StabilitySignature(

@@ -55,7 +55,7 @@ which they are adjacent (swap one along a path), where the partner rule
 fires and permanently retires both.  For odd ``n`` the leftover free
 keeps hopping — the terminal configurations are *stable but not
 silent*, exactly like the source paper's protocols, which is why the
-stability predicate below (not silence) is the convergence test.  For
+stability signature below (not silence) is the convergence test.  For
 ``n = 2`` the flavour-toggle livelock of the complete-graph protocol is
 inherited unchanged.
 """
@@ -102,8 +102,6 @@ class GraphBipartitionProtocol(Protocol):
             space=space,
             transitions=table,
             initial_state=INITIAL,
-            stability_predicate_factory=self._make_stability_predicate,
-            batch_stability_predicate_factory=self._make_batch_predicate,
             stability_signature_factory=self._make_stability_signature,
             metadata={
                 "k": 2,
@@ -121,29 +119,6 @@ class GraphBipartitionProtocol(Protocol):
     # Stability (count form; terminal configurations with odd n are
     # stable but not silent, so silence is the wrong test here)
     # ------------------------------------------------------------------
-    def _make_stability_predicate(self, n: int):
-        half, r = divmod(n, 2)
-        g1, g2 = self._g_idx
-        i0, i1 = self._i_idx
-
-        def stable(counts: Sequence[int]) -> bool:
-            return (
-                counts[g1] == half
-                and counts[g2] == half
-                and counts[i0] + counts[i1] == r
-            )
-
-        return stable
-
-    def _make_batch_predicate(self, n: int):
-        half, _ = divmod(n, 2)
-        g1, g2 = self._g_idx
-
-        def stable(count_matrix: np.ndarray) -> np.ndarray:
-            return (count_matrix[:, g1] == half) & (count_matrix[:, g2] == half)
-
-        return stable
-
     def _make_stability_signature(self, n: int) -> StabilitySignature:
         half, r = divmod(n, 2)
         g1, g2 = self._g_idx

@@ -52,8 +52,9 @@ Stable configurations (Lemmas 4-6).  With ``q = n // k`` and
 For ``r == 1`` the stable configuration is *not silent*: rule 4 keeps
 flipping the leftover free agent between initial and initial', but both
 states map to group 1, so the partition never changes.  The engines
-therefore use :meth:`UniformKPartitionProtocol.stable` rather than
-silence detection.
+therefore test this signature (the protocol's ``StabilitySignature``,
+also behind :meth:`UniformKPartitionProtocol.stable`) rather than
+silence.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.errors import ProtocolError
-from ..core.protocol import Protocol
+from ..core.protocol import Protocol, StabilitySignature
 from ..core.state import StateSpace
 from ..core.transitions import TransitionTable
 
@@ -167,8 +168,6 @@ class UniformKPartitionProtocol(Protocol):
             space=space,
             transitions=table,
             initial_state=INITIAL,
-            stability_predicate_factory=self._make_stability_predicate,
-            batch_stability_predicate_factory=self._make_batch_stability_predicate,
             stability_signature_factory=self._make_stability_signature,
             metadata={
                 "k": k,
@@ -265,98 +264,24 @@ class UniformKPartitionProtocol(Protocol):
             sizes[r - 1] += 1    # the m_r agent maps to group r
         return sizes
 
-    def _make_stability_predicate(self, n: int):
-        k = self._k
-        q, r = divmod(n, k)
-        gk = self._g_idx[-1]
-        g_idx = self._g_idx
-        m_idx = self._m_idx
-        d_idx = self._d_idx
-        i0, i1 = self._i_idx
-        exp_g = [q + 1 if x <= r - 1 else q for x in range(1, k + 1)]
-        exp_ini = 1 if r == 1 else 0
-        exp_m = [0] * len(m_idx)
-        if r >= 2:
-            exp_m[r - 2] = 1
+    def _make_stability_signature(self, n: int) -> StabilitySignature:
+        """Lemma 6 as a signature, read off :meth:`expected_stable_counts`.
 
-        def stable(counts: Sequence[int]) -> bool:
-            # gk first: it is the last count to reach its target, so
-            # this cheap check rejects almost every non-stable call.
-            if counts[gk] != q:
-                return False
-            if counts[i0] + counts[i1] != exp_ini:
-                return False
-            for idx, want in zip(g_idx, exp_g):
-                if counts[idx] != want:
-                    return False
-            for idx, want in zip(m_idx, exp_m):
-                if counts[idx] != want:
-                    return False
-            for idx in d_idx:
-                if counts[idx] != 0:
-                    return False
-            return True
-
-        return stable
-
-    def _make_batch_stability_predicate(self, n: int):
-        """Vectorized form of :meth:`_make_stability_predicate`.
-
-        Stability is a pure count-signature test, so the batched version
-        compares all rows of a ``(B, S)`` matrix against the expected
-        signature in three fused comparisons (the two free states are
-        interchangeable and checked as a sum).
+        ``#g_k == q`` leads: ``g_k`` is the last count to reach its
+        target, so this one comparison rejects almost every non-stable
+        configuration.  The two free states are interchangeable (rule 4
+        keeps flipping the leftover agent when ``r == 1``), so they are
+        constrained as a sum; every other state gets its exact count.
         """
-        k = self._k
-        q, r = divmod(n, k)
-        gk = self._g_idx[-1]
-        i0, i1 = self._i_idx
-        exp_ini = 1 if r == 1 else 0
-        exact_idx = np.fromiter(
-            self._g_idx + self._m_idx + self._d_idx, dtype=np.intp
-        )
-        want = np.zeros(len(exact_idx), dtype=np.int64)
-        want[:k] = [q + 1 if x <= r - 1 else q for x in range(1, k + 1)]
-        if r >= 2:
-            want[k + r - 2] = 1  # m_r, at offset r-2 within the m block
-
-        def stable(count_matrix: np.ndarray) -> np.ndarray:
-            count_matrix = np.asarray(count_matrix)
-            # gk first, as in the scalar predicate: it is the last count
-            # to reach its target, so most steps return all-False after
-            # one cheap column comparison.
-            ok = count_matrix[:, gk] == q
-            if not ok.any():
-                return ok
-            cand = np.flatnonzero(ok)
-            sub = count_matrix[cand]
-            good = sub[:, i0] + sub[:, i1] == exp_ini
-            good &= (sub[:, exact_idx] == want).all(axis=1)
-            ok[cand] = good
-            return ok
-
-        return stable
-
-    def _make_stability_signature(self, n: int):
-        """Declarative (count-sum) form of :meth:`_make_stability_predicate`.
-
-        Same constraints, same order — ``#g_k == q`` leads so the
-        kernels get the same cheap near-always reject the scalar
-        predicate has.  ``g_k`` appears again inside the exact-G block;
-        the redundancy is harmless (signatures are conjunctions).
-        """
-        from ..core.protocol import StabilitySignature
-
-        k = self._k
-        q, r = divmod(n, k)
-        groups: list[tuple[tuple[int, ...], int]] = [((self._g_idx[-1],), q)]
-        groups.append((self._i_idx, 1 if r == 1 else 0))
-        for x, idx in enumerate(self._g_idx, start=1):
-            groups.append(((idx,), q + 1 if x <= r - 1 else q))
-        for off, idx in enumerate(self._m_idx):
-            groups.append(((idx,), 1 if r >= 2 and off == r - 2 else 0))
-        for idx in self._d_idx:
-            groups.append(((idx,), 0))
+        expected = self.expected_stable_counts(n)
+        gk = self.gk_index
+        groups = [((gk,), expected[_g(self._k)])]
+        groups.append((self._i_idx, expected[INITIAL] + expected[INITIAL_PRIME]))
+        groups += [
+            ((i,), expected[name])
+            for i, name in enumerate(self.space.names)
+            if i != gk and i not in self._i_idx
+        ]
         return StabilitySignature(tuple(groups))
 
     def stable(self, counts: Sequence[int] | np.ndarray, n: int | None = None) -> bool:
@@ -366,7 +291,7 @@ class UniformKPartitionProtocol(Protocol):
             n = int(counts.sum())
         if n < 1:
             raise ProtocolError(f"population size must be positive, got {n}")
-        return self._make_stability_predicate(n)(counts)
+        return self.stability_signature(n).evaluate(counts)
 
     # ------------------------------------------------------------------
     # Lemma 1

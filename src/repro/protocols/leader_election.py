@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..core.protocol import Protocol
+from ..core.protocol import Protocol, StabilitySignature
 from ..core.state import StateSpace
 from ..core.transitions import TransitionTable
 
@@ -43,7 +43,6 @@ class LeaderElectionProtocol(Protocol):
             space=space,
             transitions=table,
             initial_state=LEADER,
-            stability_predicate_factory=self._make_stability_predicate,
             stability_signature_factory=self._make_stability_signature,
             metadata={"states": 2},
         )
@@ -53,18 +52,8 @@ class LeaderElectionProtocol(Protocol):
     def leader_index(self) -> int:
         return self._leader_idx
 
-    def _make_stability_predicate(self, n: int):
-        leader = self._leader_idx
-
-        def stable(counts: Sequence[int]) -> bool:
-            return counts[leader] == 1
-
-        return stable
-
-    def _make_stability_signature(self, n: int):
-        """Count-sum form of the predicate: exactly one leader."""
-        from ..core.protocol import StabilitySignature
-
+    def _make_stability_signature(self, n: int) -> StabilitySignature:
+        """Stable iff exactly one leader is left."""
         return StabilitySignature((((self._leader_idx,), 1),))
 
     def num_leaders(self, counts: Sequence[int]) -> int:

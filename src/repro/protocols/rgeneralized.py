@@ -81,7 +81,8 @@ class RGeneralizedPartitionProtocol(Protocol):
             space=space,
             transitions=table,
             initial_state=inner.initial_state,
-            stability_predicate_factory=inner._make_stability_predicate,
+            # Same state order as the inner space, so its signature holds.
+            stability_signature_factory=inner.stability_signature,
             metadata={
                 "ratio": ratio,
                 "W": W,

@@ -91,8 +91,6 @@ class WeakKPartitionProtocol(Protocol):
             transitions=table,
             initial_state=FREE,
             initial_counts_factory=self._make_initial_counts,
-            stability_predicate_factory=self._make_stability_predicate,
-            batch_stability_predicate_factory=self._make_batch_predicate,
             stability_signature_factory=self._make_stability_signature,
             metadata={
                 "k": k,
@@ -141,24 +139,8 @@ class WeakKPartitionProtocol(Protocol):
 
     # ------------------------------------------------------------------
     # Stability: no free agent left (the terminal configuration is
-    # silent, so the predicate exists purely as the cheap exact test)
+    # silent, so the signature exists purely as the cheap exact test)
     # ------------------------------------------------------------------
-    def _make_stability_predicate(self, n: int):
-        free = self._free_idx
-
-        def stable(counts: Sequence[int]) -> bool:
-            return counts[free] == 0
-
-        return stable
-
-    def _make_batch_predicate(self, n: int):
-        free = self._free_idx
-
-        def stable(count_matrix: np.ndarray) -> np.ndarray:
-            return count_matrix[:, free] == 0
-
-        return stable
-
     def _make_stability_signature(self, n: int) -> StabilitySignature:
         return StabilitySignature((((self._free_idx,), 0),))
 

@@ -67,6 +67,19 @@ class TestCampaignVerbs:
         assert rc == 1
         assert "failed=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "verb", [["submit"], ["run", "--no-progress"]], ids=["submit", "run"]
+    )
+    def test_unknown_engine_exits_2_and_stores_nothing(self, tmp_path, capsys, verb):
+        db = str(tmp_path / "campaign.db")
+        rc = campaign_main([*verb, "--db", db, *GRID, "--engine", "nope"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown engine 'nope'" in err and "count" in err
+        store = CampaignStore(db)
+        assert store.counts()["pending"] == 0
+        store.close()
+
     def test_gc_reports_removals(self, tmp_path, capsys):
         db = str(tmp_path / "campaign.db")
         campaign_main(["run", "--db", db, "--no-progress", *GRID])

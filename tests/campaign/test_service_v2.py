@@ -221,6 +221,23 @@ class TestErrors:
         )
         assert code == 400 and "trials" in body["error"]
 
+    @pytest.mark.parametrize(
+        "body, known",
+        [
+            ({"experiment": "fig3", "quick": True, "engine": "nope"}, "count"),
+            ({"experiment": "fig3", "quick": True, "engine": 5}, "count"),
+            ({"specs": [{"protocol": "nope", "n": 10, "trials": 2}]},
+             "uniform-k-partition"),
+        ],
+        ids=["engine-name", "engine-int", "protocol"],
+    )
+    def test_submit_unknown_names_400(self, service, body, known):
+        code, payload, _ = http_json(service.url + "/submit", body)
+        assert code == 400
+        assert "unknown" in payload["error"] and known in payload["error"]
+        _, metrics, _ = http_json(service.url + "/metrics")
+        assert metrics["jobs"]["pending"] == 0
+
     def test_bad_json_body_400(self, service):
         req = urllib.request.Request(
             service.url + "/submit", data=b"not json",

@@ -21,7 +21,7 @@ import pytest
 from repro.campaign import CampaignStore, JobSpec, run_campaign
 from repro.campaign import store as store_module
 from repro.campaign.executor import execute_spec, execute_spec_resumable
-from repro.core.errors import CampaignError
+from repro.core.errors import CampaignError, UnknownEngineError, UnknownProtocolError
 from repro.obs import trace as trace_module
 
 
@@ -101,6 +101,35 @@ class TestSubmission:
         run_campaign(store)
         outcome = store.submit_many(specs)
         assert outcome == {"created": 0, "existing": 3, "done": 3}
+
+    def test_unknown_engine_or_protocol_is_refused(self, store):
+        with pytest.raises(UnknownEngineError, match="known engines: .*count"):
+            store.submit(make_spec(engine="nope"))
+        with pytest.raises(UnknownEngineError, match="unknown engine 5"):
+            store.submit(make_spec(engine=5))
+        with pytest.raises(
+            UnknownProtocolError, match="known protocols: .*uniform-k-partition"
+        ):
+            store.submit(make_spec(protocol="nope"))
+        assert store.counts()["pending"] == 0
+
+    def test_submit_many_refuses_the_whole_batch(self, store):
+        specs = [make_spec(seed=1), make_spec(seed=2, engine="nope")]
+        with pytest.raises(UnknownEngineError):
+            store.submit_many(specs)
+        assert store.counts()["pending"] == 0
+
+    def test_stored_spec_naming_a_deleted_engine_still_loads(self, store):
+        # Only submission checks names: a job stored before its engine
+        # was deleted must still load (and then fail at drain).
+        spec = make_spec(engine="gone")
+        with store._write() as conn:
+            conn.execute(
+                "INSERT INTO jobs (tenant, digest, spec, campaign, created_at) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (store_module.DEFAULT_TENANT, spec.digest, spec.to_json(), None, 0.0),
+            )
+        assert store.get(spec.digest).spec == spec
 
     def test_concurrent_submit_from_two_threads(self, store):
         # The same grid submitted racily from two threads must land

@@ -6,7 +6,11 @@ import pytest
 
 from repro.conform import mutate_protocol, self_test
 from repro.core import ProtocolError
-from repro.protocols import leader_election, uniform_k_partition
+from repro.protocols import (
+    approximate_k_partition,
+    leader_election,
+    uniform_k_partition,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,17 @@ class TestMutateProtocol:
         assert mutated.space is proto.space
         assert mutated.num_states == proto.num_states
         assert mutated.initial_state == proto.initial_state
+
+    def test_keeps_the_signature_or_the_predicate(self, proto):
+        mutated = mutate_protocol(proto, 0)
+        assert mutated.stability_signature(10) == proto.stability_signature(10)
+        plain = approximate_k_partition(3)
+        mutated = mutate_protocol(plain, 0)
+        assert mutated.stability_signature(12) is None
+        counts = plain.initial_counts(12)
+        assert mutated.stability_predicate(12)(counts) == (
+            plain.stability_predicate(12)(counts)
+        )
 
     def test_index_selection(self, proto):
         # Index 0 must be a real table rule with changed semantics.

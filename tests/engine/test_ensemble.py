@@ -9,7 +9,12 @@ from scipy import stats
 from repro.core import SimulationError
 from repro.core.rng import spawn_seed_sequences
 from repro.engine import CountBasedEngine, EnsembleEngine, run_trials
-from repro.protocols import leader_election, uniform_k_partition
+from repro.protocols import (
+    approximate_k_partition,
+    leader_election,
+    uniform_k_partition,
+)
+from repro.protocols.registry import build_protocol
 
 
 @pytest.fixture(scope="module")
@@ -186,17 +191,54 @@ class TestBatchStabilityPredicate:
             assert np.array_equal(got, want)
             assert got[-1]  # the converged configuration is stable
 
+    @pytest.mark.parametrize(
+        "name, params, n",
+        [
+            ("uniform-k-partition", {"k": 3}, 12),
+            ("uniform-k-partition", {"k": 3}, 13),
+            ("uniform-k-partition", {"k": 4}, 17),
+            ("uniform-k-partition", {"k": 5}, 23),
+            ("uniform-bipartition", {}, 11),
+            ("graph-bipartition", {}, 11),
+            ("weak-k-partition", {"k": 3}, 10),
+            ("leader-election", {}, 7),
+            ("r-generalized-partition", {"ratio": (1, 2)}, 14),
+        ],
+    )
+    def test_signature_matches_scalar_predicate(self, name, params, n):
+        p = build_protocol(name, **params)
+        assert p.stability_signature(n) is not None
+        scalar = p.stability_predicate(n)
+        batched = p.batch_stability_predicate(n)
+        rng = np.random.default_rng(p.num_states * 100 + n)
+        # Mix of random count vectors and genuinely stable ones.
+        rows = []
+        for _ in range(40):
+            row = rng.multinomial(n, np.ones(p.num_states) / p.num_states)
+            rows.append(row.astype(np.int64))
+        stable_run = CountBasedEngine().run(p, n, seed=1)
+        rows.append(stable_run.final_counts)
+        matrix = np.stack(rows)
+        got = batched(matrix)
+        want = np.array([scalar(list(r)) for r in matrix])
+        assert np.array_equal(got, want)
+        assert got[-1]  # the converged configuration is stable
+
     def test_rowwise_fallback_for_scalar_only_protocols(self):
         from repro.core import Protocol
 
-        le = leader_election()
-        assert le.stability_predicate(5) is not None
-        batched = le.batch_stability_predicate(5)
-        m = np.array([[1, 4], [2, 3], [0, 5]], dtype=np.int64)
-        scalar = le.stability_predicate(5)
-        assert batched(m).tolist() == [scalar(list(r)) for r in m]
-        bare = Protocol("le-bare", le.space, le.transitions, le.initial_state)
-        assert bare.batch_stability_predicate(5) is None
+        ap = approximate_k_partition(3)
+        assert ap.stability_signature(12) is None
+        batched = ap.batch_stability_predicate(12)
+        scalar = ap.stability_predicate(12)
+        rng = np.random.default_rng(5)
+        m = rng.multinomial(12, np.ones(ap.num_states) / ap.num_states, size=30)
+        m = np.vstack([m, CountBasedEngine().run(ap, 12, seed=1).final_counts])
+        want = [scalar(list(r)) for r in m]
+        assert want[-1]
+        assert batched(m).tolist() == want
+        bare = Protocol("ap-bare", ap.space, ap.transitions, ap.initial_state)
+        assert bare.batch_stability_predicate(12) is None
 
 
 class TestRunnerIntegration:

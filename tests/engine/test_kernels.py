@@ -46,6 +46,7 @@ from repro.protocols import (
     approximate_k_partition,
     graph_bipartition,
     leader_election,
+    r_generalized_partition,
     uniform_bipartition,
     uniform_k_partition,
 )
@@ -172,6 +173,7 @@ PROTOCOLS = {
     "k3": (uniform_k_partition(3), 300, "g3"),
     "bipartition": (uniform_bipartition(), 121, "g2"),
     "leader": (leader_election(), 90, None),
+    "rgen": (r_generalized_partition((1, 2)), 150, "g3"),
 }
 
 
@@ -282,6 +284,17 @@ class TestCountTierIdentity:
         assert proto.stability_signature(30) is None
         session = CountBasedEngine().start(proto, 30, seed=0)
         assert type(session._chain) is JumpChain
+
+    def test_r_generalized_inherits_the_kernel_chain(self):
+        # Its stability is the inner W-partition's signature, so the
+        # count session no longer needs the Python loop.
+        proto = r_generalized_partition((1, 2))
+        assert proto.stability_signature(30) is not None
+        session = CountBasedEngine().start(proto, 30, seed=0)
+        if get_kernels().native:
+            assert isinstance(session._chain, KernelJumpChain)
+        else:
+            assert type(session._chain) is JumpChain
 
     def test_kernel_chain_used_when_eligible(self, monkeypatch):
         proto, n, _ = PROTOCOLS["k3"]
