@@ -13,7 +13,7 @@ Pure stdlib ``asyncio``:
   ``campaign run`` (:func:`~repro.campaign.executor._commit_success`);
 * **streaming** endpoints push chunked JSON lines: ``GET /jobs/stream``
   follows queue status changes live, ``GET /jobs/<digest>/progress``
-  follows one job (checkpointed trial index included) to completion;
+  follows one job to completion;
 * **backpressure**: when the submit queue is saturated
   (``pending + running >= queue_limit``) submissions are refused with
   ``429`` and a ``Retry-After`` header instead of being buried;
@@ -745,9 +745,8 @@ class AsyncCampaignService:
     async def _stream_progress(self, writer, digest: str, query: dict) -> None:
         """Chunked JSONL following one job to a terminal state.
 
-        Lines carry the job status plus, while it runs, the resumable
-        checkpoint's trial index — live per-job progress without any
-        server-side session state.
+        Lines carry the job status and attempts, plus wall time and
+        error once the job is terminal.
         """
         tenant = self._tenant_of(query, DEFAULT_TENANT)
         once, interval = self._stream_params(query)
@@ -766,9 +765,6 @@ class AsyncCampaignService:
                         "type": "gone", "digest": digest, "tenant": tenant,
                     })
                     break
-                ckpt = await self._db(
-                    self.store.load_checkpoint, digest, tenant=tenant
-                )
                 record = {
                     "type": "progress",
                     "digest": digest,
@@ -776,9 +772,6 @@ class AsyncCampaignService:
                     "status": job.status,
                     "attempts": job.attempts,
                     "trials": job.spec.trials,
-                    "trials_completed": (
-                        None if ckpt is None else ckpt["trial_index"]
-                    ),
                 }
                 if job.status in ("done", "failed"):
                     record["wall_time"] = job.wall_time

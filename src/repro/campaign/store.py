@@ -39,13 +39,12 @@ from __future__ import annotations
 import json
 import re
 import sqlite3
-import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from .. import __version__ as _PACKAGE_VERSION
-from ..core.errors import CampaignError, StoreClosedError
+from ..core.errors import CampaignError
+from ..core.sqliteutil import WalStore
 from ..obs.trace import git_rev
 from .spec import JobSpec
 
@@ -328,54 +327,8 @@ class StoreTrialCache:
             )
 
 
-class CampaignStore:
+class CampaignStore(WalStore):
     """Persistent job store; one instance may be shared across threads."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._local = threading.local()
-        self._conns: list[sqlite3.Connection] = []
-        self._conns_lock = threading.Lock()
-        self._closed = False
-        # Create/migrate the schema eagerly (before any handler thread
-        # exists) so read-only callers see tables.
-        self._conn()
-
-    # ------------------------------------------------------------------
-    # Connections
-    # ------------------------------------------------------------------
-    def _conn(self) -> sqlite3.Connection:
-        if self._closed:
-            raise StoreClosedError(
-                f"campaign store {self.path} is closed; "
-                "create a new CampaignStore to reopen it"
-            )
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(self.path, timeout=30.0)
-            try:
-                conn.row_factory = sqlite3.Row
-                conn.execute("PRAGMA journal_mode=WAL")
-                conn.execute("PRAGMA synchronous=NORMAL")
-                conn.execute("PRAGMA busy_timeout=30000")
-                self._ensure_schema(conn)
-                conn.commit()
-            except BaseException:
-                conn.close()
-                raise
-            with self._conns_lock:
-                if self._closed:
-                    # close() ran while this connection was being set
-                    # up; do not leak it past the store's lifetime.
-                    conn.close()
-                    raise StoreClosedError(
-                        f"campaign store {self.path} is closed; "
-                        "create a new CampaignStore to reopen it"
-                    )
-                self._conns.append(conn)
-            self._local.conn = conn
-        return conn
 
     @staticmethod
     def _ensure_schema(conn: sqlite3.Connection) -> None:
@@ -404,37 +357,6 @@ class CampaignStore:
         else:
             conn.executescript(_SCHEMA)
         conn.execute(f"PRAGMA user_version={_SCHEMA_VERSION}")
-
-    def _query(self, sql: str, args: tuple = ()) -> sqlite3.Cursor:
-        return self._conn().execute(sql, args)
-
-    def _write(self):
-        """Context manager: one committed transaction on this thread."""
-        return self._conn()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Close every registered connection; idempotent.
-
-        After close, any store method raises
-        :class:`~repro.core.errors.StoreClosedError` — including on
-        handler threads that never opened a connection before, so a
-        shutdown race can no longer leak fresh connections.
-        """
-        with self._conns_lock:
-            if self._closed:
-                return
-            self._closed = True
-            for conn in self._conns:
-                try:
-                    conn.close()
-                except sqlite3.Error:
-                    pass
-            self._conns.clear()
-        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # Submission

@@ -9,14 +9,16 @@ This subsystem makes the agreement *checkable* instead of hoped-for:
   conservation, the ``#g_1 >= ... >= #g_k`` staircase, ``|M| + |D|``
   cardinality bounds, stable-signature uniqueness per Lemmas 4-6)
   attachable to any engine through the ``on_effective`` callback;
-* :mod:`repro.conform.schedule` — recorded interaction schedules from
-  a compilation-free reference interpreter, replayable and
+* :mod:`repro.conform.schedule` — the compilation-free
+  :class:`ReferenceInterpreter` every driven replay steps, and the
+  interaction schedules recorded from it, replayable and
   JSON-serializable (the minimal-reproducer format);
-* :mod:`repro.conform.differ` — a lockstep differential executor that
-  replays one schedule through each engine's own transition-application
-  data path and diffs the count vectors step by step, dumping a
-  reproducer via :class:`~repro.obs.trace.TraceWriter` on first
-  divergence;
+* :mod:`repro.conform.differ` — the drivable engine paths
+  (:data:`ENGINE_PATHS`, started by :func:`start_driven`) and a
+  lockstep differential executor that replays one schedule through
+  each engine's own transition-application data path and diffs the
+  count vectors step by step, dumping a reproducer via
+  :class:`~repro.obs.trace.TraceWriter` on first divergence;
 * :mod:`repro.conform.fuzzer` — a seed-corpus fuzzer sweeping
   (protocol, n, engine, scheduler) across the registry hunting for
   invariant violations and cross-engine splits;
@@ -40,7 +42,7 @@ from .invariants import (
 )
 from .mutation import mutate_protocol, self_test
 from .runtime import active_conformance, check_result, use_conformance
-from .schedule import InteractionSchedule, record_schedule
+from .schedule import InteractionSchedule, ReferenceInterpreter, record_schedule
 
 __all__ = [
     "ENGINE_PATHS",
@@ -49,6 +51,7 @@ __all__ = [
     "check_counts",
     "ConformanceMonitor",
     "InteractionSchedule",
+    "ReferenceInterpreter",
     "record_schedule",
     "DiffReport",
     "Divergence",

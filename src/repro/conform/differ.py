@@ -38,22 +38,30 @@ from collections.abc import Sequence
 from ..core.errors import SimulationError
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike, ensure_generator
-from ..engine.agent_based import AgentBasedEngine
-from ..engine.batch import BatchEngine
-from ..engine.count_based import CountBasedEngine
 from ..engine.ensemble import EnsembleEngine
-from ..engine.graph_batch import GraphBatchEngine
-from ..engine.hybrid import HybridEngine
-from ..engine.jit import JitBatchEngine, JitCountEngine
+from ..engine.registry import build_engine
+from ..engine.session import EngineSession
 from ..obs.trace import TraceWriter
 from ..scheduling.base import Scheduler
 from ..scheduling.spec import SchedulerSpec
 from .invariants import Invariant, check_counts, invariant_pack
-from .schedule import InteractionSchedule, record_schedule
+from .schedule import InteractionSchedule, ReferenceInterpreter, record_schedule
 
-__all__ = ["Divergence", "DiffReport", "run_differential", "ENGINE_PATHS"]
+__all__ = [
+    "Divergence",
+    "DiffReport",
+    "run_differential",
+    "start_driven",
+    "write_reproducer",
+    "ENGINE_PATHS",
+]
 
-#: Engine data paths the differ can drive, in canonical order.
+#: Engine data paths a schedule can drive, in canonical order: the
+#: differ's default set and the engines of driven sessiond sessions.
+#: ``ensemble-parallel`` has no path of its own — its data path is the
+#: ensemble engine's, shard by shard.  The kernel tiers drive the same
+#: class tables and flat transition arrays their compiled kernels
+#: consume.
 ENGINE_PATHS = (
     "agent",
     "batch",
@@ -65,27 +73,30 @@ ENGINE_PATHS = (
     "graph",
 )
 
-#: Constructors yielding an engine whose session supports driven
-#: execution.  The ensemble engine is pinned to its pure vectorized
-#: path (finish_threshold=0) so the drive exercises the matrix
-#: machinery rather than a scalar-finisher hand-off.  The kernel tiers
-#: drive the identical class tables/flat transition arrays their
-#: compiled kernels consume (``ensemble-parallel`` has no path of its
-#: own — its data path is the ensemble engine's, shard by shard).
-_ENGINE_BUILDERS = {
-    "agent": AgentBasedEngine,
-    "batch": BatchEngine,
-    "count": CountBasedEngine,
-    "hybrid": HybridEngine,
-    "ensemble": lambda: EnsembleEngine(finish_threshold=0),
-    "count-jit": JitCountEngine,
-    "batch-jit": JitBatchEngine,
-    # Driven sessions never sample pairs, so the graph path's topology
-    # is irrelevant to the replay — the complete graph stands in; what
-    # the drive exercises is the graph session's shared batch data path
-    # (incremental weights + apply_scheduled) behind its own audit().
-    "graph": GraphBatchEngine,
-}
+
+def start_driven(
+    engine: str, protocol: Protocol, initial_counts: Sequence[int]
+) -> EngineSession:
+    """A session of engine path ``engine``, ready for ``apply_scheduled``.
+
+    The ensemble engine is pinned to its pure vectorized path
+    (``finish_threshold=0``): its scalar-finisher hand-off does not
+    accept external schedules.  Driven sessions never sample pairs, so
+    the graph path's topology is irrelevant and the complete graph
+    stands in, and the seed is irrelevant because driven application
+    consumes no engine randomness.
+    """
+    if engine not in ENGINE_PATHS:
+        raise SimulationError(
+            f"engine {engine!r} does not support driven execution; "
+            f"choose from {list(ENGINE_PATHS)}"
+        )
+    built = (
+        EnsembleEngine(finish_threshold=0)
+        if engine == "ensemble"
+        else build_engine(engine)
+    )
+    return built.start(protocol, initial_counts=list(initial_counts), seed=0)
 
 
 class _DrivenEngine:
@@ -110,11 +121,7 @@ class _DrivenEngine:
     ) -> None:
         self.name = name
         self._switch_at = switch_at
-        # The session is never advance()d, only driven, so the seed is
-        # irrelevant — driven application consumes no engine randomness.
-        self._session = _ENGINE_BUILDERS[name]().start(
-            protocol, initial_counts=list(counts0), seed=0
-        )
+        self._session = start_driven(name, protocol, counts0)
 
     @property
     def counts(self) -> list[int]:
@@ -201,30 +208,19 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def _dump_reproducer(
-    directory: str | Path,
+def write_reproducer(
+    path: str | Path,
     schedule: InteractionSchedule,
     divergence: Divergence,
+    meta: dict,
 ) -> str:
-    """Write the minimal reproducer trace for a divergence."""
-    directory = Path(directory)
-    path = directory / (
-        f"diverge-{schedule.protocol}-n{schedule.n}-step{divergence.step}.jsonl"
-    )
-    with TraceWriter(
-        path,
-        meta={
-            "kind": "conform-reproducer",
-            "engine": divergence.engine,
-            "divergence_kind": divergence.kind,
-        },
-    ) as writer:
-        writer.write(
-            {
-                "type": "conform_divergence",
-                **divergence.to_record(),
-            }
-        )
+    """Write the minimal reproducer trace of a divergence to ``path``.
+
+    The trace holds the divergence, then the schedule prefix up to and
+    including the divergent step; ``meta`` heads the file.
+    """
+    with TraceWriter(path, meta=meta) as writer:
+        writer.write({"type": "conform_divergence", **divergence.to_record()})
         writer.write(
             {
                 "type": "conform_schedule",
@@ -330,27 +326,20 @@ def run_differential(
         )
 
     counts0 = schedule.initial_counts
-    appliers = []
-    for name in names:
-        if name == "hybrid":
-            appliers.append(
-                _DrivenEngine(
-                    name,
-                    protocol,
-                    counts0,
-                    switch_at=max(1, len(schedule.pairs) // 2),
-                )
-            )
-        else:
-            appliers.append(_DrivenEngine(name, protocol, counts0))
+    appliers = [
+        _DrivenEngine(
+            name,
+            protocol,
+            counts0,
+            switch_at=max(1, len(schedule.pairs) // 2) if name == "hybrid" else None,
+        )
+        for name in names
+    ]
 
-    # Name-level oracle state (the same layout record_schedule used).
-    space = reference.space
-    table = reference.transitions
-    ref_states: list[str] = []
-    for idx, c in enumerate(counts0):
-        ref_states.extend([space.names[idx]] * c)
-    ref_counts: list[int] = list(counts0)
+    # The oracle, laid out as record_schedule laid out the recording.
+    oracle = ReferenceInterpreter.at(reference, counts0)
+    ref_counts = oracle.counts
+    state_names = reference.space.names
 
     pack: list[Invariant] = []
     if check_invariants:
@@ -371,8 +360,16 @@ def run_differential(
     def finish(divergence: Divergence | None) -> DiffReport:
         report.divergence = divergence
         if divergence is not None and reproducer_dir is not None:
-            report.reproducer_path = _dump_reproducer(
-                reproducer_dir, schedule, divergence
+            name = f"diverge-{schedule.protocol}-n{schedule.n}-step{divergence.step}"
+            report.reproducer_path = write_reproducer(
+                Path(reproducer_dir) / f"{name}.jsonl",
+                schedule,
+                divergence,
+                {
+                    "kind": "conform-reproducer",
+                    "engine": divergence.engine,
+                    "divergence_kind": divergence.kind,
+                },
             )
         return report
 
@@ -395,17 +392,8 @@ def run_differential(
     effective_since_compare = 0
     for step, (a, b) in enumerate(schedule.pairs):
         report.steps_replayed = step + 1
-        p_name, q_name = ref_states[a], ref_states[b]
-        p_idx, q_idx = space.index(p_name), space.index(q_name)
-        p2_name, q2_name = table.apply(p_name, q_name)
-        ref_effective = (p2_name, q2_name) != (p_name, q_name)
+        p_idx, q_idx, ref_effective = oracle.step(a, b)
         if ref_effective:
-            ref_states[a] = p2_name
-            ref_states[b] = q2_name
-            ref_counts[space.index(p_name)] -= 1
-            ref_counts[space.index(q_name)] -= 1
-            ref_counts[space.index(p2_name)] += 1
-            ref_counts[space.index(q2_name)] += 1
             report.effective_steps += 1
             effective_since_compare += 1
 
@@ -419,7 +407,7 @@ def run_differential(
                         pair=(a, b),
                         kind="effectiveness",
                         detail=(
-                            f"pair ({p_name}, {q_name}) is "
+                            f"pair ({state_names[p_idx]}, {state_names[q_idx]}) is "
                             f"{'effective' if ref_effective else 'null'} "
                             f"under the rule listing but "
                             f"{'effective' if eff else 'null'} in the "

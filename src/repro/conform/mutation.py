@@ -51,9 +51,10 @@ def mutate_protocol(
     second *input*; if that also coincides the rule is nulled out.
 
     The mutated protocol shares the original's state space, group map,
-    initial state and stability test (its signature, or its predicate
-    when it has none) — only ``delta`` differs, so any disagreement a
-    checker reports is attributable to exactly one table entry.
+    initial state, initial configuration and stability test (its
+    signature, or its predicate when it has none) — only ``delta``
+    differs, so any disagreement a checker reports is attributable to
+    exactly one table entry.
     """
     table = protocol.transitions
     if isinstance(rule, int):
@@ -106,6 +107,7 @@ def mutate_protocol(
         protocol.space,
         new_table,
         protocol.initial_state,
+        initial_counts_factory=protocol.initial_counts,
         stability_signature_factory=protocol.stability_signature if signed else None,
         stability_predicate_factory=None if signed else protocol.stability_predicate,
         metadata={
@@ -128,12 +130,13 @@ def self_test(
     works: the pristine protocol passes differentially, and both the
     differ and the invariant pack flag the mutation.
 
-    With no explicit ``protocol`` the test covers a small default grid:
-    the paper's uniform k-partition (corrupting rule 5 breaks the
-    Lemma 1 conservation law) and the graph bipartition follow-up
-    (corrupting ``(initial, initial') -> (g1, g2)`` into ``(g1, g1)``
-    breaks the ``#g1 == #g2`` balance invariant) — so the harness is
-    proven to catch bugs on both protocol families it guards.
+    With no explicit ``protocol`` the test covers a small default grid,
+    one protocol per family that carries its own invariant pack: the
+    paper's uniform k-partition (corrupting rule 5 breaks the Lemma 1
+    conservation law), the weak-fairness k-partition follow-up, and the
+    graph bipartition follow-up (corrupting ``(initial, initial') ->
+    (g1, g2)`` into ``(g1, g1)`` breaks the ``#g1 == #g2`` balance
+    invariant).
     """
     if protocol is None:
         from ..protocols.registry import build_protocol
@@ -141,6 +144,7 @@ def self_test(
         failures: list[str] = []
         for name, params in (
             ("uniform-k-partition", {"k": 3}),
+            ("weak-k-partition", {"k": 3}),
             ("graph-bipartition", {}),
         ):
             found = self_test(

@@ -1,14 +1,16 @@
 """Recorded interaction schedules and the compilation-free reference run.
 
 A schedule is the ground truth of one execution: the ordered list of
-(initiator, responder) agent indices that interacted.  The recorder is
-deliberately the *slowest, most obviously correct* interpreter in the
-library — it applies :meth:`~repro.core.transitions.TransitionTable.apply`
-on state **names**, bypassing the compiled tables every engine uses.
-That makes it an independent oracle: replaying a recorded schedule
-through the engines' own data paths (see :mod:`repro.conform.differ`)
-cross-checks the whole compilation pipeline against the paper's rule
-listing.
+(initiator, responder) agent indices that interacted.  The
+:class:`ReferenceInterpreter` is deliberately the *slowest, most
+obviously correct* interpreter in the library — it applies
+:meth:`~repro.core.transitions.TransitionTable.apply` on state
+**names**, bypassing the compiled tables every engine uses.  That makes
+it an independent oracle: the recorder steps it, and replaying a
+recorded schedule through the engines' own data paths (the differ in
+:mod:`repro.conform.differ`, driven sessions and bisection probes in
+:mod:`repro.sessiond`) steps it alongside the engine to cross-check the
+whole compilation pipeline against the paper's rule listing.
 
 Schedules serialize to JSON-safe records, which is also the
 minimal-reproducer format the differ dumps on divergence.
@@ -27,9 +29,58 @@ from ..core.rng import SeedLike, ensure_generator
 from ..scheduling.base import Scheduler
 from ..scheduling.uniform import UniformScheduler
 
-__all__ = ["InteractionSchedule", "record_schedule"]
+__all__ = ["InteractionSchedule", "ReferenceInterpreter", "record_schedule"]
 
 _BLOCK = 1024
+
+
+class ReferenceInterpreter:
+    """The compilation-free name-level interpreter of one population.
+
+    ``states`` holds one state index per agent and ``counts`` the
+    configuration they form.  :meth:`step` looks the two agents' state
+    names up in the protocol's rule listing — no compiled tables,
+    interaction classes or weights — so its verdicts are independent of
+    every engine data path.
+    """
+
+    __slots__ = ("states", "counts", "_names", "_index", "_apply")
+
+    def __init__(self, protocol: Protocol, states: Sequence[int]) -> None:
+        space = protocol.space
+        self._names = space.names
+        self._index = space.index
+        self._apply = protocol.transitions.apply
+        self.states = [int(s) for s in states]
+        self.counts = [0] * protocol.num_states
+        for s in self.states:
+            self.counts[s] += 1
+
+    @classmethod
+    def at(cls, protocol: Protocol, counts: Sequence[int]) -> "ReferenceInterpreter":
+        """Agents laid out by state: ``counts[0]`` in state 0, then state 1, ..."""
+        return cls(protocol, [idx for idx, c in enumerate(counts) for _ in range(c)])
+
+    def step(self, a: int, b: int) -> tuple[int, int, bool]:
+        """Let agents ``a`` and ``b`` interact.
+
+        Returns their state indices before the interaction and whether
+        it changed either of them.
+        """
+        states, names = self.states, self._names
+        p, q = states[a], states[b]
+        p_name, q_name = names[p], names[q]
+        p2_name, q2_name = self._apply(p_name, q_name)
+        if p2_name == p_name and q2_name == q_name:
+            return p, q, False
+        p2, q2 = self._index(p2_name), self._index(q2_name)
+        states[a], states[b] = p2, q2
+        counts = self.counts
+        counts[p] -= 1
+        counts[q] -= 1
+        counts[p2] += 1
+        counts[q2] += 1
+        return p, q, True
 
 
 @dataclass(slots=True)
@@ -145,14 +196,12 @@ def record_schedule(
     max_interactions: int = 2_000_000,
     scheduler: Scheduler | None = None,
 ) -> InteractionSchedule:
-    """Run the reference interpreter and record every scheduled pair.
+    """Run the :class:`ReferenceInterpreter` and record every scheduled pair.
 
-    The interpreter keeps per-agent state *names* and applies the
-    transition table directly — no compiled tables, no interaction
-    classes, no weight bookkeeping.  Stops at the protocol's stability
-    predicate (silence when there is none) or at ``max_interactions``,
-    which is mandatory and finite here: a recorded schedule must be
-    materializable, so unbounded runs are a usage error.
+    Stops at the protocol's stability predicate (silence when there is
+    none) or at ``max_interactions``, which is mandatory and finite
+    here: a recorded schedule must be materializable, so unbounded runs
+    are a usage error.
     """
     if max_interactions < 0:
         raise SimulationError(
@@ -177,13 +226,8 @@ def record_schedule(
     if n_total < 2:
         raise SimulationError("need at least two agents to interact")
 
-    space = protocol.space
-    table = protocol.transitions
-    states: list[str] = []
-    for idx, c in enumerate(counts0.tolist()):
-        states.extend([space.names[idx]] * c)
-    counts: list[int] = counts0.tolist()
-
+    interpreter = ReferenceInterpreter.at(protocol, counts0.tolist())
+    step, counts = interpreter.step, interpreter.counts
     pred = protocol.stability_predicate(n_total)
 
     def is_stable() -> bool:
@@ -203,16 +247,8 @@ def record_schedule(
         a_arr, b_arr = scheduler.next_block(take)
         for a, b in zip(a_arr.tolist(), b_arr.tolist()):
             pairs.append((a, b))
-            p, q = states[a], states[b]
-            p2, q2 = table.apply(p, q)
-            if (p2, q2) == (p, q):
+            if not step(a, b)[2]:
                 continue
-            states[a] = p2
-            states[b] = q2
-            counts[space.index(p)] -= 1
-            counts[space.index(q)] -= 1
-            counts[space.index(p2)] += 1
-            counts[space.index(q2)] += 1
             effective_steps.append(len(pairs) - 1)
             if is_stable():
                 converged = True

@@ -103,9 +103,11 @@ class CampaignError(ReproError):
 
 
 class StoreClosedError(CampaignError):
-    """A store method was called after :meth:`CampaignStore.close`.
+    """A store method was called after the store's ``close()``.
 
-    Handler threads of a shutting-down service can race the owner's
-    ``close()``; a named error makes that window loud instead of
-    leaking fresh SQLite connections onto a closed store.
+    Raised by the campaign store and the session snapshot store alike
+    (:class:`~repro.core.sqliteutil.WalStore`).  Handler threads of a
+    shutting-down service can race the owner's ``close()``; a named
+    error makes that window loud instead of leaking fresh SQLite
+    connections onto a closed store.
     """

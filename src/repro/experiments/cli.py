@@ -286,24 +286,32 @@ def run_experiment(
     """Run one experiment by name; returns (and optionally writes) the table."""
     run, render, quick_params, _ = EXPERIMENTS[name]
     params: dict = dict(quick_params) if quick else {}
-    if trials is not None and "trials" in _signature_params(run):
+    if trials is not None and _accepts(run, "trials"):
         params["trials"] = trials
-    if "seed" in _signature_params(run):
+    if _accepts(run, "seed"):
         params["seed"] = seed
-    if engine is not None and "engine" in _signature_params(run):
+    if engine is not None and _accepts(run, "engine"):
         params["engine"] = engine
     progress = ProgressPrinter(enabled=progress_enabled)
-    if "progress" in _signature_params(run):
+    if _accepts(run, "progress"):
         params["progress"] = progress
     table = run(**params)
     write_outputs(table, out, render=render)
     return table
 
 
-def _signature_params(fn: Callable) -> set[str]:
+def _accepts(fn: Callable, name: str) -> bool:
+    """Whether ``fn`` takes keyword ``name``.
+
+    A figure's ``run_<name>(**grid)`` takes every keyword of its
+    ``<name>_points`` grid, ``trials`` and ``seed`` among them.
+    """
     import inspect
 
-    return set(inspect.signature(fn).parameters)
+    params = inspect.signature(fn).parameters
+    return name in params or any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+    )
 
 
 def describe_protocol(name: str, params: list[str]) -> str:

@@ -8,6 +8,12 @@ Every experiment module follows the same conventions:
   same code path in seconds (used by CI, the benchmarks and ``--quick``);
 * ``render_<name>(table) -> str`` produces the terminal figure.
 
+The figure sweeps (Figures 3-6 and the scaling law) declare their grid
+once, as a ``<name>_points(**grid) -> list[GridPoint]`` function that
+holds the grid's defaults.  ``run_<name>(**grid)`` runs those points,
+and :func:`repro.campaign.grids.experiment_specs` turns the same points
+into campaign job specs.
+
 Seeds: every experiment derives per-point master seeds from a single
 experiment seed with :func:`point_seed`, hashing the parameter tuple,
 so adding or re-ordering sweep points never changes other points'
@@ -17,16 +23,22 @@ results.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
+from ..engine.base import Engine
+from ..engine.runner import TrialSet, run_trials
 from ..io.results import ResultTable
+from ..protocols.kpartition import uniform_k_partition
 
 __all__ = [
     "point_seed",
+    "GridPoint",
+    "grid_params",
     "ProgressPrinter",
     "trial_progress",
     "write_outputs",
@@ -47,6 +59,49 @@ def point_seed(experiment_seed: int, *key: object) -> int:
     """
     payload = repr((experiment_seed,) + key).encode()
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
+
+
+@dataclass(frozen=True, slots=True)
+class GridPoint:
+    """One point of a figure sweep: ``trials`` runs of uniform k-partition.
+
+    ``seed`` is the point's own master seed (from :func:`point_seed`),
+    and ``track_state`` names the state whose milestones the trials
+    record (Figure 4 tracks ``g_k``).
+    """
+
+    k: int
+    n: int
+    trials: int
+    seed: int
+    track_state: str | None = None
+
+    def run(
+        self, engine: Engine | str | None, progress: object, label: str
+    ) -> TrialSet:
+        """Run this point's trials; ``label`` prefixes per-trial progress."""
+        return run_trials(
+            uniform_k_partition(self.k),
+            self.n,
+            trials=self.trials,
+            engine=engine,
+            seed=self.seed,
+            track_state=self.track_state,
+            progress=trial_progress(progress, label),
+        )
+
+
+def grid_params(points: Callable[..., list[GridPoint]], grid: dict) -> dict:
+    """A sweep's table params: ``grid`` with the defaults of ``points``.
+
+    Sequence values become lists so the params serialize as JSON arrays.
+    """
+    bound = inspect.signature(points).bind(**grid)
+    bound.apply_defaults()
+    return {
+        key: list(value) if isinstance(value, Sequence) else value
+        for key, value in bound.arguments.items()
+    }
 
 
 @dataclass(slots=True)

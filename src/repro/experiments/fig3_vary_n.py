@@ -20,13 +20,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..engine.base import Engine
-from ..engine.runner import run_trials
 from ..io.results import ResultTable
-from ..protocols.kpartition import uniform_k_partition
 from .ascii_plot import line_plot
-from .common import DEFAULT_SEED, point_seed, trial_progress
+from .common import DEFAULT_SEED, GridPoint, grid_params, point_seed
 
-__all__ = ["run_fig3", "render_fig3", "sawtooth_drops", "QUICK_PARAMS"]
+__all__ = ["run_fig3", "render_fig3", "sawtooth_drops", "fig3_points", "QUICK_PARAMS"]
 
 #: Reduced parameters used by CI, benchmarks, and ``--quick``.
 QUICK_PARAMS: dict = {
@@ -36,59 +34,52 @@ QUICK_PARAMS: dict = {
 }
 
 
-def run_fig3(
+def fig3_points(
     *,
     ks: Sequence[int] = (4, 6, 8),
     n_values: Sequence[int] | None = None,
     n_max: int = 120,
     trials: int = 100,
     seed: int = DEFAULT_SEED,
-    engine: Engine | str | None = None,
-    progress=None,
-) -> ResultTable:
-    """Sweep n for each k and record interaction statistics.
+) -> list[GridPoint]:
+    """The Figure 3 grid: one point per (k, n).
 
     ``n_values=None`` uses every n from ``k + 2`` to ``n_max`` (step 1,
     per-k), which is what exposes the mod-k sawtooth.
     """
-    table = ResultTable(
-        name="fig3_vary_n",
-        params={
-            "ks": list(ks),
-            "n_values": list(n_values) if n_values is not None else None,
-            "n_max": n_max,
-            "trials": trials,
-            "seed": seed,
-        },
-    )
-    for k in ks:
-        protocol = uniform_k_partition(k)
-        ns = n_values if n_values is not None else range(k + 2, n_max + 1)
-        for n in ns:
-            if n < 3:
-                continue
-            ts = run_trials(
-                protocol,
-                n,
-                trials=trials,
-                engine=engine,
-                seed=point_seed(seed, "fig3", k, n),
-                progress=trial_progress(progress, f"fig3 k={k} n={n}"),
-            )
-            table.append(
-                k=k,
-                n=n,
-                n_mod_k=n % k,
-                trials=ts.trials,
-                mean_interactions=ts.mean_interactions,
-                std_interactions=ts.std_interactions,
-                sem_interactions=ts.sem_interactions,
-                min_interactions=int(ts.interactions.min()),
-                max_interactions=int(ts.interactions.max()),
-                mean_effective=float(ts.effective_interactions.mean()),
-            )
-            if progress is not None:
-                progress(f"fig3 k={k} n={n}: mean={ts.mean_interactions:.0f}")
+    return [
+        GridPoint(k, n, trials, point_seed(seed, "fig3", k, n))
+        for k in ks
+        for n in (n_values if n_values is not None else range(k + 2, n_max + 1))
+        if n >= 3
+    ]
+
+
+def run_fig3(
+    *, engine: Engine | str | None = None, progress=None, **grid
+) -> ResultTable:
+    """Run the :func:`fig3_points` grid and record interaction statistics.
+
+    ``grid`` takes the keywords of :func:`fig3_points`.
+    """
+    table = ResultTable(name="fig3_vary_n", params=grid_params(fig3_points, grid))
+    for point in fig3_points(**grid):
+        k, n = point.k, point.n
+        ts = point.run(engine, progress, f"fig3 k={k} n={n}")
+        table.append(
+            k=k,
+            n=n,
+            n_mod_k=n % k,
+            trials=ts.trials,
+            mean_interactions=ts.mean_interactions,
+            std_interactions=ts.std_interactions,
+            sem_interactions=ts.sem_interactions,
+            min_interactions=int(ts.interactions.min()),
+            max_interactions=int(ts.interactions.max()),
+            mean_effective=float(ts.effective_interactions.mean()),
+        )
+        if progress is not None:
+            progress(f"fig3 k={k} n={n}: mean={ts.mean_interactions:.0f}")
     return table
 
 

@@ -21,13 +21,11 @@ from collections.abc import Sequence
 
 from ..analysis.grouping import GroupingDecomposition, decompose_groupings
 from ..engine.base import Engine
-from ..engine.runner import run_trials
 from ..io.results import ResultTable
-from ..protocols.kpartition import uniform_k_partition
 from .ascii_plot import stacked_bars
-from .common import DEFAULT_SEED, point_seed, trial_progress
+from .common import DEFAULT_SEED, GridPoint, grid_params, point_seed
 
-__all__ = ["run_fig4", "render_fig4", "QUICK_PARAMS"]
+__all__ = ["run_fig4", "render_fig4", "fig4_points", "QUICK_PARAMS"]
 
 QUICK_PARAMS: dict = {
     "ks": (4,),
@@ -36,55 +34,48 @@ QUICK_PARAMS: dict = {
 }
 
 
-def run_fig4(
+def fig4_points(
     *,
     ks: Sequence[int] = (4, 6, 8),
     n_values: Sequence[int] | None = None,
     n_max: int = 60,
     trials: int = 100,
     seed: int = DEFAULT_SEED,
-    engine: Engine | str | None = None,
-    progress=None,
-) -> ResultTable:
-    """Sweep n per k, decomposing interactions by grouping index.
+) -> list[GridPoint]:
+    """The Figure 4 grid: one point per (k, n), tracking ``g_k``.
 
-    Long-format table: one row per (k, n, grouping index), where index
-    ``i`` in ``1..floor(n/k)`` is the i-th grouping and index 0 labels
-    the remainder phase (the n mod k leftover agents stabilizing after
-    the final grouping).
+    ``n_values=None`` uses every n from ``k + 2`` to ``n_max``.
     """
-    table = ResultTable(
-        name="fig4_grouping",
-        params={
-            "ks": list(ks),
-            "n_values": list(n_values) if n_values is not None else None,
-            "n_max": n_max,
-            "trials": trials,
-            "seed": seed,
-        },
-    )
-    for k in ks:
-        protocol = uniform_k_partition(k)
-        ns = n_values if n_values is not None else range(k + 2, n_max + 1)
-        for n in ns:
-            if n < 3:
-                continue
-            ts = run_trials(
-                protocol,
-                n,
-                trials=trials,
-                engine=engine,
-                seed=point_seed(seed, "fig4", k, n),
-                track_state=f"g{k}",
-                progress=trial_progress(progress, f"fig4 k={k} n={n}"),
+    return [
+        GridPoint(k, n, trials, point_seed(seed, "fig4", k, n), track_state=f"g{k}")
+        for k in ks
+        for n in (n_values if n_values is not None else range(k + 2, n_max + 1))
+        if n >= 3
+    ]
+
+
+def run_fig4(
+    *, engine: Engine | str | None = None, progress=None, **grid
+) -> ResultTable:
+    """Run the :func:`fig4_points` grid, decomposing interactions by grouping.
+
+    ``grid`` takes the keywords of :func:`fig4_points`.  Long-format
+    table: one row per (k, n, grouping index), where index ``i`` in
+    ``1..floor(n/k)`` is the i-th grouping and index 0 labels the
+    remainder phase (the n mod k leftover agents stabilizing after the
+    final grouping).
+    """
+    table = ResultTable(name="fig4_grouping", params=grid_params(fig4_points, grid))
+    for point in fig4_points(**grid):
+        k, n = point.k, point.n
+        ts = point.run(engine, progress, f"fig4 k={k} n={n}")
+        decomp = decompose_groupings(ts, k)
+        _append_decomposition(table, k, decomp)
+        if progress is not None:
+            progress(
+                f"fig4 k={k} n={n}: {decomp.num_groupings} groupings, "
+                f"last share={decomp.last_grouping_share:.2f}"
             )
-            decomp = decompose_groupings(ts, k)
-            _append_decomposition(table, k, decomp)
-            if progress is not None:
-                progress(
-                    f"fig4 k={k} n={n}: {decomp.num_groupings} groupings, "
-                    f"last share={decomp.last_grouping_share:.2f}"
-                )
     return table
 
 

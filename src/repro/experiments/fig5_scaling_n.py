@@ -17,13 +17,11 @@ from collections.abc import Sequence
 
 from ..analysis.convergence import fit_exponential, fit_power_law
 from ..engine.base import Engine
-from ..engine.runner import run_trials
 from ..io.results import ResultTable
-from ..protocols.kpartition import uniform_k_partition
 from .ascii_plot import line_plot
-from .common import DEFAULT_SEED, point_seed, trial_progress
+from .common import DEFAULT_SEED, GridPoint, grid_params, point_seed
 
-__all__ = ["run_fig5", "render_fig5", "scaling_fits", "QUICK_PARAMS"]
+__all__ = ["run_fig5", "render_fig5", "scaling_fits", "fig5_points", "QUICK_PARAMS"]
 
 QUICK_PARAMS: dict = {
     "ks": (3, 4),
@@ -33,55 +31,46 @@ QUICK_PARAMS: dict = {
 }
 
 
-def run_fig5(
+def fig5_points(
     *,
     ks: Sequence[int] = (3, 4, 5, 6),
     n_units: Sequence[int] = (1, 2, 3, 4, 5, 6, 7, 8),
     base_n: int = 120,
     trials: int = 100,
     seed: int = DEFAULT_SEED,
-    engine: Engine | str | None = None,
-    progress=None,
-) -> ResultTable:
-    """Sweep ``n = base_n * n'`` for each k (all k divide ``base_n``)."""
+) -> list[GridPoint]:
+    """The Figure 5 grid: ``n = base_n * n'`` for each k (all k divide ``base_n``)."""
     for k in ks:
         if base_n % k:
             raise ValueError(
                 f"base_n = {base_n} must be a multiple of every k; k={k} is not a divisor"
             )
-    table = ResultTable(
-        name="fig5_scaling_n",
-        params={
-            "ks": list(ks),
-            "n_units": list(n_units),
-            "base_n": base_n,
-            "trials": trials,
-            "seed": seed,
-        },
-    )
-    for k in ks:
-        protocol = uniform_k_partition(k)
-        for unit in n_units:
-            n = base_n * unit
-            ts = run_trials(
-                protocol,
-                n,
-                trials=trials,
-                engine=engine,
-                seed=point_seed(seed, "fig5", k, n),
-                progress=trial_progress(progress, f"fig5 k={k} n={n}"),
-            )
-            table.append(
-                k=k,
-                n=n,
-                trials=ts.trials,
-                mean_interactions=ts.mean_interactions,
-                std_interactions=ts.std_interactions,
-                sem_interactions=ts.sem_interactions,
-                mean_effective=float(ts.effective_interactions.mean()),
-            )
-            if progress is not None:
-                progress(f"fig5 k={k} n={n}: mean={ts.mean_interactions:.0f}")
+    return [
+        GridPoint(k, base_n * unit, trials, point_seed(seed, "fig5", k, base_n * unit))
+        for k in ks
+        for unit in n_units
+    ]
+
+
+def run_fig5(
+    *, engine: Engine | str | None = None, progress=None, **grid
+) -> ResultTable:
+    """Run the :func:`fig5_points` grid (``grid`` takes its keywords)."""
+    table = ResultTable(name="fig5_scaling_n", params=grid_params(fig5_points, grid))
+    for point in fig5_points(**grid):
+        k, n = point.k, point.n
+        ts = point.run(engine, progress, f"fig5 k={k} n={n}")
+        table.append(
+            k=k,
+            n=n,
+            trials=ts.trials,
+            mean_interactions=ts.mean_interactions,
+            std_interactions=ts.std_interactions,
+            sem_interactions=ts.sem_interactions,
+            mean_effective=float(ts.effective_interactions.mean()),
+        )
+        if progress is not None:
+            progress(f"fig5 k={k} n={n}: mean={ts.mean_interactions:.0f}")
     return table
 
 

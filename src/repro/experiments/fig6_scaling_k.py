@@ -20,13 +20,11 @@ from collections.abc import Sequence
 
 from ..analysis.convergence import fit_exponential
 from ..engine.base import Engine
-from ..engine.runner import run_trials
 from ..io.results import ResultTable
-from ..protocols.kpartition import uniform_k_partition
 from .ascii_plot import line_plot
-from .common import DEFAULT_SEED, point_seed, trial_progress
+from .common import DEFAULT_SEED, GridPoint, grid_params, point_seed
 
-__all__ = ["run_fig6", "render_fig6", "exponential_fit", "QUICK_PARAMS"]
+__all__ = ["run_fig6", "render_fig6", "exponential_fit", "fig6_points", "QUICK_PARAMS"]
 
 QUICK_PARAMS: dict = {
     "n": 120,
@@ -35,36 +33,31 @@ QUICK_PARAMS: dict = {
 }
 
 
-def run_fig6(
+def fig6_points(
     *,
     n: int = 960,
     ks: Sequence[int] = (3, 4, 5, 6, 8, 10),
     trials: int = 100,
     seed: int = DEFAULT_SEED,
-    engine: Engine | str | None = None,
-    progress=None,
-) -> ResultTable:
-    """Sweep k at fixed n (every k must divide n, as in the paper)."""
+) -> list[GridPoint]:
+    """The Figure 6 grid: k swept at fixed n (every k divides n, as in the paper)."""
     for k in ks:
         if n % k:
             raise ValueError(f"k = {k} does not divide n = {n}; the paper keeps n mod k = 0")
-    table = ResultTable(
-        name="fig6_scaling_k",
-        params={"n": n, "ks": list(ks), "trials": trials, "seed": seed},
-    )
-    for k in ks:
-        protocol = uniform_k_partition(k)
-        ts = run_trials(
-            protocol,
-            n,
-            trials=trials,
-            engine=engine,
-            seed=point_seed(seed, "fig6", k, n),
-            progress=trial_progress(progress, f"fig6 k={k}"),
-        )
+    return [GridPoint(k, n, trials, point_seed(seed, "fig6", k, n)) for k in ks]
+
+
+def run_fig6(
+    *, engine: Engine | str | None = None, progress=None, **grid
+) -> ResultTable:
+    """Run the :func:`fig6_points` grid (``grid`` takes its keywords)."""
+    table = ResultTable(name="fig6_scaling_k", params=grid_params(fig6_points, grid))
+    for point in fig6_points(**grid):
+        k = point.k
+        ts = point.run(engine, progress, f"fig6 k={k}")
         table.append(
             k=k,
-            n=n,
+            n=point.n,
             trials=ts.trials,
             mean_interactions=ts.mean_interactions,
             std_interactions=ts.std_interactions,

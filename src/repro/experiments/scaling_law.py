@@ -33,17 +33,16 @@ from ..analysis.scaling import (
     budget_crossing,
 )
 from ..engine.base import Engine
-from ..engine.runner import run_trials
 from ..io.results import ResultTable
-from ..protocols.kpartition import uniform_k_partition
 from .ascii_plot import line_plot
-from .common import DEFAULT_SEED, point_seed, trial_progress
+from .common import DEFAULT_SEED, GridPoint, grid_params, point_seed
 
 __all__ = [
     "run_scaling_law",
     "render_scaling_law",
     "scaling_report",
     "grid_points",
+    "scaling_points",
     "QUICK_PARAMS",
     "DEFAULT_BUDGETS",
 ]
@@ -68,9 +67,7 @@ def grid_points(
     """The (k, n) sweep grid with n snapped to a multiple of k.
 
     Snapping removes the mod-k sawtooth from the fit; duplicates after
-    snapping collapse.  Shared with the campaign grid builder
-    (:mod:`repro.campaign.grids`) so a campaign run warms exactly the
-    trial-cache keys this experiment asks for.
+    snapping collapse.
     """
     points: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -85,18 +82,31 @@ def grid_points(
     return points
 
 
-def run_scaling_law(
+def scaling_points(
     *,
     ks: Sequence[int] = (2, 4, 8, 16, 32),
     n_values: Sequence[int] = (1_000, 2_000, 5_000, 10_000, 20_000, 50_000),
     trials: int = 20,
     seed: int = DEFAULT_SEED,
+) -> list[GridPoint]:
+    """The scaling-law grid: one point per snapped (k, n) of :func:`grid_points`."""
+    return [
+        GridPoint(k, n, trials, point_seed(seed, "scaling-law", k, n))
+        for k, n in grid_points(ks, n_values)
+    ]
+
+
+def run_scaling_law(
+    *,
     engine: Engine | str | None = None,
     bootstrap: int = 200,
     progress=None,
+    **grid,
 ) -> ResultTable:
-    """Sweep the (k, n) grid keeping one row per trial.
+    """Run the :func:`scaling_points` grid keeping one row per trial.
 
+    ``grid`` takes the keywords of :func:`scaling_points`; ``bootstrap``
+    is the resample count of the fit in :func:`scaling_report`.
     Per-trial rows (rather than per-point summaries) are the point of
     this experiment: the bootstrap resamples them, and the columnar
     backend is exercised at realistic row counts.
@@ -105,25 +115,15 @@ def run_scaling_law(
     table = ResultTable(
         name="scaling_law",
         params={
-            "ks": list(ks),
-            "n_values": list(n_values),
-            "trials": trials,
-            "seed": seed,
+            **grid_params(scaling_points, grid),
             "engine": engine_name,
             "bootstrap": bootstrap,
             "budgets": list(DEFAULT_BUDGETS),
         },
     )
-    for k, n in grid_points(ks, n_values):
-        protocol = uniform_k_partition(k)
-        ts = run_trials(
-            protocol,
-            n,
-            trials=trials,
-            engine=engine,
-            seed=point_seed(seed, "scaling-law", k, n),
-            progress=trial_progress(progress, f"scaling-law k={k} n={n}"),
-        )
+    for point in scaling_points(**grid):
+        k, n = point.k, point.n
+        ts = point.run(engine, progress, f"scaling-law k={k} n={n}")
         for trial in range(ts.trials):
             table.append(
                 k=k,

@@ -21,7 +21,7 @@ Layers:
 """
 
 from .bisect import BisectReport, bisect_divergence
-from .manager import DRIVEN_ENGINES, ManagedSession, SessionManager, config_digest
+from .manager import ManagedSession, SessionManager, config_digest
 from .service import SessionService
 from .store import Checkpoint, SessionRow, SnapshotRow, SnapshotStore
 
@@ -30,7 +30,6 @@ __all__ = [
     "bisect_divergence",
     "Checkpoint",
     "config_digest",
-    "DRIVEN_ENGINES",
     "ManagedSession",
     "SessionManager",
     "SessionRow",

@@ -32,11 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..conform.differ import Divergence
+from ..conform.differ import Divergence, write_reproducer
 from ..conform.schedule import InteractionSchedule
 from ..core.errors import SimulationError
 from ..obs.telemetry import get_telemetry
-from ..obs.trace import TraceWriter
 from .manager import SessionManager
 
 __all__ = ["BisectReport", "bisect_divergence"]
@@ -191,11 +190,6 @@ def _dump_reproducer(
 ) -> str:
     """Write the minimal-reproducer trace (conformance format)."""
     assert report.first_divergence is not None
-    directory = Path(directory)
-    path = directory / (
-        f"bisect-{report.session_a}-vs-{report.session_b}"
-        f"-step{report.first_divergence}.jsonl"
-    )
     divergence = Divergence(
         engine=report.session_b,
         step=report.first_divergence,
@@ -208,20 +202,18 @@ def _dump_reproducer(
         reference_counts=list(report.counts_a or []),
         engine_counts=list(report.counts_b or []),
     )
-    with TraceWriter(
-        path,
-        meta={
+    return write_reproducer(
+        Path(directory)
+        / (
+            f"bisect-{report.session_a}-vs-{report.session_b}"
+            f"-step{report.first_divergence}.jsonl"
+        ),
+        schedule,
+        divergence,
+        {
             "kind": "sessiond-bisect-reproducer",
             "session_a": report.session_a,
             "session_b": report.session_b,
             "probes": report.probes,
         },
-    ) as writer:
-        writer.write({"type": "conform_divergence", **divergence.to_record()})
-        writer.write(
-            {
-                "type": "conform_schedule",
-                **schedule.prefix(report.first_divergence + 1).to_record(),
-            }
-        )
-    return str(path)
+    )

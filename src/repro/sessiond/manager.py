@@ -22,11 +22,13 @@ Two advancement modes exist per session:
     randomness is consumed, so the trajectory is a pure function of
     (schedule, protocol).  That determinism is what makes time-travel
     replay bit-identical and divergence bisection meaningful.  Because
-    count-level engines never see agent identities, the manager keeps a
-    per-agent state-index *shadow* (the same name-level interpreter the
-    conformance oracle uses) to translate each scheduled pair ``(a,
-    b)`` into the ordered state pair ``(p, q)`` the engine needs; the
-    shadow rides along with every checkpoint as the driver sidecar.
+    count-level engines never see agent identities, the manager steps
+    the conformance oracle's
+    :class:`~repro.conform.schedule.ReferenceInterpreter` alongside the
+    engine to translate each scheduled pair ``(a, b)`` into the ordered
+    state pair ``(p, q)`` the engine needs; the interpreter's per-agent
+    states (the *shadow*) ride along with every checkpoint as the
+    driver sidecar.
 
 Budget-sliced fairness: :meth:`pump` advances every running session
 round-robin in bounded slices, so one monopolizing run cannot starve
@@ -44,12 +46,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..conform.schedule import InteractionSchedule
+from ..conform.differ import start_driven
+from ..conform.schedule import InteractionSchedule, ReferenceInterpreter
 from ..core.errors import SimulationError
 from ..core.protocol import Protocol
 from ..engine.base import Engine, SimulationResult
-from ..engine.ensemble import EnsembleEngine
-from ..engine.registry import available_engines, build_engine
+from ..engine.registry import build_engine
 from ..engine.session import EngineSession, SessionStatus, protocol_fingerprint
 from ..obs.telemetry import get_telemetry
 from ..protocols.registry import build_protocol
@@ -58,22 +60,8 @@ from .store import Checkpoint, SnapshotStore
 __all__ = [
     "SessionManager",
     "ManagedSession",
-    "DRIVEN_ENGINES",
     "config_digest",
 ]
-
-#: Engine paths driven execution supports — must stay in lockstep with
-#: :data:`repro.conform.differ.ENGINE_PATHS` (pinned by test).
-DRIVEN_ENGINES = (
-    "agent",
-    "batch",
-    "count",
-    "hybrid",
-    "ensemble",
-    "count-jit",
-    "batch-jit",
-    "graph",
-)
 
 #: Default automatic-checkpoint cadence (interactions).
 DEFAULT_CHECKPOINT_INTERVAL = 4096
@@ -99,23 +87,6 @@ def _build_session_protocol(config: dict) -> Protocol:
     return protocol
 
 
-def _drivable_engine(name: str) -> Engine:
-    """An engine whose session supports driven execution.
-
-    The ensemble engine is pinned to its pure vectorized path
-    (``finish_threshold=0``), same as the conformance differ — the
-    scalar-finisher hand-off does not accept external schedules.
-    """
-    if name not in DRIVEN_ENGINES:
-        raise SimulationError(
-            f"engine {name!r} does not support driven execution; "
-            f"choose from {list(DRIVEN_ENGINES)}"
-        )
-    if name == "ensemble":
-        return EnsembleEngine(finish_threshold=0)
-    return build_engine(name)
-
-
 @dataclass(slots=True)
 class ManagedSession:
     """One live session plus the manager-owned coordinates.
@@ -137,8 +108,8 @@ class ManagedSession:
     cursor: int = 0
     effective: int = 0
     status: SessionStatus = SessionStatus.RUNNING
-    #: Driven mode only: per-agent state indices (the oracle shadow).
-    shadow: list[int] | None = None
+    #: Driven mode only: the name-level interpreter of the schedule.
+    interpreter: ReferenceInterpreter | None = None
     result_record: dict | None = field(default=None, repr=False)
 
     @property
@@ -227,20 +198,11 @@ class SessionManager:
                     f"schedule has {len(schedule.initial_counts)} states, "
                     f"protocol has {protocol.num_states}"
                 )
-            session = _drivable_engine(engine_name).start(
-                protocol, initial_counts=list(schedule.initial_counts), seed=0
-            )
-            shadow: list[int] | None = []
-            for idx, c in enumerate(schedule.initial_counts):
-                shadow.extend([idx] * c)
+            session = start_driven(engine_name, protocol, schedule.initial_counts)
+            interpreter = ReferenceInterpreter.at(protocol, schedule.initial_counts)
         elif mode == "free":
-            if engine_name not in available_engines():
-                raise SimulationError(
-                    f"unknown engine {engine_name!r}; "
-                    f"known engines: {', '.join(available_engines())}"
-                )
             schedule = None
-            shadow = None
+            interpreter = None
             session = build_engine(engine_name).start(
                 protocol,
                 config.get("n"),
@@ -265,7 +227,7 @@ class SessionManager:
             session=session,
             schedule=schedule,
             checkpoint_interval=interval,
-            shadow=shadow,
+            interpreter=interpreter,
         )
 
     def attach(self, session_id: str) -> dict:
@@ -414,50 +376,48 @@ class SessionManager:
                 )
 
     def _advance_driven(self, ms: ManagedSession, budget: int | None) -> None:
-        """Replay further schedule pairs through the engine data path.
+        """Replay further schedule pairs, checkpointing on the cadence."""
+        assert ms.schedule is not None
+        end = len(ms.schedule.pairs)
+        self._drive(ms, end if budget is None else min(end, ms.cursor + budget))
+        if ms.cursor >= end:
+            ms.status = self._driven_terminal_status(ms)
+            self._checkpoint(ms)
 
-        The shadow interpreter (the oracle's name-level layout) supplies
-        the ordered state pair for each scheduled interaction; the
-        engine's own verdict on effectiveness must match the shadow's —
-        a mismatch means the compiled data path diverged from the rule
-        listing mid-session, which is a hard error here (the conformance
-        differ exists to localize those).
+    def _drive(
+        self, ms: ManagedSession, stop: int, *, checkpoint: bool = True
+    ) -> None:
+        """Replay schedule pairs through the engine data path up to ``stop``.
+
+        The reference interpreter supplies the ordered state pair for
+        each scheduled interaction; the engine's own verdict on
+        effectiveness must match the interpreter's — a mismatch means
+        the compiled data path diverged from the rule listing, which is
+        a hard error here (the conformance differ exists to localize
+        those).  ``checkpoint=False`` drives a bisection probe.
         """
-        schedule, shadow = ms.schedule, ms.shadow
-        assert schedule is not None and shadow is not None
-        space = ms.protocol.space
-        table = ms.protocol.transitions
-        names = space.names
-        pred = ms.protocol.stability_predicate(schedule.n)
-        stop = len(schedule.pairs)
-        if budget is not None:
-            stop = min(stop, ms.cursor + budget)
+        schedule, interpreter = ms.schedule, ms.interpreter
+        assert schedule is not None and interpreter is not None
         while ms.cursor < stop:
             a, b = schedule.pairs[ms.cursor]
-            p_idx, q_idx = shadow[a], shadow[b]
-            p_name, q_name = names[p_idx], names[q_idx]
-            p2_name, q2_name = table.apply(p_name, q_name)
-            shadow_effective = (p2_name, q2_name) != (p_name, q_name)
-            engine_effective = ms.session.apply_scheduled(a, b, p_idx, q_idx)
-            if engine_effective != shadow_effective:
+            p, q, effective = interpreter.step(a, b)
+            if ms.session.apply_scheduled(a, b, p, q) != effective:
+                names = ms.protocol.space.names
                 raise SimulationError(
                     f"session {ms.id!r}: engine {ms.engine!r} disagrees with "
                     f"the rule listing at interaction {ms.cursor} "
-                    f"(pair ({p_name}, {q_name})); run the conformance "
+                    f"(pair ({names[p]}, {names[q]})); run the conformance "
                     "differ to localize the divergence"
                 )
-            if shadow_effective:
-                shadow[a] = space.index(p2_name)
-                shadow[b] = space.index(q2_name)
+            if effective:
                 ms.effective += 1
             ms.cursor += 1
-            if ms.cursor % ms.checkpoint_interval == 0:
+            if checkpoint and ms.cursor % ms.checkpoint_interval == 0:
                 self._checkpoint(ms)
-        if ms.cursor >= len(schedule.pairs):
-            ms.status = self._driven_terminal_status(ms, pred)
-            self._checkpoint(ms)
 
-    def _driven_terminal_status(self, ms: ManagedSession, pred) -> SessionStatus:
+    def _driven_terminal_status(self, ms: ManagedSession) -> SessionStatus:
+        assert ms.schedule is not None
+        pred = ms.protocol.stability_predicate(ms.schedule.n)
         counts = np.asarray(ms.session.counts, dtype=np.int64)
         if pred is not None:
             if pred(list(ms.session.counts)):
@@ -486,7 +446,8 @@ class SessionManager:
     def _checkpoint(self, ms: ManagedSession) -> tuple[str, bool]:
         driver = None
         if ms.mode == "driven":
-            driver = {"shadow": list(ms.shadow or []), "cursor": ms.cursor}
+            assert ms.interpreter is not None
+            driver = {"shadow": list(ms.interpreter.states), "cursor": ms.cursor}
         return self.store.put_snapshot(
             ms.id,
             ms.cursor,
@@ -590,12 +551,10 @@ class SessionManager:
                     f"checkpoint at {ckpt.interactions} has no driver sidecar; "
                     "it was not taken from a driven session"
                 )
-            ms.shadow = [int(s) for s in ckpt.driver["shadow"]]
+            ms.interpreter = ReferenceInterpreter(ms.protocol, ckpt.driver["shadow"])
             assert ms.schedule is not None
             if ms.cursor >= len(ms.schedule.pairs):
-                ms.status = self._driven_terminal_status(
-                    ms, ms.protocol.stability_predicate(ms.schedule.n)
-                )
+                ms.status = self._driven_terminal_status(ms)
             else:
                 ms.status = SessionStatus.RUNNING
         else:
@@ -706,7 +665,8 @@ class SessionManager:
         The bisector's probe: restores the nearest stored checkpoint at
         or before ``t`` into a scratch session and drives the schedule
         window forward — O(checkpoint interval) work per probe instead
-        of O(t).  The live session is never disturbed.
+        of O(t) — with the same engine-versus-rule-listing check as a
+        live advance.  The live session is never disturbed.
         """
         with self._lock:
             row = self.store.require_session(session_id)
@@ -729,26 +689,8 @@ class SessionManager:
                     f"({len(scratch.schedule.pairs)} interactions)"
                 )
             scratch.status = SessionStatus.RUNNING
-            if t > scratch.cursor:
-                self._drive_scratch(scratch, t)
+            self._drive(scratch, t, checkpoint=False)
             return list(scratch.session.counts)
-
-    def _drive_scratch(self, ms: ManagedSession, stop: int) -> None:
-        """Drive a probe session forward without checkpointing."""
-        schedule, shadow = ms.schedule, ms.shadow
-        assert schedule is not None and shadow is not None
-        space = ms.protocol.space
-        table = ms.protocol.transitions
-        names = space.names
-        while ms.cursor < stop:
-            a, b = schedule.pairs[ms.cursor]
-            p_idx, q_idx = shadow[a], shadow[b]
-            p2_name, q2_name = table.apply(names[p_idx], names[q_idx])
-            if ms.session.apply_scheduled(a, b, p_idx, q_idx):
-                shadow[a] = space.index(p2_name)
-                shadow[b] = space.index(q2_name)
-                ms.effective += 1
-            ms.cursor += 1
 
     def gc(self, *, keep_every: int | None = None) -> dict:
         """Garbage-collect dominated checkpoints (see the store's gc)."""

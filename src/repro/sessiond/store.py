@@ -24,8 +24,9 @@ checkpoint sits from *what* it contains:
     fork point, or a rewound session re-checkpointing an interaction
     count it already visited — share one blob.
 
-Concurrency follows the campaign store: WAL journaling, one connection
-per thread, writes serialized per connection.  :meth:`gc` deletes
+Concurrency follows the campaign store through the shared
+:class:`~repro.core.sqliteutil.WalStore`: WAL journaling, one
+connection per thread, writes serialized per connection.  :meth:`gc` deletes
 *dominated* snapshots — checkpoints that are neither a session's first
 or latest, nor a fork base some child was cut from, nor on the
 caller's keep-grid — then drops orphaned blobs and reports how many
@@ -36,12 +37,11 @@ from __future__ import annotations
 
 import json
 import sqlite3
-import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from ..core.errors import SimulationError
+from ..core.sqliteutil import WalStore
 from ..engine.session import SessionState
 from ..obs.telemetry import get_telemetry
 
@@ -159,51 +159,12 @@ class Checkpoint:
     driver: dict | None
 
 
-class SnapshotStore:
+class SnapshotStore(WalStore):
     """Durable home of sessions and their checkpoints (thread-safe)."""
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._local = threading.local()
-        self._conns: list[sqlite3.Connection] = []
-        self._conns_lock = threading.Lock()
-        with self._write():
-            pass
-
-    # ------------------------------------------------------------------
-    # Connections (same per-thread discipline as the campaign store)
-    # ------------------------------------------------------------------
-    def _conn(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = sqlite3.connect(self.path, timeout=30.0)
-            conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
-            conn.executescript(_SCHEMA)
-            conn.commit()
-            self._local.conn = conn
-            with self._conns_lock:
-                self._conns.append(conn)
-        return conn
-
-    def _query(self, sql: str, args: tuple = ()) -> sqlite3.Cursor:
-        return self._conn().execute(sql, args)
-
-    def _write(self):
-        return self._conn()
-
-    def close(self) -> None:
-        with self._conns_lock:
-            for conn in self._conns:
-                try:
-                    conn.close()
-                except sqlite3.Error:
-                    pass
-            self._conns.clear()
-        self._local = threading.local()
+    @staticmethod
+    def _ensure_schema(conn: sqlite3.Connection) -> None:
+        conn.executescript(_SCHEMA)
 
     # ------------------------------------------------------------------
     # Sessions

@@ -8,6 +8,8 @@ parameters, and per-point seeds exactly.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.campaign import CampaignStore, experiment_specs, run_campaign
@@ -66,6 +68,56 @@ class TestGridShapes:
         specs = experiment_specs("all", quick=True)
         digests = [s.digest for s in specs]
         assert len(set(digests)) == len(digests)
+
+
+#: SHA-256 over the concatenated job digests of each grid at the
+#: default seed, as ``(full, quick)``.  A change here changes which
+#: trial-cache keys a campaign warms: every stored campaign goes cold.
+PINNED_GRID_DIGESTS = {
+    "fig3": (
+        "0842608ca8fe452e8abf6003983f5adaefacf957f9d9aa2ad4321a9ce94133f3",
+        "7645d1711d5199f705cd8759301d862d154559cdd560facb8a4726aa788c2f06",
+    ),
+    "fig4": (
+        "36b0c65c1dba912fec14b648d3c3af02c92280020890c5f2034f9a7cb0b0e6f2",
+        "efc748396d71c9b3ee71381720a2091bbd0784a93347b0f6336553a5688bccdb",
+    ),
+    "fig5": (
+        "1e89be045041b59b4414de7628c5770ade3fe6039b54ba7460e4495ca0f64d86",
+        "9b127a86744da51e21d66265ba55e67839c8dff9b331b4617cc4abc82e7188ba",
+    ),
+    "fig6": (
+        "b97c71d34302475c3e175b872bbccf1c283cc7bc0020bba28e5536f149afefa4",
+        "cfcec74f8bcdabe0b85b7792fcf5733fa74480be3c7fadbbddb301dc12d155f5",
+    ),
+    "scaling": (
+        "73f737bb1f7b688475d93a3e850505817379b493b384b89edf21130e5bea5f6f",
+        "11f54e27693fb0891729a7278837bf35979f418ca6b98665060c0733edcf64f0",
+    ),
+}
+
+
+def grid_digest(specs) -> str:
+    return hashlib.sha256("".join(s.digest for s in specs).encode()).hexdigest()
+
+
+class TestPinnedGrids:
+    @pytest.mark.parametrize("name", sorted(PINNED_GRID_DIGESTS))
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_job_digests_pinned(self, name, quick):
+        expected = PINNED_GRID_DIGESTS[name][int(quick)]
+        assert grid_digest(experiment_specs(name, quick=quick)) == expected
+
+    def test_every_grid_is_pinned(self):
+        from repro.campaign.grids import GRID_EXPERIMENTS
+
+        assert set(GRID_EXPERIMENTS) == set(PINNED_GRID_DIGESTS)
+
+    def test_overrides_pinned(self):
+        specs = experiment_specs("all", quick=True, seed=7, trials=3, engine="batch")
+        assert grid_digest(specs) == (
+            "f45fce633bc6fbfeeb74b5172fb94003cc6a6160c30cfaddbaeec4523631e42b"
+        )
 
 
 class TestCampaignServesExperiments:

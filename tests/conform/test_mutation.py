@@ -8,9 +8,12 @@ from repro.conform import mutate_protocol, self_test
 from repro.core import ProtocolError
 from repro.protocols import (
     approximate_k_partition,
+    available_protocols,
+    build_protocol,
     leader_election,
     uniform_k_partition,
 )
+from .test_registry_conformance import CASES
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,22 @@ class TestMutateProtocol:
         assert mutated.space is proto.space
         assert mutated.num_states == proto.num_states
         assert mutated.initial_state == proto.initial_state
+
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_keeps_the_initial_configuration(self, name):
+        # weak-k-partition starts with one designated leader; a mutant
+        # starting without it would be silent at once.  A protocol with
+        # no designated initial state must refuse in both copies.
+        def initial(protocol, n):
+            try:
+                return list(protocol.initial_counts(n))
+            except ProtocolError:
+                return None
+
+        protocol = build_protocol(name, **CASES[name]["params"])
+        mutated = mutate_protocol(protocol, 0)
+        for n in (6, 13):
+            assert initial(mutated, n) == initial(protocol, n)
 
     def test_keeps_the_signature_or_the_predicate(self, proto):
         mutated = mutate_protocol(proto, 0)
@@ -84,7 +103,7 @@ class TestSelfTest:
     def test_small_population_still_passes(self):
         assert self_test(n=24, seed=5) == []
 
-    def test_default_grid_covers_both_protocol_families(self, monkeypatch):
+    def test_default_grid_covers_every_invariant_family(self, monkeypatch):
         # self_test imports run_differential from the differ module at
         # call time, so spy there.
         import repro.conform.differ as differ
@@ -100,6 +119,7 @@ class TestSelfTest:
         assert self_test(n=24, seed=5) == []
         names = set(calls)
         assert any("partition" in name for name in names)
+        assert "weak-3-partition" in names
         assert "graph-bipartition" in names
 
     def test_explicit_protocol_skips_the_grid(self):

@@ -2,19 +2,86 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from repro.conform import InteractionSchedule, record_schedule
+from repro.conform import InteractionSchedule, ReferenceInterpreter, record_schedule
 from repro.core import SimulationError
+from repro.core.rng import ensure_generator
 from repro.engine import AgentBasedEngine
-from repro.protocols import uniform_k_partition
-from repro.scheduling import StickyScheduler
+from repro.protocols import build_protocol, uniform_k_partition
+from repro.scheduling import SchedulerSpec, StickyScheduler
 
 
 @pytest.fixture(scope="module")
 def proto():
     return uniform_k_partition(3)
+
+
+#: (protocol, params, n) -> {(seed, scheduler): SHA-256 of the recording}.
+#: The recorder's output is what every stored schedule, reproducer and
+#: driven session replays; it must not move.
+PINNED_RECORDINGS = {
+    ("uniform-k-partition", (("k", 3),), 30): {
+        (0, None): "917c62a207cf814c80a8d3935eab432e407937eb89b0736a1c0274f70cc5e9b5",
+        (5, "graph:cycle"): "f23d72422e5999f7dd141fe471d547c7a30dc45498eaf49373daa00daf42725e",
+    },
+    ("weak-k-partition", (("k", 3),), 12): {
+        (5, None): "89dc4187621ffd58e33736843eda195e93d7f85a4ae965b85354d51514832517",
+        (0, "graph:cycle"): "a37857a8873c66ca53a2777d59b977f2c4caf12e92fc755f7f997ca781313886",
+    },
+    ("graph-bipartition", (), 14): {
+        (0, None): "f92748cfdffddaa8b185a2248402f7cb846dc3c583d9f38f4158b729dab48654",
+        (5, "graph:cycle"): "0bd7ce52328c1bc585886c00e1b0afa7fd752f735f77c967f68a6eef221ba269",
+    },
+}
+
+
+class TestPinnedRecordings:
+    @pytest.mark.parametrize(
+        "case", sorted(PINNED_RECORDINGS), ids=lambda case: case[0]
+    )
+    def test_recordings_unchanged(self, case):
+        name, params, n = case
+        protocol = build_protocol(name, **dict(params))
+        for (seed, scheduler), expected in PINNED_RECORDINGS[case].items():
+            sched = None
+            if scheduler is not None:
+                sched = SchedulerSpec.parse(scheduler).build(n, ensure_generator(seed))
+            rec = record_schedule(
+                protocol, n, seed=seed, max_interactions=50_000, scheduler=sched
+            )
+            payload = json.dumps([
+                rec.pairs, rec.effective_steps, rec.final_counts,
+                rec.initial_counts, rec.converged,
+            ])
+            assert hashlib.sha256(payload.encode()).hexdigest() == expected, (
+                seed, scheduler,
+            )
+
+
+class TestReferenceInterpreter:
+    def test_steps_by_name_and_tracks_counts(self, proto):
+        interp = ReferenceInterpreter.at(proto, proto.initial_counts(4))
+        i = proto.space.index
+        p2, q2 = proto.transitions.apply("initial", "initial")
+        assert interp.step(0, 1) == (i("initial"), i("initial"), True)
+        assert interp.states == [i(p2), i(q2), i("initial"), i("initial")]
+        assert interp.counts == [
+            interp.states.count(s) for s in range(proto.num_states)
+        ]
+
+    def test_null_step_changes_nothing(self, proto):
+        counts = [0] * proto.num_states
+        counts[proto.space.index("g1")] = 2
+        interp = ReferenceInterpreter.at(proto, counts)
+        before = (list(interp.states), list(interp.counts))
+        g1 = proto.space.index("g1")
+        assert interp.step(0, 1) == (g1, g1, False)
+        assert (interp.states, interp.counts) == before
 
 
 class TestRecording:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sessiond import DRIVEN_ENGINES
+from repro.conform import ENGINE_PATHS
 
 
-@pytest.mark.parametrize("engine", DRIVEN_ENGINES)
+@pytest.mark.parametrize("engine", ENGINE_PATHS)
 def test_fork_then_advance_matches_parent(
     manager, driven_config, schedule, engine
 ):

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.conform.differ import ENGINE_PATHS
 from repro.core import SimulationError
-from repro.sessiond import DRIVEN_ENGINES, SessionManager, config_digest
+from repro.sessiond import SessionManager, config_digest
 
 
 def science(record: dict) -> dict:
@@ -17,12 +16,6 @@ def science(record: dict) -> dict:
 
 
 class TestContract:
-    def test_driven_engines_match_the_differ(self):
-        # The manager's driven mode goes through the same apply_scheduled
-        # surface the conformance differ drives; the two lists must not
-        # drift apart silently.
-        assert DRIVEN_ENGINES == ENGINE_PATHS
-
     def test_config_digest_is_order_insensitive(self):
         a = config_digest({"n": 24, "engine": "count"})
         b = config_digest({"engine": "count", "n": 24})

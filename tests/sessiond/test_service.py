@@ -128,6 +128,14 @@ class TestErrors:
         )
         assert code == 400 and "error" in body
 
+    def test_misspelled_free_engine_400_with_hint(self, service, free_config):
+        code, body = http(
+            service.url + "/sessions", dict(free_config, engine="cuont")
+        )
+        assert code == 400
+        assert "unknown engine 'cuont'" in body["error"]
+        assert "did you mean 'count'?" in body["error"]
+
     def test_rewind_requires_at(self, service, config):
         http(service.url + "/sessions", dict(config, id="a"))
         code, body = http(service.url + "/sessions/a/rewind", {})

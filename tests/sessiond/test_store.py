@@ -184,3 +184,21 @@ class TestGC:
     def test_rejects_bad_keep_every(self, store):
         with pytest.raises(SimulationError, match="keep_every"):
             store.gc(keep_every=0)
+
+
+class TestClose:
+    def test_use_after_close_raises_named_error(self, tmp_path):
+        # Regression: a call after close() used to open and register a
+        # fresh connection and answer from it.
+        from repro.core.errors import StoreClosedError
+
+        store = SnapshotStore(tmp_path / "store.db")
+        make_session(store, "a")
+        store.close()
+        with pytest.raises(StoreClosedError, match="closed"):
+            store.list_sessions()
+        with pytest.raises(StoreClosedError):
+            store.put_snapshot("a", 64, state())
+        assert store.closed
+        assert store._conns == []
+        store.close()  # idempotent

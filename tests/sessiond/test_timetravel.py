@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.conform import ENGINE_PATHS
 from repro.core import SimulationError
 from repro.engine import available_engines
-from repro.sessiond import DRIVEN_ENGINES
 
 
 def science(record: dict) -> dict:
@@ -26,7 +26,7 @@ def science(record: dict) -> dict:
     return rec
 
 
-@pytest.mark.parametrize("engine", DRIVEN_ENGINES)
+@pytest.mark.parametrize("engine", ENGINE_PATHS)
 def test_driven_rewind_replay_is_bit_identical(
     manager, driven_config, schedule, engine
 ):
