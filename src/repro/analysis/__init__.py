@@ -1,6 +1,12 @@
-"""Analysis & verification: Lemma-1 invariant monitoring, stability
-signatures, explicit-state model checking, convergence statistics,
-grouping decomposition (Figure 4), and the paper's closed-form facts."""
+"""Analysis & verification: stability signatures, explicit-state model
+checking, convergence statistics, grouping decomposition (Figure 4), and
+the paper's closed-form facts.
+
+Lemma 1 is checked live by :class:`repro.conform.ConformanceMonitor`
+over :func:`repro.conform.invariant_pack`; its :class:`InvariantViolation`
+is re-exported here."""
+
+from ..core.errors import InvariantViolation
 
 from .convergence import (
     FitResult,
@@ -11,7 +17,6 @@ from .convergence import (
 )
 from .exact import ExactExpectation, expected_interactions_exact
 from .grouping import GroupingDecomposition, decompose_groupings
-from .invariants import InvariantMonitor, InvariantViolation, lemma1_holds_along
 from .reachability import (
     ReachabilityReport,
     explore,
@@ -51,9 +56,7 @@ from .theory import (
 )
 
 __all__ = [
-    "InvariantMonitor",
     "InvariantViolation",
-    "lemma1_holds_along",
     "kpartition_stable_signature",
     "is_uniform_partition",
     "is_group_stable",

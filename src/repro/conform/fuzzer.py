@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Callable, Sequence
 
-from ..analysis.invariants import InvariantViolation
-from ..core.errors import SchedulerError
+from ..core.errors import InvariantViolation, SchedulerError
 from ..core.protocol import Protocol
 from ..engine.agent_based import AgentBasedEngine
 from ..engine.registry import build_engine

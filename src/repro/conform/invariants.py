@@ -2,10 +2,9 @@
 
 An :class:`Invariant` is a named predicate over live count vectors; a
 pack is the list of invariants that apply to one protocol at one
-population size.  Packs generalize
-:class:`repro.analysis.invariants.InvariantMonitor` (one anonymous
-check) to a family of named checks with per-invariant diagnostics, and
-they attach to any engine through the same ``on_effective`` hook.
+population size, with per-invariant diagnostics.
+:class:`ConformanceMonitor` is the one live checker: it attaches a pack
+to any engine through the ``on_effective`` hook.
 
 The k-partition invariants come straight from the paper's proof:
 
@@ -35,7 +34,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from ..analysis.invariants import InvariantViolation
+from ..core.errors import InvariantViolation
 from ..core.protocol import Protocol
 from ..protocols.graph_bipartition import GraphBipartitionProtocol
 from ..protocols.kpartition import UniformKPartitionProtocol
@@ -380,15 +379,15 @@ def check_counts(
 class ConformanceMonitor:
     """``on_effective`` callback enforcing a whole invariant pack.
 
-    Generalizes :class:`repro.analysis.invariants.InvariantMonitor`:
-    every invariant in the pack is evaluated with the same stride, the
-    initial configuration is checked through the ``prime`` hook and the
-    terminal configuration through ``finalize`` (so a violation in the
-    configuration a run starts or ends in is never missed, whatever the
-    stride).
+    Every invariant in the pack is evaluated every ``every``-th
+    effective interaction; the initial configuration is checked through
+    the ``prime`` hook and the terminal configuration through
+    ``finalize`` (so a violation in the configuration a run starts or
+    ends in is never missed, whatever the stride).  A custom check is a
+    one-element pack: ``ConformanceMonitor([Invariant(name, text, fn)])``.
 
-    Raises :class:`repro.analysis.invariants.InvariantViolation` naming
-    the failing invariant(s).
+    Raises :class:`~repro.core.errors.InvariantViolation` naming the
+    failing invariant(s).
     """
 
     def __init__(self, pack: Sequence[Invariant], *, every: int = 1) -> None:

@@ -18,7 +18,7 @@ of these fail — the CI smoke job runs exactly that.
 
 from __future__ import annotations
 
-from ..core.errors import ProtocolError
+from ..core.errors import InvariantViolation, ProtocolError
 from ..core.protocol import Protocol
 from ..core.transitions import Transition, TransitionTable
 
@@ -156,7 +156,6 @@ def self_test(
             failures.extend(f"[{name}] {f}" for f in found)
         return failures
 
-    from ..analysis.invariants import InvariantViolation
     from ..engine.batch import BatchEngine
     from .differ import run_differential
     from .invariants import ConformanceMonitor, invariant_pack

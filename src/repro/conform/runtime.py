@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
-from ..analysis.invariants import InvariantViolation
+from ..core.errors import InvariantViolation
 from ..core.protocol import Protocol
 from ..engine.base import SimulationResult
 from .invariants import Invariant, check_counts, invariant_pack
@@ -38,7 +38,7 @@ class ConformanceRuntime:
     """State of one installed conformance session.
 
     strict:
-        Raise :class:`~repro.analysis.invariants.InvariantViolation` on
+        Raise :class:`~repro.core.errors.InvariantViolation` on
         the first violating result (default).  Non-strict mode only
         accumulates ``violations`` — useful for surveying.
     """

@@ -9,6 +9,7 @@ from .errors import (
     ConfigurationError,
     ConvergenceError,
     ExperimentError,
+    InvariantViolation,
     NonDeterministicProtocolError,
     ProtocolError,
     ReproError,
@@ -20,7 +21,7 @@ from .errors import (
 )
 from .execution import ExecutionTrace, Step, record_script
 from .population import Population
-from .protocol import Protocol
+from .protocol import Protocol, StabilitySignature
 from .rng import SeedLike, ensure_generator, spawn_generators, spawn_seed_sequences
 from .state import StateSpace
 from .transitions import Transition, TransitionTable
@@ -32,6 +33,7 @@ __all__ = [
     "Configuration",
     "Population",
     "Protocol",
+    "StabilitySignature",
     "StateSpace",
     "Transition",
     "TransitionTable",
@@ -52,6 +54,7 @@ __all__ = [
     "ConvergenceError",
     "SchedulerError",
     "ExperimentError",
+    "InvariantViolation",
     "UnknownEngineError",
     "UnknownProtocolError",
     "CampaignError",

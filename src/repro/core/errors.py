@@ -17,6 +17,7 @@ __all__ = [
     "ConfigurationError",
     "SimulationError",
     "ConvergenceError",
+    "InvariantViolation",
     "SchedulerError",
     "ExperimentError",
     "AnalysisError",
@@ -72,6 +73,21 @@ class ConvergenceError(SimulationError):
         super().__init__(message)
         #: Number of interactions performed before giving up (if known).
         self.interactions = interactions
+
+
+class InvariantViolation(SimulationError):
+    """A monitored invariant failed during an execution.
+
+    Raised by :class:`~repro.conform.invariants.ConformanceMonitor` (and
+    the runtime conformance checks) with the configuration it failed on.
+    """
+
+    def __init__(self, message: str, interactions: int, counts: list[int]) -> None:
+        super().__init__(message)
+        #: Interaction count at which the failing configuration was seen.
+        self.interactions = interactions
+        #: The failing per-state counts.
+        self.counts = counts
 
 
 class SchedulerError(ReproError):

@@ -22,7 +22,7 @@ from .hybrid import HybridEngine
 from .jit import JitBatchEngine, JitCountEngine
 from .kernels import KernelBuildError, KernelSet, get_kernels, reset_kernels
 from .parallel import ParallelEnsembleEngine, ShardedEnsembleSession
-from .metrics import GroupSizeRecorder, TimeSeriesRecorder, aggregate_milestones
+from .metrics import TimeSeriesRecorder, aggregate_milestones
 from .registry import (
     available_engines,
     build_engine,
@@ -70,7 +70,6 @@ __all__ = [
     "register_engine",
     "resolve_engine",
     "TimeSeriesRecorder",
-    "GroupSizeRecorder",
     "aggregate_milestones",
     "TrialSet",
     "TrialCache",

@@ -33,7 +33,7 @@ from ..core.rng import SeedLike
 from ..scheduling.base import Scheduler
 from ..scheduling.uniform import UniformScheduler
 from .base import Engine, StepCallback
-from .session import EngineSession
+from .session import PAIR_BLOCK, EngineSession
 
 __all__ = ["AgentBasedEngine", "AgentBasedSession"]
 
@@ -96,7 +96,6 @@ class AgentBasedSession(EngineSession):
         self._dflat = compiled.delta_list
         self._classes = compiled.classes
         self._pred = protocol.stability_predicate(self._n)
-        self._block = engine._block_size
         # Unconsumed tail of the current pre-sampled pair block.
         self._buf_a: list[int] = []
         self._buf_b: list[int] = []
@@ -123,7 +122,6 @@ class AgentBasedSession(EngineSession):
         track = self._track
         on_effective = self._on_effective
         budget = self._budget
-        block = self._block
         interactions = self.interactions
         effective = self.effective
         milestones = self.milestones
@@ -144,7 +142,7 @@ class AgentBasedSession(EngineSession):
                 # Refill exactly as the monolithic loop did: block-sized
                 # draws clipped by the *run* budget, never the slice
                 # target — slicing must not change the random stream.
-                take = min(block, budget - interactions)
+                take = min(PAIR_BLOCK, budget - interactions)
                 a_arr, b_arr = scheduler.next_block(take)
                 buf_a = a_arr.tolist()
                 buf_b = b_arr.tolist()
@@ -247,25 +245,16 @@ class AgentBasedEngine(Engine):
     ----------
     scheduler_factory:
         ``(n, rng) -> Scheduler``; defaults to the paper's uniform
-        random scheduler.
-    block_size:
-        Number of pairs pre-sampled per scheduler call.  The default
-        matches :class:`~repro.engine.batch.BatchEngine` so that both
-        engines consume identical random streams for the same seed —
-        the equivalence tests rely on this.
+        random scheduler.  The scheduler is asked for
+        :data:`~repro.engine.session.PAIR_BLOCK` pairs at a time, as
+        the batch sessions draw them, so both engines consume identical
+        random streams for the same seed.
     """
 
     name = "agent"
 
-    def __init__(
-        self,
-        scheduler_factory: SchedulerFactory | None = None,
-        block_size: int = 4096,
-    ) -> None:
-        if block_size < 1:
-            raise ValueError(f"block_size must be positive, got {block_size}")
+    def __init__(self, scheduler_factory: SchedulerFactory | None = None) -> None:
         self._factory = scheduler_factory
-        self._block_size = block_size
 
     def start(
         self,

@@ -7,18 +7,25 @@ stabilization (Section 5), including null interactions — the paper's
 executions pick two agents uniformly at random whether or not their
 meeting changes anything.
 
-Three engines implement the same semantics at different speed/
-generality trade-offs:
+Nine registry names implement the same semantics at different speed/
+generality trade-offs (``batch-jit`` and ``count-jit`` are ``batch`` and
+``count`` under second names):
 
-================  =========================  =================================
-engine            scheduler support          cost model
-================  =========================  =================================
-agent-based       any :class:`Scheduler`     O(1) per interaction (reference)
-batch             uniform only               O(1) per interaction, tightest loop
-count-based       uniform only               O(#rules) per *effective*
-                                             interaction; null interactions
-                                             are skipped in closed form
-================  =========================  =================================
+=================  =======================  =================================
+engine             scheduler support        cost model
+=================  =======================  =================================
+agent              any :class:`Scheduler`   O(1) per interaction (reference)
+batch              uniform only             O(1) per interaction, tightest
+                                            loop (compiled when possible)
+graph              ``graph:*`` only         the batch loop over an edge array
+count              uniform only             O(#rules) per *effective*
+                                            interaction; null interactions
+                                            are skipped in closed form
+hybrid             uniform only             batch early, count late
+ensemble           uniform only             the count chain vectorized
+                                            across replicates
+ensemble-parallel  uniform only             ensemble shards on a process pool
+=================  =======================  =================================
 
 The count-based engine makes the paper's exponential-in-k experiments
 (Figure 6) tractable: near stabilization almost every interaction is a
@@ -66,7 +73,7 @@ class SimulationResult:
     protocol: str
     #: Population size.
     n: int
-    #: Engine identifier ("agent", "batch", or "count").
+    #: Engine registry name (one of ``available_engines()``).
     engine: str
     #: Total interactions performed (the paper's time-complexity metric).
     interactions: int
@@ -153,7 +160,7 @@ class SimulationResult:
 
 
 class Engine(ABC):
-    """Common surface of the five simulation engines.
+    """Common surface of the simulation engines.
 
     An engine is a *stepper factory*: :meth:`start` builds a resumable
     :class:`~repro.engine.session.EngineSession` holding the run's

@@ -2,9 +2,11 @@
 
 Semantically identical to
 :class:`~repro.engine.agent_based.AgentBasedEngine` with the uniform
-scheduler, but with the pair sampling inlined and the loop body kept
-free of any indirection.  Given the same seed and block size, this
-engine consumes exactly the same random stream as the agent-based
+scheduler, but without the scheduler object and with the loop body
+kept free of any indirection.  Both draw
+:data:`~repro.engine.session.PAIR_BLOCK` pairs per refill through
+:func:`~repro.scheduling.uniform.uniform_pairs`, so for the same seed
+this engine consumes exactly the same random stream as the agent-based
 engine and therefore reproduces the *identical* execution — the test
 suite uses that for cross-validation.
 
@@ -34,16 +36,17 @@ import numpy as np
 
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike
+from ..scheduling.uniform import uniform_pairs
 from .base import Engine, StepCallback
 from .count_based import ChainTables
 from .kernels import KERNEL_CONVERGED, KERNEL_REFILL, get_kernels
-from .session import EngineSession
+from .session import PAIR_BLOCK, EngineSession
 
 __all__ = ["BatchEngine", "BatchSession"]
 
 
 class BatchSession(EngineSession):
-    """Stepper for :class:`BatchEngine`: inlined uniform pair sampling
+    """Stepper for :class:`BatchEngine`: block uniform pair sampling
     plus incrementally maintained total active weight."""
 
     def __init__(
@@ -74,7 +77,6 @@ class BatchSession(EngineSession):
         self._classes = compiled.classes
         self._state_classes = compiled.state_classes
         self._pred = protocol.stability_predicate(self._n)
-        self._block = engine._block_size
         states: list[int] = []
         for idx, c in enumerate(self.counts):
             states.extend([idx] * c)
@@ -119,19 +121,13 @@ class BatchSession(EngineSession):
     def _sample_pairs(self, take: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw the next ``take`` scheduled pairs from ``self._rng``.
 
-        The uniform draw lives here (rather than inline in the loop) so
-        subclasses can swap the pair distribution — the graph engine
-        overrides this with edge sampling — while inheriting the whole
-        advance/snapshot/driven machinery, and the kernel, unchanged.
-        Called once per block refill, so the indirection costs nothing
-        measurable.
+        A method (rather than a call inline in the loop) so subclasses
+        can swap the pair distribution — the graph engine draws edges —
+        while inheriting the whole advance/snapshot/driven machinery,
+        and the kernel, unchanged.  Called once per block refill, so the
+        indirection costs nothing measurable.
         """
-        rng = self._rng
-        n_total = self._n
-        a_arr = rng.integers(0, n_total, size=take)
-        b_arr = rng.integers(0, n_total - 1, size=take)
-        b_arr += b_arr >= a_arr
-        return a_arr, b_arr
+        return uniform_pairs(self._rng, self._n, take)
 
     @cached_property
     def _pair_kernel(self) -> tuple | None:
@@ -184,7 +180,6 @@ class BatchSession(EngineSession):
         track = self._track
         on_effective = self._on_effective
         budget = self._budget
-        block = self._block
         interactions = self.interactions
         effective = self.effective
         milestones = self.milestones
@@ -199,7 +194,7 @@ class BatchSession(EngineSession):
         converged = is_stable()
         while not converged and interactions < target:
             if pos >= len(buf_a):
-                take = min(block, budget - interactions)
+                take = min(PAIR_BLOCK, budget - interactions)
                 a_arr, b_arr = sample_pairs(take)
                 buf_a = a_arr.tolist()
                 buf_b = b_arr.tolist()
@@ -281,7 +276,7 @@ class BatchSession(EngineSession):
             # The same block draw the Python loop makes, at the same
             # interaction count: an identical random stream.
             a_arr, b_arr = self._sample_pairs(
-                min(self._block, self._budget - int(reg[1]))
+                min(PAIR_BLOCK, self._budget - int(reg[1]))
             )
             buf_a = np.ascontiguousarray(a_arr, dtype=np.int64)
             buf_b = np.ascontiguousarray(b_arr, dtype=np.int64)
@@ -362,11 +357,6 @@ class BatchEngine(Engine):
 
     name = "batch"
     _session_cls: type[BatchSession] = BatchSession
-
-    def __init__(self, block_size: int = 4096) -> None:
-        if block_size < 1:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        self._block_size = block_size
 
     def start(
         self,

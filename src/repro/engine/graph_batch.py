@@ -15,12 +15,13 @@ kernel when it can run, which refills its buffers through this
 sampler, else the Python loop), the incremental active-weight silence
 check, snapshot/restore with pre-drawn block tails, and driven
 execution.  With the kernel, ``graph`` beats ``agent`` on the
-graph-bipartition schedules (see ``docs/performance.md``).  The sampler replicates
-:meth:`~repro.scheduling.graph.GraphScheduler.next_block` draw for
-draw (edge index draw, then orientation draw), so for the same seed and
-block size this engine reproduces the agent engine + GraphScheduler
-execution **bit for bit** — the conformance suite pins that equivalence
-the same way it pins batch-vs-agent on the complete graph.
+graph-bipartition schedules (see ``docs/performance.md``).  The sampler
+and :meth:`~repro.scheduling.graph.GraphScheduler.next_block` both call
+:func:`~repro.scheduling.graph.edge_pairs` on
+:data:`~repro.engine.session.PAIR_BLOCK`-sized refills, so for the same
+seed this engine reproduces the agent engine + GraphScheduler execution
+**bit for bit** — the conformance suite pins that equivalence the same
+way it pins batch-vs-agent on the complete graph.
 
 Silence caveat (shared with the agent engine): the active-weight test
 counts interacting pairs over the *complete* graph, so it is
@@ -40,6 +41,7 @@ import numpy as np
 from ..core.errors import SimulationError
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike
+from ..scheduling.graph import edge_pairs
 from ..scheduling.spec import SchedulerSpec
 from .base import StepCallback
 from .batch import BatchEngine, BatchSession
@@ -76,19 +78,7 @@ class GraphBatchSession(BatchSession):
         self._edges = engine.edge_array(self._n)
 
     def _sample_pairs(self, take: int) -> tuple[np.ndarray, np.ndarray]:
-        # Draw-for-draw identical to GraphScheduler.next_block: one
-        # edge-index block, then one orientation block, from the same
-        # generator — bit-identity with agent+GraphScheduler depends on
-        # this exact consumption order.
-        rng = self._rng
-        edges = self._edges
-        idx = rng.integers(0, len(edges), size=take)
-        pairs = edges[idx]
-        a = pairs[:, 0].copy()
-        b = pairs[:, 1].copy()
-        swap = rng.random(take) < 0.5
-        a[swap], b[swap] = b[swap], a[swap].copy()
-        return a, b
+        return edge_pairs(self._rng, self._edges, take)
 
     # ------------------------------------------------------------------
     # Snapshot / restore: also pin the topology, so a snapshot cannot be
@@ -119,20 +109,12 @@ class GraphBatchEngine(BatchEngine):
         ``"graph:regular:<d>[@<graph_seed>]"``) or parsed
         :class:`~repro.scheduling.spec.SchedulerSpec`.  The topology is
         a function of the spec and ``n`` only — never of the run seed.
-    block_size:
-        Pairs pre-drawn per block; the default matches the agent and
-        batch engines so all three consume identical random streams.
     """
 
     name = "graph"
     _session_cls = GraphBatchSession
 
-    def __init__(
-        self,
-        scheduler: str | SchedulerSpec = "graph:complete",
-        block_size: int = 4096,
-    ) -> None:
-        super().__init__(block_size)
+    def __init__(self, scheduler: str | SchedulerSpec = "graph:complete") -> None:
         spec = SchedulerSpec.parse(scheduler)
         if spec.kind != "graph":
             raise SimulationError(

@@ -34,9 +34,10 @@ import numpy as np
 
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike
+from ..scheduling.uniform import uniform_pairs
 from .base import Engine, StepCallback
 from .count_based import JumpChain
-from .session import EngineSession
+from .session import PAIR_BLOCK, EngineSession
 
 __all__ = ["HybridEngine", "HybridSession"]
 
@@ -87,7 +88,6 @@ class HybridSession(EngineSession):
         self._dflat = compiled.delta_list
         self._classes = compiled.classes
         self._pred = protocol.stability_predicate(self._n)
-        self._block = engine._block_size
         self._check_every = engine._check_every
         self._threshold_weight = engine._threshold * (self._n * (self._n - 1))
         states: list[int] = []
@@ -155,7 +155,6 @@ class HybridSession(EngineSession):
         track = self._track
         on_effective = self._on_effective
         budget = self._budget
-        block = self._block
         check_every = self._check_every
         threshold_weight = self._threshold_weight
         interactions = self.interactions
@@ -178,10 +177,8 @@ class HybridSession(EngineSession):
 
         while not (converged or switch) and interactions < target:
             if pos >= len(buf_a):
-                take = min(block, budget - interactions)
-                a_arr = rng.integers(0, n_total, size=take)
-                b_arr = rng.integers(0, n_total - 1, size=take)
-                b_arr += b_arr >= a_arr
+                take = min(PAIR_BLOCK, budget - interactions)
+                a_arr, b_arr = uniform_pairs(rng, n_total, take)
                 buf_a = a_arr.tolist()
                 buf_b = b_arr.tolist()
                 pos = 0
@@ -347,27 +344,17 @@ class HybridEngine(Engine):
     check_every:
         Evaluate the fraction every this-many *effective* interactions
         (the fraction only changes on effective steps).
-    block_size:
-        Batch-phase pair block size.
     """
 
     name = "hybrid"
 
-    def __init__(
-        self,
-        switch_threshold: float = 0.2,
-        check_every: int = 64,
-        block_size: int = 4096,
-    ) -> None:
+    def __init__(self, switch_threshold: float = 0.2, check_every: int = 64) -> None:
         if not 0.0 <= switch_threshold <= 1.0:
             raise ValueError(f"switch_threshold must be in [0, 1], got {switch_threshold}")
         if check_every < 1:
             raise ValueError(f"check_every must be positive, got {check_every}")
-        if block_size < 1:
-            raise ValueError(f"block_size must be positive, got {block_size}")
         self._threshold = float(switch_threshold)
         self._check_every = check_every
-        self._block_size = block_size
 
     def start(
         self,

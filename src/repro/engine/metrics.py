@@ -6,7 +6,9 @@ The engines expose two lightweight instrumentation channels:
   count.  Tracking ``g_k`` yields the paper's ``NI_i`` milestones
   (interactions until the i-th complete grouping, Figure 4).
 * ``on_effective`` — a callback after every effective interaction;
-  the recorders here use it to sample trajectories.
+  :class:`TimeSeriesRecorder` uses it to sample trajectories.  Derived
+  series (group sizes, say) are maps over its count snapshots — the
+  ``trajectory`` experiment maps them through ``protocol.group_sizes``.
 
 Recorders cost Python-call overhead per effective interaction, so they
 are opt-in.
@@ -29,11 +31,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.errors import SimulationError
-from ..core.protocol import Protocol
 
 __all__ = [
     "TimeSeriesRecorder",
-    "GroupSizeRecorder",
     "aggregate_milestones",
 ]
 
@@ -80,50 +80,6 @@ class TimeSeriesRecorder:
         return (
             np.asarray(self.times, dtype=np.int64),
             np.asarray(self.snapshots, dtype=np.int64),
-        )
-
-
-@dataclass(slots=True)
-class GroupSizeRecorder:
-    """Samples per-group sizes every ``stride`` effective steps.
-
-    Like :class:`TimeSeriesRecorder`, the initial (time 0) and final
-    configurations are always captured via ``prime``/``finalize``.
-    """
-
-    protocol: Protocol
-    stride: int = 1
-    times: list[int] = field(default_factory=list)
-    sizes: list[np.ndarray] = field(default_factory=list)
-    _calls: int = 0
-
-    def __post_init__(self) -> None:
-        if self.stride < 1:
-            raise SimulationError(f"stride must be positive, got {self.stride}")
-
-    def _record(self, interactions: int, counts: Sequence[int]) -> None:
-        self.times.append(int(interactions))
-        self.sizes.append(self.protocol.group_sizes(np.asarray(counts, dtype=np.int64)))
-
-    def prime(self, interactions: int, counts: Sequence[int]) -> None:
-        """Record the initial group sizes (invoked by the engine)."""
-        self._record(interactions, counts)
-
-    def __call__(self, interactions: int, counts: Sequence[int]) -> None:
-        self._calls += 1
-        if self._calls % self.stride == 0:
-            self._record(interactions, counts)
-
-    def finalize(self, interactions: int, counts: Sequence[int]) -> None:
-        """Record the final group sizes unless they were just sampled."""
-        if not self.times or self.times[-1] != interactions:
-            self._record(interactions, counts)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(times, sizes)`` as arrays (sizes: steps x groups)."""
-        return (
-            np.asarray(self.times, dtype=np.int64),
-            np.asarray(self.sizes, dtype=np.int64),
         )
 
 

@@ -121,9 +121,7 @@ def engine_for_scheduler(
                 f"not {spec.name!r}"
             )
         if isinstance(engine, AgentBasedEngine) and engine._factory is None:
-            return AgentBasedEngine(
-                scheduler_factory=spec.build, block_size=engine._block_size
-            )
+            return AgentBasedEngine(scheduler_factory=spec.build)
         raise SimulationError(
             f"engine instance {engine.name!r} cannot run scheduler {spec.name!r}; "
             "pass an engine name instead"

@@ -2,8 +2,8 @@
 
 DESIGN.md claims the count-based engine makes the paper's Figure 6
 regime tractable because it pays only per-*effective* interaction.
-This experiment measures it: run the same workloads on all three
-engines and record wall-clock time, interactions simulated per second,
+This experiment measures it: run the same workloads on the agent,
+batch, count, hybrid and ensemble engines and record wall-clock time, interactions simulated per second,
 and the effective-interaction fraction.  It also cross-checks that the
 engines agree on the physics (mean interaction counts within noise).
 """

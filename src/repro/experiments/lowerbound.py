@@ -20,7 +20,6 @@ from collections.abc import Sequence
 
 from ..analysis.search import search_lower_bound, solves_uniform_partition
 from ..io.results import ResultTable
-from .common import DEFAULT_SEED
 
 __all__ = ["run_lowerbound", "render_lowerbound", "QUICK_PARAMS"]
 
@@ -46,7 +45,6 @@ def run_lowerbound(
     ks: Sequence[int] = (2, 3),
     ns: Sequence[int] = (3, 4, 5, 6),
     include_asymmetric: bool = True,
-    seed: int = DEFAULT_SEED,  # unused; harness uniformity
     progress=None,
 ) -> ResultTable:
     """Exhaustive protocol search per (state count, k) pair.

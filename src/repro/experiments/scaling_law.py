@@ -1,22 +1,23 @@
-"""Scaling-law study — convergence cost at 10–100x paper scale.
+"""Scaling-law study — convergence cost at up to 50x paper scale.
 
 The paper's figures stop near n = 1000.  This experiment sweeps
-population sizes up to 10^5–10^6 for k up to 32, keeps *per-trial*
-interaction counts (the bootstrap needs the raw samples, not just
-means), fits ``interactions ~ a * n^b * (ln n)^c`` per k with
-percentile-bootstrap confidence intervals, and reports where each
-fitted curve crosses practical interaction budgets.
+population sizes up to n = 50,000 for k up to 32 (the default grid of
+:func:`scaling_points`; larger populations are an ``n_values``
+argument of :func:`run_scaling_law`), keeps *per-trial* interaction
+counts (the bootstrap needs the raw samples, not just means), fits
+``interactions ~ a * n^b * (ln n)^c`` per k with percentile-bootstrap
+confidence intervals, and reports where each fitted curve crosses
+practical interaction budgets.
 
 Scale notes:
 
 * Population sizes are snapped to multiples of k (the paper's Figure 5
   trick) so the mod-k sawtooth does not contaminate the fit.
-* The default grid is CI-sized.  The full-scale study is meant to run
-  through the campaign layer — ``repro-campaign submit --grid scaling
-  --n-max 1000000`` streams per-trial rows into a columnar sink and
-  this experiment's fits can then be computed from the shard store —
-  or directly with ``--engine count-jit`` / ``ensemble-parallel``,
-  whose compiled jump-chain kernels make 10^6-agent trials tractable.
+* The full default grid is meant to run through the campaign layer:
+  ``repro-experiments campaign run --experiment scaling --columnar DIR``
+  streams one row per trial into a columnar shard store.  The
+  default ``count`` engine runs the compiled jump-chain kernel when a
+  native backend is available.
 * Rows are per trial, so tables get big: ``write_outputs`` also emits
   a ``.columnar`` shard directory and ``results query`` aggregates it
   out of core.

@@ -18,7 +18,6 @@ from ..io.results import ResultTable
 from ..protocols.approx_partition import approximate_k_partition
 from ..protocols.kpartition import uniform_k_partition
 from ..protocols.repeated_bipartition import repeated_bipartition
-from .common import DEFAULT_SEED
 
 __all__ = ["run_state_table", "render_state_table", "QUICK_PARAMS"]
 
@@ -28,7 +27,6 @@ QUICK_PARAMS: dict = {"ks": (2, 3, 4, 8)}
 def run_state_table(
     *,
     ks: Sequence[int] = tuple(range(2, 17)),
-    seed: int = DEFAULT_SEED,  # unused; kept for harness uniformity
     progress=None,
 ) -> ResultTable:
     """Build the comparison table, verifying formulas against code."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..engine.base import Engine
 from ..engine.batch import BatchEngine
-from ..engine.metrics import GroupSizeRecorder
+from ..engine.metrics import TimeSeriesRecorder
 from ..io.results import ResultTable
 from ..protocols.kpartition import uniform_k_partition
 from .ascii_plot import line_plot
@@ -44,7 +44,7 @@ def run_trajectory(
     # same execution, since the engine is deterministic per seed).
     probe = engine.run(protocol, n, seed=seed)
     stride = max(probe.effective_interactions // samples, 1)
-    recorder = GroupSizeRecorder(protocol, stride=stride)
+    recorder = TimeSeriesRecorder(stride=stride)
     result = engine.run(protocol, n, seed=seed, on_effective=recorder)
     assert result.interactions == probe.interactions
 
@@ -56,8 +56,9 @@ def run_trajectory(
     # The recorder's prime/finalize hooks guarantee the first row is the
     # initial configuration and the last row the stable one, so the
     # table needs no manual endpoint patching.
-    times, sizes = recorder.as_arrays()
-    for t, row in zip(times, sizes):
+    times = recorder.times
+    for t, counts in zip(times, recorder.snapshots):
+        row = protocol.group_sizes(counts)
         for g in range(k):
             table.append(
                 interactions=int(t),

@@ -51,7 +51,7 @@ class WeightedScheduler(Scheduler):
         self._w = w
         self._p = w / w.sum()
 
-    def next_block(self, size: int, states: np.ndarray | None = None) -> PairBlock:
+    def next_block(self, size: int) -> PairBlock:
         a = self._rng.choice(self._n, size=size, p=self._p)
         b = np.empty(size, dtype=np.int64)
         for i, ai in enumerate(a):
@@ -86,7 +86,7 @@ class StickyScheduler(Scheduler):
         super().restore_state(state)
         self._last = state["last"]
 
-    def next_block(self, size: int, states: np.ndarray | None = None) -> PairBlock:
+    def next_block(self, size: int) -> PairBlock:
         n = self._n
         a = np.empty(size, dtype=np.int64)
         b = np.empty(size, dtype=np.int64)
@@ -134,7 +134,7 @@ class RoundRobinScheduler(Scheduler):
         """The precomputed ``(n(n-1), 2)`` ordered-pair table (read-only)."""
         return self._pairs
 
-    def next_block(self, size: int, states: np.ndarray | None = None) -> PairBlock:
+    def next_block(self, size: int) -> PairBlock:
         total = len(self._pairs)
         idx = (self._pos + np.arange(size)) % total
         self._pos = int((self._pos + size) % total)

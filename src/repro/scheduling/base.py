@@ -7,8 +7,8 @@ executions are globally fair with probability 1.  The library also
 provides biased and graph-restricted schedulers to probe how much the
 protocol's behaviour depends on that choice.
 
-Schedulers are agent-level objects: they see the population size (and
-optionally the current states) and emit index pairs.  The count-based
+Schedulers are agent-level objects: they see the population size and
+emit index pairs.  The count-based
 engine does not use a scheduler — it is mathematically specialized to
 the uniform scheduler (see :mod:`repro.engine.count_based`).
 """
@@ -46,17 +46,15 @@ class Scheduler(ABC):
         return self._rng
 
     @abstractmethod
-    def next_block(self, size: int, states: np.ndarray | None = None) -> PairBlock:
+    def next_block(self, size: int) -> PairBlock:
         """Sample ``size`` interaction pairs (initiator, responder arrays).
 
-        ``states`` is the current per-agent state vector; state-aware
-        schedulers may use it, stateless ones ignore it.  Pairs must
-        consist of two *distinct* agent indices.
+        Pairs must consist of two *distinct* agent indices.
         """
 
-    def next_pair(self, states: np.ndarray | None = None) -> tuple[int, int]:
+    def next_pair(self) -> tuple[int, int]:
         """Sample a single interaction pair (convenience wrapper)."""
-        a, b = self.next_block(1, states)
+        a, b = self.next_block(1)
         return int(a[0]), int(b[0])
 
     @property

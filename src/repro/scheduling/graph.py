@@ -13,6 +13,10 @@ protocol is only specified for the complete graph — the experiment
 ``examples/sensor_duty_cycling.py`` and the graph-scheduler tests use
 this class to probe robustness (the protocol still stabilizes on dense
 connected graphs, while sparse graphs slow it down).
+
+:func:`edge_pairs` is the one implementation of the random-edge draw:
+the scheduler and the ``graph`` engine's sessions both call it, so for
+one seed they consume the same random stream.
 """
 
 from __future__ import annotations
@@ -24,7 +28,23 @@ from ..core.errors import SchedulerError
 from ..core.rng import SeedLike
 from .base import PairBlock, Scheduler
 
-__all__ = ["GraphScheduler"]
+__all__ = ["GraphScheduler", "edge_pairs"]
+
+
+def edge_pairs(rng: np.random.Generator, edges: np.ndarray, size: int) -> PairBlock:
+    """Draw ``size`` uniformly random rows of the ``(E, 2)`` ``edges``,
+    each randomly oriented.
+
+    All edge indices first, then all orientation coins, from ``rng``:
+    the order every engine's random stream depends on.
+    """
+    pairs = edges[rng.integers(0, len(edges), size=size)]
+    a = pairs[:, 0].copy()
+    b = pairs[:, 1].copy()
+    # Random orientation so asymmetric rules see both roles.
+    swap = rng.random(size) < 0.5
+    a[swap], b[swap] = b[swap], a[swap].copy()
+    return a, b
 
 
 class GraphScheduler(Scheduler):
@@ -96,15 +116,8 @@ class GraphScheduler(Scheduler):
     def is_connected(self) -> bool:
         return nx.is_connected(self._graph)
 
-    def next_block(self, size: int, states: np.ndarray | None = None) -> PairBlock:
-        idx = self._rng.integers(0, len(self._edges), size=size)
-        pairs = self._edges[idx]
-        a = pairs[:, 0].copy()
-        b = pairs[:, 1].copy()
-        # Random orientation so asymmetric rules see both roles.
-        swap = self._rng.random(size) < 0.5
-        a[swap], b[swap] = b[swap], a[swap].copy()
-        return a, b
+    def next_block(self, size: int) -> PairBlock:
+        return edge_pairs(self._rng, self._edges, size)
 
     @property
     def is_uniform(self) -> bool:

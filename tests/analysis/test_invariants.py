@@ -1,11 +1,20 @@
-"""Tests for the Lemma-1 invariant monitor."""
+"""Lemma 1 checked live and along traces, through the one step observer.
+
+:class:`~repro.conform.ConformanceMonitor` over an invariant pack is the
+live checker.  These tests pin its stride, its ``finalize`` coverage of
+the terminal configuration and the context its
+:class:`InvariantViolation` carries, on the paper's Lemma 1 and on
+custom checks, and check Lemma 1 along recorded traces with
+:func:`~repro.conform.check_counts`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis import InvariantMonitor, InvariantViolation, lemma1_holds_along
+from repro.analysis import InvariantViolation
+from repro.conform import ConformanceMonitor, Invariant, check_counts, invariant_pack
 from repro.engine import AgentBasedEngine, CountBasedEngine
 from repro.protocols import uniform_k_partition
 
@@ -15,85 +24,91 @@ def proto():
     return uniform_k_partition(4)
 
 
+def lemma1_pack(proto, n):
+    return [inv for inv in invariant_pack(proto, n) if inv.name == "lemma1"]
+
+
+def custom(check, name, *, every=1):
+    """A monitor over one custom check ``check(counts) -> bool``."""
+    invariant = Invariant(name, name, lambda counts: None if check(counts) else "failed")
+    return ConformanceMonitor([invariant], every=every)
+
+
 class TestMonitor:
     def test_lemma1_holds_through_full_execution(self, proto):
         """Dynamic verification of Lemma 1 (the paper proves it by
         induction; we check it on every effective step of real runs)."""
-        monitor = InvariantMonitor.lemma1(proto)
+        monitor = ConformanceMonitor(lemma1_pack(proto, 20))
         r = AgentBasedEngine().run(proto, 20, seed=0, on_effective=monitor)
         assert r.converged
-        assert monitor.checks_performed == r.effective_interactions
+        # The initial configuration, then every effective step; finalize
+        # is skipped because the last call already checked the end.
+        assert monitor.checks_performed == r.effective_interactions + 1
 
     def test_lemma1_holds_on_count_engine_too(self, proto):
-        monitor = InvariantMonitor.lemma1(proto)
+        monitor = ConformanceMonitor(lemma1_pack(proto, 20))
         r = CountBasedEngine().run(proto, 20, seed=1, on_effective=monitor)
         assert r.converged
-        assert monitor.checks_performed > 0
+        assert monitor.checks_performed == r.effective_interactions + 1
 
     def test_violation_raises(self):
-        monitor = InvariantMonitor(lambda counts: False, "always-false")
+        monitor = custom(lambda counts: False, "always-false")
         with pytest.raises(InvariantViolation, match="always-false"):
             monitor(17, [1, 2, 3])
 
     def test_violation_carries_context(self):
-        monitor = InvariantMonitor(lambda counts: False, "ctx")
-        try:
+        monitor = custom(lambda counts: False, "ctx")
+        with pytest.raises(InvariantViolation) as info:
             monitor(42, [5])
-        except InvariantViolation as exc:
-            assert exc.interactions == 42
-            assert exc.counts == [5]
-        else:
-            pytest.fail("expected InvariantViolation")
+        assert info.value.interactions == 42
+        assert info.value.counts == [5]
 
     def test_every_parameter(self):
-        calls = []
-        monitor = InvariantMonitor(
-            lambda counts: (calls.append(1) or True), "sampled", every=3
-        )
+        monitor = custom(lambda counts: True, "sampled", every=3)
         for i in range(9):
             monitor(i, [0])
         assert monitor.checks_performed == 3
 
-    def test_invalid_every(self):
+    def test_invalid_every(self, proto):
         with pytest.raises(ValueError):
-            InvariantMonitor(lambda c: True, every=0)
+            ConformanceMonitor(lemma1_pack(proto, 4), every=-1)
 
     def test_monitor_detects_seeded_corruption(self, proto):
         """A deliberately corrupted execution must be flagged."""
-        monitor = InvariantMonitor.lemma1(proto)
+        monitor = ConformanceMonitor(lemma1_pack(proto, 5))
         # Configuration with a gratuitous g1: violates Lemma 1.
         bad = [0] * proto.num_states
         bad[proto.space.index("g1")] = 2
         bad[proto.space.index("initial")] = 3
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="lemma1"):
             monitor(1, bad)
 
 
 class TestFinalizeHook:
     """Regression: with ``every > 1`` the stride could land just past
     the last effective interaction, so the terminal configuration was
-    never checked at all (``checks_performed == 0`` for large strides).
-    The ``finalize`` hook closes that gap."""
+    never checked at all.  The ``finalize`` hook closes that gap."""
 
     def test_huge_stride_still_checks_terminal(self, proto):
-        monitor = InvariantMonitor.lemma1(proto, every=10**9)
-        r = AgentBasedEngine().run(proto, 20, seed=0, on_effective=monitor)
-        assert r.converged
-        # Nothing matched the stride, yet the terminal configuration
-        # must have been evaluated exactly once (via finalize).
-        assert monitor.checks_performed == 1
+        # A run that ends on its budget, not on convergence: the
+        # terminal configuration is checked all the same.
+        monitor = ConformanceMonitor(lemma1_pack(proto, 20), every=10**9)
+        r = AgentBasedEngine().run(
+            proto, 20, seed=0, max_interactions=50, on_effective=monitor
+        )
+        assert not r.converged
+        # Nothing matched the stride: the initial configuration (prime)
+        # and the terminal one (finalize) are the only checks.
+        assert monitor.checks_performed == 2
 
     def test_terminal_violation_not_missed_by_stride(self):
-        monitor = InvariantMonitor(lambda counts: False, "bad-end", every=10)
+        monitor = custom(lambda counts: False, "bad-end", every=10)
         monitor(1, [0])  # stride not reached: silently skipped
         with pytest.raises(InvariantViolation, match="bad-end"):
             monitor.finalize(2, [0])
 
     def test_finalize_skips_when_last_call_checked(self):
-        seen = []
-        monitor = InvariantMonitor(
-            lambda counts: (seen.append(list(counts)) or True), "ok", every=2
-        )
+        monitor = custom(lambda counts: True, "ok", every=2)
         monitor(1, [0])
         monitor(2, [1])  # stride hit: evaluated
         monitor.finalize(2, [1])
@@ -102,15 +117,15 @@ class TestFinalizeHook:
     def test_finalize_checks_on_zero_calls(self):
         # A run with no effective interactions still checks its (only)
         # configuration.
-        monitor = InvariantMonitor(lambda counts: True, "ok", every=5)
+        monitor = custom(lambda counts: True, "ok", every=5)
         monitor.finalize(0, [3])
         assert monitor.checks_performed == 1
 
     def test_count_engine_invokes_finalize(self, proto):
-        monitor = InvariantMonitor.lemma1(proto, every=10**9)
+        monitor = ConformanceMonitor(lemma1_pack(proto, 20), every=10**9)
         r = CountBasedEngine().run(proto, 20, seed=3, on_effective=monitor)
         assert r.converged
-        assert monitor.checks_performed == 1
+        assert monitor.checks_performed == 2
 
 
 class TestHoldsAlong:
@@ -119,10 +134,12 @@ class TestHoldsAlong:
 
         pop = Population(proto, n=6)
         trace = record_script(pop, [(0, 1), (2, 3), (0, 2), (0, 1)])
-        configs = [c.counts for c in trace.configurations]
-        assert lemma1_holds_along(proto, configs)
+        pack = invariant_pack(proto, 6)
+        assert all(not check_counts(pack, c.counts) for c in trace.configurations)
 
     def test_detects_bad_sequence(self, proto):
         bad = np.zeros(proto.num_states, dtype=np.int64)
         bad[proto.space.index("g2")] = 1
-        assert not lemma1_holds_along(proto, [proto.initial_counts(4), bad])
+        pack = lemma1_pack(proto, 4)
+        assert check_counts(pack, proto.initial_counts(4)) == []
+        assert check_counts(pack, bad)

@@ -119,14 +119,6 @@ class TestRun:
         assert not r.silent
         assert r.group_sizes.tolist() == [4, 3, 3]
 
-    def test_block_size_one(self, proto):
-        r = AgentBasedEngine(block_size=1).run(proto, 9, seed=12)
-        assert r.converged
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            AgentBasedEngine(block_size=0)
-
     def test_elapsed_recorded(self, proto):
         r = AgentBasedEngine().run(proto, 9, seed=13)
         assert r.elapsed >= 0.0

@@ -34,7 +34,7 @@ class TestRun:
 
     def test_budget_not_exceeded_mid_block(self, proto):
         # A budget far below the block size must still be honoured.
-        r = BatchEngine(block_size=4096).run(proto, 32, seed=2, max_interactions=3)
+        r = BatchEngine().run(proto, 32, seed=2, max_interactions=3)
         assert r.interactions == 3
 
     def test_track_state(self, proto):
@@ -47,10 +47,6 @@ class TestRun:
         r = BatchEngine().run(proto, initial_counts=counts, seed=4)
         assert r.converged
         assert r.n == 8
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            BatchEngine(block_size=-1)
 
     def test_requires_population(self, proto):
         with pytest.raises(SimulationError):

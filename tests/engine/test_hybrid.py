@@ -68,8 +68,6 @@ class TestRun:
             HybridEngine(switch_threshold=1.5)
         with pytest.raises(ValueError):
             HybridEngine(check_every=0)
-        with pytest.raises(ValueError):
-            HybridEngine(block_size=0)
 
     def test_protocol_without_predicate(self):
         r = HybridEngine().run(leader_election(), 20, seed=7)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.engine import (
     AgentBasedEngine,
-    GroupSizeRecorder,
     TimeSeriesRecorder,
     aggregate_milestones,
 )
@@ -71,40 +70,6 @@ class TestTimeSeriesRecorder:
 
         with pytest.raises(SimulationError):
             TimeSeriesRecorder(stride=0)
-
-
-class TestGroupSizeRecorder:
-    def test_records_group_sizes(self, proto):
-        rec = GroupSizeRecorder(proto)
-        AgentBasedEngine().run(proto, 9, seed=3, on_effective=rec)
-        times, sizes = rec.as_arrays()
-        assert sizes.shape[1] == 3
-        assert (sizes.sum(axis=1) == 9).all()
-        # The final sample is the uniform partition.
-        assert sizes[-1].tolist() == [3, 3, 3]
-
-    def test_endpoints_with_stride(self, proto):
-        """Regression: stride > 1 dropped both the initial and the
-        converged group sizes; both are now always captured."""
-        rec = GroupSizeRecorder(proto, stride=3)
-        r = AgentBasedEngine().run(proto, 9, seed=4, on_effective=rec)
-        times, sizes = rec.as_arrays()
-        assert times[0] == 0
-        assert times[-1] == r.interactions
-        # Converged run ends on the uniform partition even mid-stride.
-        assert sizes[-1].tolist() == [3, 3, 3]
-
-    def test_stride(self, proto):
-        rec = GroupSizeRecorder(proto, stride=3)
-        r = AgentBasedEngine().run(proto, 9, seed=4, on_effective=rec)
-        interior = r.effective_interactions // 3
-        assert interior + 1 <= len(rec.times) <= interior + 2
-
-    def test_stride_validation(self, proto):
-        from repro.core.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            GroupSizeRecorder(proto, stride=-1)
 
 
 class TestAggregateMilestones:

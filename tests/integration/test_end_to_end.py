@@ -12,11 +12,8 @@ from repro import (
     run_trials,
     uniform_k_partition,
 )
-from repro.analysis import (
-    InvariantMonitor,
-    decompose_groupings,
-    verify_kpartition,
-)
+from repro.analysis import decompose_groupings, verify_kpartition
+from repro.conform import ConformanceMonitor, invariant_pack
 from repro.engine import AgentBasedEngine
 from repro.scheduling import GraphScheduler
 
@@ -61,11 +58,12 @@ class TestFullPipeline:
         k, n = 3, 9
         p = uniform_k_partition(k)
 
-        # 1. Simulate with the Lemma-1 monitor attached.
-        monitor = InvariantMonitor.lemma1(p)
+        # 1. Simulate with the invariant pack (Lemma 1 among it) attached.
+        monitor = ConformanceMonitor(invariant_pack(p, n))
         r = AgentBasedEngine().run(p, n, seed=2, on_effective=monitor, track_state="g3")
         assert r.converged
-        assert monitor.checks_performed == r.effective_interactions
+        # The initial configuration, then every effective step.
+        assert monitor.checks_performed == r.effective_interactions + 1
 
         # 2. Decompose groupings from a trial set.
         ts = run_trials(p, n, trials=10, seed=3, track_state="g3")

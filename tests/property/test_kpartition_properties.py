@@ -8,9 +8,9 @@ invariant) along real executions.
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.conform import ConformanceMonitor, invariant_pack
 from repro.engine import BatchEngine, CountBasedEngine
 from repro.protocols import uniform_k_partition
 
@@ -56,12 +56,10 @@ def test_final_counts_match_lemma6_signature(k, n, seed):
 def test_lemma1_holds_along_executions(k, n, seed):
     """Lemma 1 checked after every effective interaction of a run."""
     p = proto(k)
-
-    def check(interactions, counts):
-        assert p.satisfies_lemma1(np.asarray(counts, dtype=np.int64))
-
-    r = BatchEngine().run(p, n, seed=seed, on_effective=check)
+    monitor = ConformanceMonitor(invariant_pack(p, n))
+    r = BatchEngine().run(p, n, seed=seed, on_effective=monitor)
     assert r.converged
+    assert monitor.checks_performed == r.effective_interactions + 1
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

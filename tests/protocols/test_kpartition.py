@@ -244,11 +244,11 @@ class TestEdgeRegimeExecutions:
         [(2, 9), (3, 9), (8, 9), (9, 9), (2, 10), (3, 10), (9, 10), (10, 10)],
     )
     def test_converges_to_signature_with_lemma1_held(self, k, n):
-        from repro.analysis import InvariantMonitor
+        from repro.conform import ConformanceMonitor, invariant_pack
         from repro.engine import AgentBasedEngine
 
         p = uniform_k_partition(k)
-        monitor = InvariantMonitor.lemma1(p)
+        monitor = ConformanceMonitor(invariant_pack(p, n))
         r = AgentBasedEngine().run(
             p, n, seed=k * 1000 + n, max_interactions=500_000,
             on_effective=monitor,

@@ -128,8 +128,7 @@ class TestConvergence:
         # Same scheduler, same budget: the globally-fair protocol
         # makes no progress where the weak one finishes.
         engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: RoundRobinScheduler(n),
-            block_size=1,
+            scheduler_factory=lambda n, rng: RoundRobinScheduler(n)
         )
         strong = engine.run(
             uniform_k_partition(2), 2, seed=5, max_interactions=5_000

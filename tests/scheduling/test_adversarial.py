@@ -112,8 +112,7 @@ class TestRoundRobin:
         """
         proto = uniform_k_partition(2)
         engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: RoundRobinScheduler(n),
-            block_size=1,
+            scheduler_factory=lambda n, rng: RoundRobinScheduler(n)
         )
         result = engine.run(proto, 2, seed=7, max_interactions=10_000)
         # n = 2: the single pair flips initial <-> initial' forever.

@@ -239,3 +239,81 @@ class TestSessiondDoc:
         assert blocks, "docs/sessiond.md should contain python examples"
         namespace: dict = {}
         exec(compile(blocks[0], "sessiond.md[manager]", "exec"), namespace)
+
+
+def _api_rows() -> list[tuple[str, str, list[str]]]:
+    """``(section module, row module, names)`` for every API.md table row.
+
+    The names are the backticked ones in a row's first cell; a
+    backticked ``repro.…`` inside parentheses there names the submodule
+    the row documents instead of the section's.  Other parenthesized
+    asides (``(+ `.complete`, …)``) are prose, not names.
+    """
+    rows = []
+    section = None
+    for line in (ROOT / "API.md").read_text().splitlines():
+        heading = re.match(r"## `(repro[a-z_.]*)`", line)
+        if heading:
+            section = heading.group(1)
+            continue
+        if section is None or not line.startswith("| `"):
+            continue
+        cell = line.split(" | ")[0][2:]
+        parts = cell.split("`")
+        module, names, depth = section, [], 0
+        for i, part in enumerate(parts):
+            if i % 2 == 0:
+                depth += part.count("(") - part.count(")")
+            elif depth and re.fullmatch(r"repro(\.[a-z_]+)+", part):
+                module = part
+            elif not depth:
+                names.append(re.match(r"\.?[A-Za-z_][\w.]*", part).group(0))
+        rows.append((section, module, names))
+    return rows
+
+
+class TestApiDoc:
+    def test_table_names_resolve(self):
+        """Every name opening an API.md table row exists on its module."""
+        import importlib
+
+        missing = []
+        for section, module_name, names in _api_rows():
+            module = importlib.import_module(module_name)
+            base = None
+            for name in names:
+                owner = base if name.startswith(".") else module
+                if owner is None:
+                    missing.append(f"{section}: {name}")
+                    continue
+                obj = owner
+                for attr in name.strip(".").split("."):
+                    obj = getattr(obj, attr, None)
+                    if obj is None:
+                        missing.append(f"{module_name}: {name}")
+                        break
+                if not name.startswith("."):
+                    base = getattr(module, name.split(".")[0], None)
+        assert not missing, missing
+
+    def test_rows_parsed(self):
+        rows = _api_rows()
+        assert len(rows) > 50
+        assert ("repro.conform", "repro.conform.differ",
+                ["ENGINE_PATHS", "start_driven"]) in rows
+
+
+class TestSourceDocstrings:
+    def test_commands_use_the_console_script(self):
+        """Every ``repro-…`` command quoted in ``src/`` names the one
+        console script setup.cfg installs."""
+        setup = (ROOT / "setup.cfg").read_text()
+        scripts = set(re.findall(r"^\s+([\w-]+) = repro\.", setup, re.M))
+        assert scripts == {"repro-experiments"}
+        bad = [
+            f"{path.relative_to(ROOT)}: {command}"
+            for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+            for command in re.findall(r"``(repro-[\w-]+)", path.read_text())
+            if command not in scripts
+        ]
+        assert not bad, bad
