@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import spsolve
 
 from ..core.configuration import Configuration
 from ..core.errors import SimulationError
@@ -103,6 +101,9 @@ def expected_interactions_exact(
 
     Exponential in the worst case — intended for small populations.
     """
+    from scipy.sparse import lil_matrix
+    from scipy.sparse.linalg import spsolve
+
     initial = Configuration.initial(protocol, n)
     pred = protocol.stability_predicate(n)
 

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..core.configuration import Configuration
 from ..core.errors import SimulationError
 from .stability import groups_frozen_under_transitions, is_uniform_partition
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ReachabilityReport", "explore", "verify_stabilization", "verify_kpartition"]
 
@@ -70,6 +72,8 @@ def explore(
     state-changing transitions (null self-loops are irrelevant to both
     reachability and stability and are omitted).
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_node(initial.key, config=initial)
     frontier = [initial]
@@ -107,6 +111,8 @@ def verify_stabilization(
     output_ok:
         The output condition stable configurations must satisfy.
     """
+    import networkx as nx
+
     graph = explore(initial, max_configs=max_configs)
     stable_keys = {
         key for key, data in graph.nodes(data=True) if is_stable(data["config"])

@@ -11,9 +11,10 @@ Verbs::
 ``run`` is idempotent and interruption-safe: Ctrl-C checkpoints
 in-flight jobs back to the queue, and a re-run only computes what is
 missing — already-done digests are reported as cache hits.  Serial
-drains additionally persist mid-trial session snapshots (see
-``--checkpoint-interactions``), so a resumed job continues from inside
-the interrupted trial rather than restarting it.
+drains additionally commit finished trials and mid-trial session
+snapshots every ``--checkpoint-interactions`` interactions of work, so
+a resumed job continues from inside the interrupted trial rather than
+restarting it.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--checkpoint-interactions", type=int, default=None, metavar="N",
         help=(
-            "serial-drain slice size: persist a mid-trial session "
-            "snapshot every N scheduler interactions (default 1000000)"
+            "serial-drain checkpoint budget: commit finished trials and "
+            "the mid-trial session snapshot every N scheduler "
+            "interactions of work (default 1000000)"
         ),
     )
     p_run.add_argument(

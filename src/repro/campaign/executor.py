@@ -10,9 +10,11 @@ back to ``pending`` synchronously before the executor returns.
 
 Workers: ``workers=1`` executes in-process through the resumable
 session path — each trial runs as an
-:class:`~repro.engine.session.EngineSession` advanced in bounded
-slices, with completed trials and the in-flight trial's snapshot
-checkpointed to the store between slices, so a killed executor resumes
+:class:`~repro.engine.session.EngineSession`, and whenever
+``checkpoint_interactions`` interactions have run since the last
+commit, the trials finished since then and the in-flight trial's
+snapshot are committed to the store together, so a killed executor
+loses at most that much work (plus the trial in flight), resumes
 *mid-trial* and still produces bit-identical results.  ``workers>1``
 fans jobs out over a ``ProcessPoolExecutor``, one job per submission,
 with the parent committing results — worker processes never touch
@@ -47,11 +49,12 @@ __all__ = [
     "DEFAULT_CHECKPOINT_INTERACTIONS",
 ]
 
-#: Default per-slice interaction budget of the resumable path.  Small
-#: enough that even a jump-chain engine (which covers millions of
-#: scheduler interactions per second by skipping nulls) checkpoints
-#: several times a second on big populations; large enough that the
-#: snapshot + SQLite write is noise for quick jobs.
+#: Default interactions of work between two checkpoint commits of the
+#: resumable path.  Small enough that even a jump-chain engine (which
+#: covers millions of scheduler interactions per second by skipping
+#: nulls) checkpoints several times a second on big populations; large
+#: enough that a quick job — a whole Figure 3 point — commits nothing
+#: before ``mark_done``.
 DEFAULT_CHECKPOINT_INTERACTIONS = 1_000_000
 
 
@@ -114,13 +117,17 @@ def execute_spec_resumable(
     """Run one job spec with mid-trial checkpointing; resume if possible.
 
     The session-based twin of :func:`execute_spec`: each trial is an
-    :class:`~repro.engine.session.EngineSession` advanced in slices of
-    ``checkpoint_interactions`` scheduler interactions.  After every
-    slice the in-flight session's snapshot, and at every trial boundary
-    the finished trial's record, is written to the store's checkpoint
-    tables — one appended row per trial, never the whole history.  When
-    a checkpoint for ``digest`` already exists, execution picks up
-    exactly where it stopped: completed trials are not re-run and the
+    :class:`~repro.engine.session.EngineSession`, checkpointed by work.
+    Sessions advance in slices that end when ``checkpoint_interactions``
+    scheduler interactions have run since the last commit; then the
+    records of the trials finished since that commit (one appended row
+    each, never the whole history) and the in-flight session's snapshot
+    commit together, or just the records when the budget runs out at a
+    trial boundary.  A ``KeyboardInterrupt`` commits the finished trials
+    before it propagates; a job whose whole work stays below the budget
+    commits nothing here, and :meth:`CampaignStore.mark_done` stores its
+    record.  When a checkpoint for ``digest`` already exists, execution
+    picks up where it was saved: completed trials are not re-run and the
     interrupted trial restarts *mid-flight* from its snapshot.  Because
     sliced session execution is bit-identical to straight execution,
     the payload is byte-for-byte the one an uninterrupted
@@ -166,28 +173,42 @@ def execute_spec_resumable(
         results = session.results()
     else:
         results = [SimulationResult.from_record(r) for r in completed]
-        for t in range(len(results), spec.trials):
-            session = engine.start(protocol, spec.n, seed=seeds[t], **kwargs)
-            if session_bytes is not None and t == resume_index:
-                session.restore(SessionState.from_bytes(session_bytes))
-            session_bytes = None
-            while not session.advance(checkpoint_interactions).terminal:
-                store.save_checkpoint(
-                    digest,
-                    trial_index=t,
-                    completed=[],
-                    session=session.snapshot().to_bytes(),
-                    tenant=tenant,
-                )
-                if on_slice is not None:
-                    on_slice(t, session.interactions)
-            result = session.result()
-            results.append(result)
-            # The store keeps earlier trials' rows: append this one only.
-            store.save_checkpoint(
-                digest, trial_index=t + 1, completed=[result.to_record()],
-                session=None, tenant=tenant,
-            )
+        # Trials whose records the store holds, and interactions run
+        # since the last commit: the finished trials and the in-flight
+        # snapshot commit when that work reaches checkpoint_interactions.
+        saved = len(results)
+        unsaved = 0
+        try:
+            for t in range(len(results), spec.trials):
+                session = engine.start(protocol, spec.n, seed=seeds[t], **kwargs)
+                if session_bytes is not None and t == resume_index:
+                    session.restore(SessionState.from_bytes(session_bytes))
+                session_bytes = None
+                while True:
+                    before = session.interactions
+                    status = session.advance(checkpoint_interactions - unsaved)
+                    unsaved += session.interactions - before
+                    if status.terminal:
+                        break
+                    # The slice ran out of unsaved budget mid-trial.
+                    saved = _save_progress(
+                        store, digest, results, saved,
+                        session.snapshot().to_bytes(), tenant,
+                    )
+                    unsaved = 0
+                    if on_slice is not None:
+                        on_slice(t, session.interactions)
+                results.append(session.result())
+                if unsaved >= checkpoint_interactions:
+                    saved = _save_progress(store, digest, results, saved, None, tenant)
+                    unsaved = 0
+        except KeyboardInterrupt:
+            # Keep every finished trial; the trial in flight restarts
+            # from its seed (or from its last snapshot when no trial
+            # finished since that was taken).
+            if saved < len(results):
+                _save_progress(store, digest, results, saved, None, tenant)
+            raise
 
     ts = finalize_trials(
         protocol,
@@ -200,6 +221,26 @@ def execute_spec_resumable(
     payload = _payload(spec, protocol, ts, time.perf_counter() - t0)
     payload["resumed"] = ckpt is not None
     return payload
+
+
+def _save_progress(
+    store: CampaignStore,
+    digest: str,
+    results: list[SimulationResult],
+    saved: int,
+    session: bytes | None,
+    tenant: str,
+) -> int:
+    """Commit the trials finished since the first ``saved`` ones, with
+    the in-flight trial's snapshot; returns the new saved count."""
+    store.save_checkpoint(
+        digest,
+        trial_index=len(results),
+        completed=[result.to_record() for result in results[saved:]],
+        session=session,
+        tenant=tenant,
+    )
+    return len(results)
 
 
 class _NullCache:
@@ -359,9 +400,10 @@ def run_campaign(
     progress:
         Optional ``callable(message)`` for per-job reporting.
     checkpoint_interactions:
-        Per-slice interaction budget of the serial path: each in-flight
-        trial's snapshot is persisted every this-many scheduler
-        interactions.  Ignored when ``workers > 1``.
+        Interactions of work between two checkpoint commits of the
+        serial path, which hold the trials finished since the last
+        commit and the in-flight trial's snapshot.  Ignored when
+        ``workers > 1``.
     sink:
         Optional :class:`~repro.io.columnar.ShardWriter`; every
         completed job streams one row per trial into it, keyed by the

@@ -18,9 +18,9 @@ were never submitted as campaign jobs.  ``checkpoints`` and
 row per finished trial's record, plus the next trial index and the
 in-flight trial's serialized
 :class:`~repro.engine.session.SessionState` — so a killed executor
-resumes mid-trial instead of restarting the job from scratch.  A trial
-boundary appends one row, so a checkpoint costs the same at trial 99
-as at trial 1.
+resumes mid-trial instead of restarting the job from scratch.  A
+checkpoint appends only the rows of trials finished since the previous
+one, so it costs the same late in a job as early.
 
 Tenancy: every table carries a ``tenant`` column (auth-less
 namespacing for the multi-tenant service); the ``"default"``
@@ -537,14 +537,14 @@ class CampaignStore(WalStore):
         ``trial_index`` is the trial in flight (or next to start);
         ``completed`` holds the :meth:`SimulationResult.to_record` dicts
         of trials ``trial_index - len(completed)`` … ``trial_index - 1``
-        — typically the one trial just finished, or none mid-trial.
+        — typically the trials finished since the previous save.
         Rows already stored for earlier trials are kept, so a caller
         passing every finished trial stores the same state as one
         passing only the new ones.  ``session`` is the in-flight
-        trial's ``SessionState.to_bytes()`` snapshot (None at a trial
-        boundary).  The new trial rows and the job's checkpoint row
-        commit in one transaction, so a resume always picks up the
-        latest durable state.
+        trial's ``SessionState.to_bytes()`` snapshot (None when the
+        save falls on a trial boundary).  The new trial rows and the
+        job's checkpoint row commit in one transaction, so a resume
+        always picks up the latest durable state.
         """
         with self._write() as conn:
             _insert_trials(

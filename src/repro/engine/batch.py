@@ -39,10 +39,22 @@ from ..core.rng import SeedLike
 from ..scheduling.uniform import uniform_pairs
 from .base import Engine, StepCallback
 from .count_based import ChainTables
-from .kernels import KERNEL_CONVERGED, KERNEL_REFILL, get_kernels
+from .kernels import (
+    KERNEL_CONVERGED,
+    KERNEL_REFILL,
+    address,
+    arg_slot,
+    bind_args,
+    get_kernels,
+)
 from .session import PAIR_BLOCK, EngineSession
 
 __all__ = ["BatchEngine", "BatchSession"]
+
+#: Positions of the pair-block arguments a refill rebinds.
+_BUF_A, _BUF_B, _N_BUF = (
+    arg_slot("pair_block", name) for name in ("buf_a", "buf_b", "n_buf")
+)
 
 
 class BatchSession(EngineSession):
@@ -131,8 +143,9 @@ class BatchSession(EngineSession):
 
     @cached_property
     def _pair_kernel(self) -> tuple | None:
-        """The compiled ``pair_block`` and its table arguments, or None
-        when this session must run the Python loop.
+        """The compiled ``pair_block``, its table arguments and their
+        bound addresses, or None when this session must run the Python
+        loop.
 
         The kernel cannot call ``on_effective`` back, tests stability
         only through a signature (the shared :class:`ChainTables` decide
@@ -155,12 +168,15 @@ class BatchSession(EngineSession):
             if dflat[pq] != pq:
                 pq_idx.extend(self._dirty(pq))
             pq_off[pq + 1] = len(pq_idx)
-        tables = (
-            np.asarray(dflat, dtype=np.int64), in1, in2, same, mult,
-            pq_off, np.asarray(pq_idx, dtype=np.int64),
-            sig_off, sig_idx, sig_want,
-        )
-        return kernels.pair_block, tables
+        tables = {
+            "dflat": np.asarray(dflat, dtype=np.int64),
+            "in1": in1, "in2": in2, "same": same, "mult": mult,
+            "pq_off": pq_off, "pq_idx": np.asarray(pq_idx, dtype=np.int64),
+            "sig_off": sig_off, "sig_idx": sig_idx, "sig_want": sig_want,
+        }
+        addrs = {name: address(array) for name, array in tables.items()}
+        # ``tables`` stays referenced here while the addresses are used.
+        return kernels.pair_block, tables, addrs
 
     def _advance_inner(self, target: int) -> None:
         kernel = self._pair_kernel
@@ -247,27 +263,41 @@ class BatchSession(EngineSession):
         self._high_water = high_water
         self._converged = converged
 
-    def _advance_kernel(self, pair_block, tables: tuple, target: int) -> None:
+    def _advance_kernel(
+        self, pair_block, tables: dict, addrs: dict, target: int
+    ) -> None:
         """:meth:`_advance_inner` through the compiled kernel."""
         states = np.asarray(self._states, dtype=np.int64)
         counts = np.asarray(self.counts, dtype=np.int64)
         weights = np.asarray(self._weights, dtype=np.int64)
         buf_a = np.asarray(self._buf_a, dtype=np.int64)
         buf_b = np.asarray(self._buf_b, dtype=np.int64)
-        dflat, in1, in2, same, mult, pq_off, pq_idx, sig_off, sig_idx, sig_want = tables
         reg = np.asarray(
             [self._pos, self.interactions, self.effective, self._W,
              self._high_water, 0],
             dtype=np.int64,
         )
         ms_buf = np.empty(self._n + 2, dtype=np.int64)
-        track = -1 if self._track is None else self._track
+        args = bind_args(
+            "pair_block",
+            {
+                **addrs,
+                "states": address(states),
+                "counts": address(counts),
+                "weights": address(weights),
+                "buf_a": address(buf_a),
+                "buf_b": address(buf_b),
+                "ms_buf": address(ms_buf),
+                "reg": address(reg),
+            },
+            n_sig=len(tables["sig_want"]),
+            n_buf=len(buf_a),
+            S=self._S,
+            target=target,
+            track=-1 if self._track is None else self._track,
+        )
         while True:
-            status = pair_block(
-                states, counts, dflat, in1, in2, same, mult, weights,
-                pq_off, pq_idx, sig_off, sig_idx, sig_want,
-                buf_a, buf_b, ms_buf, reg, self._S, target, track,
-            )
+            status = pair_block(*args)
             ms_len = int(reg[5])
             if ms_len:
                 self.milestones.extend(ms_buf[:ms_len].tolist())
@@ -280,6 +310,9 @@ class BatchSession(EngineSession):
             )
             buf_a = np.ascontiguousarray(a_arr, dtype=np.int64)
             buf_b = np.ascontiguousarray(b_arr, dtype=np.int64)
+            args[_BUF_A] = address(buf_a)
+            args[_BUF_B] = address(buf_b)
+            args[_N_BUF] = len(buf_a)
             reg[0] = 0
 
         self._states = states.tolist()

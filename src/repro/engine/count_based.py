@@ -44,7 +44,11 @@ the owning engine, instead of the internal tail double counting as a
 ``count`` run.  :class:`CountBasedSession` runs the same chain in the
 compiled kernel (:class:`~repro.engine.jit.KernelJumpChain`) whenever
 a native kernel backend is present, no ``on_effective`` callback is
-set and any stability predicate has a signature.
+set and any stability predicate has a signature.  The kernel chain
+builds no Fenwick tree: it keeps the class weights as one int64 vector,
+computed from the counts when the chain starts and scanned linearly by
+the compiled loop, and its kernel arguments are bound once per chain
+(the shared tables once per :class:`ChainTables`).
 
 Limitation: the derivation requires the uniform scheduler (the one the
 paper simulates); for other schedulers use the agent-based engine.
@@ -61,12 +65,22 @@ import numpy as np
 from ..core.protocol import Protocol, StabilitySignature
 from ..core.rng import SeedLike
 from .base import Engine, StepCallback
+from .kernels import address, bind_args, get_kernels
 from .sampling import FenwickWeights
 from .session import EngineSession
 
 __all__ = ["ChainTables", "CountBasedEngine", "CountBasedSession", "JumpChain"]
 
 _RAND_BLOCK = 4096
+
+
+#: The ``jump_chain`` argument names of :attr:`ChainTables.kernel_arrays`.
+_TABLE_ARGS = (
+    "in1", "in2", "out1", "out2", "same", "mult",
+    "aff_off", "aff_idx", "sig_off", "sig_idx", "sig_want",
+)
+#: The ``jump_chain`` array arguments each chain binds to its own buffers.
+_CHAIN_ARGS = ("counts", "values", "rand_buf", "ms_buf", "reg")
 
 
 class ChainTables:
@@ -77,14 +91,15 @@ class ChainTables:
     :class:`~repro.engine.batch.BatchSession` of that pair shares
     them.  Campaign workers run chains of one protocol on several
     threads, so nothing here is written after construction: the Python
-    columns are tuples and the kernel arrays are read-only.  The
-    per-execution state — counts, Fenwick weights, random block, kernel
+    columns are tuples, the kernel arrays are read-only and their data
+    addresses are bound once, in :attr:`kernel_args`.  The
+    per-execution state — counts, class weights, random block, kernel
     registers — lives on the chain.
     """
 
     __slots__ = (
         "compiled", "classes", "in1", "in2", "out1", "out2", "same", "mult",
-        "affected", "T", "pred", "kernel_arrays",
+        "affected", "T", "pred", "kernel_arrays", "kernel_args",
     )
 
     def __init__(self, protocol: Protocol, n_total: int) -> None:
@@ -127,6 +142,30 @@ class ChainTables:
         self.kernel_arrays = (
             None if signature is None else self._kernel_arrays(signature)
         )
+        #: The ``jump_chain`` argument list with the tables bound once,
+        #: so no kernel call converts a table.  A chain copies it and
+        #: binds its own buffers (left NULL here) and per-advance values.
+        self.kernel_args = (
+            None
+            if self.kernel_arrays is None
+            else bind_args(
+                "jump_chain",
+                {
+                    **dict.fromkeys(_CHAIN_ARGS, 0),
+                    **{
+                        name: address(array)
+                        for name, array in zip(_TABLE_ARGS, self.kernel_arrays)
+                    },
+                },
+                n_sig=len(self.kernel_arrays[-1]),
+                nrand=0,
+                R=len(classes),
+                T=self.T,
+                target=0,
+                budget=0,
+                track=-1,
+            )
+        )
 
     def _kernel_arrays(self, signature: StabilitySignature) -> tuple[np.ndarray, ...]:
         aff_off = np.zeros(len(self.affected) + 1, dtype=np.int64)
@@ -146,6 +185,18 @@ class ChainTables:
         for array in arrays:
             array.flags.writeable = False
         return arrays
+
+    def class_weights(self, counts: Sequence[int]) -> list[int]:
+        """The weight of every class (ordered pairs realizing it) at ``counts``."""
+        in1, in2, same, mult = self.in1, self.in2, self.same, self.mult
+        weights = []
+        for r in range(len(in1)):
+            if same[r]:
+                c = counts[in1[r]]
+                weights.append(c * (c - 1))
+            else:
+                weights.append(mult[r] * counts[in1[r]] * counts[in2[r]])
+        return weights
 
     @classmethod
     def of(cls, protocol: Protocol, n_total: int) -> "ChainTables":
@@ -206,17 +257,7 @@ class JumpChain:
 
     def rebuild_weights(self) -> None:
         """(Re)derive the Fenwick weights from the current counts."""
-        counts = self.counts
-        t = self.tables
-        in1, in2, same, mult = t.in1, t.in2, t.same, t.mult
-
-        def class_weight(r: int) -> int:
-            if same[r]:
-                c = counts[in1[r]]
-                return c * (c - 1)
-            return mult[r] * counts[in1[r]] * counts[in2[r]]
-
-        self.weights = FenwickWeights(class_weight(r) for r in range(len(in1)))
+        self.weights = FenwickWeights(self.tables.class_weights(self.counts))
 
     # ------------------------------------------------------------------
     # The jump-chain loop
@@ -445,9 +486,8 @@ class CountBasedSession(EngineSession):
             self._on_effective is None
             and ChainTables.of(self._protocol, self._n).kernel_arrays is not None
         ):
-            # Imported here: the kernels load with the first session.
+            # Imported here: jit imports this module.
             from .jit import KernelJumpChain
-            from .kernels import get_kernels
 
             if get_kernels().native:
                 return KernelJumpChain(

@@ -19,6 +19,13 @@ construction:
 * the geometric null-skip uses the same libm ``log``/``log1p`` calls
   CPython's :mod:`math` module makes.
 
+The kernel path builds no Fenwick tree.  A :class:`KernelJumpChain`
+keeps the class weights as one int64 vector, computed from the counts
+when the chain starts and carried across :meth:`~KernelJumpChain.advance`
+calls, and passes the kernel raw addresses bound once per chain; the
+Python loop's :class:`~repro.engine.sampling.FenwickWeights` tree is
+built only when a driven ``apply_pair`` or an ``audit`` asks for it.
+
 The kernel path requires the loop to be *callback-free*, the stability
 test to be *declarative* and the backend to be native:
 
@@ -43,12 +50,14 @@ import numpy as np
 
 from ..core.protocol import Protocol
 from .batch import BatchEngine
-from .count_based import _RAND_BLOCK, CountBasedEngine, JumpChain
+from .count_based import _RAND_BLOCK, ChainTables, CountBasedEngine, JumpChain
 from .kernels import (
     KERNEL_CONVERGED,
     KERNEL_EXHAUSTED,
     KERNEL_REFILL,
     KERNEL_SILENT,
+    address,
+    arg_slot,
     get_kernels,
 )
 from .sampling import FenwickWeights
@@ -63,13 +72,30 @@ __all__ = [
 class KernelJumpChain(JumpChain):
     """A :class:`JumpChain` whose :meth:`advance` runs in the kernel.
 
-    Everything else — construction, snapshot capture/restore, driven
-    ``apply_pair``/``audit`` — is inherited, so snapshots interoperate
-    and the conformance differ exercises the same data structures the
-    kernel consumes.  The class tables come from the shared read-only
-    :class:`~repro.engine.count_based.ChainTables`; only the registers
-    and the milestone buffer the kernel writes are per chain.
+    Construction, snapshot capture/restore and driven
+    ``apply_pair``/``audit`` are inherited, so snapshots interoperate
+    and the conformance differ exercises the same chain.  The class
+    tables come from the shared read-only
+    :class:`~repro.engine.count_based.ChainTables`, already bound as
+    kernel addresses.  The chain owns the arrays the kernel writes —
+    counts, the int64 class-weight vector, the registers and the
+    milestone buffer — and binds them once, at construction; a refill
+    rebinds only the random block.  The weight vector lives across
+    :meth:`advance` calls and is computed straight from the counts: no
+    Fenwick tree is built unless a Python-path operation
+    (``apply_pair``, ``audit``) asks for :attr:`weights`.
     """
+
+    #: Positions in :attr:`_args` of the arguments a chain binds: its own
+    #: buffers at construction, the random block on a refill, and the
+    #: per-advance values.
+    _COUNTS, _VALUES, _REG, _MS_BUF, _RAND, _NRAND, _TARGET, _BUDGET, _TRACK = (
+        arg_slot("jump_chain", name)
+        for name in (
+            "counts", "values", "reg", "ms_buf", "rand_buf", "nrand",
+            "target", "budget", "track",
+        )
+    )
 
     def __init__(
         self,
@@ -80,42 +106,89 @@ class KernelJumpChain(JumpChain):
         *,
         draw: bool = True,
     ) -> None:
-        super().__init__(protocol, counts, rng, n_total, draw=draw)
-        if self.tables.kernel_arrays is None:
+        # The arrays the kernel writes are views of one allocation, so
+        # binding them costs one address lookup; the inherited
+        # constructor fills counts and weights through rebuild_weights.
+        tables = ChainTables.of(protocol, n_total)
+        if tables.kernel_arrays is None:
             raise ValueError(
                 "KernelJumpChain needs a stability signature when the "
                 "protocol has a stability predicate"
             )
-        self._kernels = get_kernels()
-        self._ms_buf = np.zeros(n_total + 2, dtype=np.int64)
-        self._reg = np.zeros(6, dtype=np.int64)
+        S, R = len(counts), len(tables.in1)
+        block = np.zeros(S + R + 6 + n_total + 2, dtype=np.int64)
+        self._counts = block[:S]
+        self._weights = block[S:S + R]
+        self._reg = block[S + R:S + R + 6]
+        self._ms_buf = block[S + R + 6:]
+        self._fenwick: FenwickWeights | None = None
+        super().__init__(protocol, counts, rng, n_total, draw=draw)
+        self._kernel = get_kernels().jump_chain
+        base = address(block)
+        item = block.itemsize
+        args = self._args = list(tables.kernel_args)
+        args[self._COUNTS] = base
+        args[self._VALUES] = base + S * item
+        args[self._REG] = base + (S + R) * item
+        args[self._MS_BUF] = base + (S + R + 6) * item
+        if self.rand is not None:
+            self._bind_rand()
+
+    def rebuild_weights(self) -> None:
+        """(Re)derive the kernel's count and weight vectors in place."""
+        weights = self.tables.class_weights(self.counts)
+        self._counts[:] = self.counts
+        self._weights[:] = weights
+        self._reg[3] = sum(weights)
+        self._fenwick = None
+
+    @property
+    def weights(self) -> FenwickWeights:
+        """The Fenwick tree of the Python-path operations, built from the
+        weight vector on first use."""
+        if self._fenwick is None:
+            self._fenwick = FenwickWeights(self._weights.tolist())
+        return self._fenwick
+
+    def _bind_rand(self) -> None:
+        args = self._args
+        args[self._RAND] = address(self.rand, np.float64)
+        args[self._NRAND] = len(self.rand)
+
+    def apply_capture(self, payload: dict) -> np.random.Generator:
+        rng = super().apply_capture(payload)
+        if self.rand is not None:
+            self._bind_rand()
+        return rng
 
     def advance(self, ctx, target: int) -> None:
-        counts_arr = np.asarray(self.counts, dtype=np.int64)
-        values = np.asarray(self.weights.to_list(), dtype=np.int64)
         reg = self._reg
+        fenwick = self._fenwick
+        if fenwick is not None:
+            # A Python-path operation ran since the last advance: its
+            # tree and the shared counts list are the current state.
+            self._counts[:] = self.counts
+            self._weights[:] = fenwick.to_list()
+            reg[3] = fenwick.total
+            self._fenwick = None
         reg[0] = self.rand_pos
         reg[1] = ctx.interactions
         reg[2] = ctx.effective
-        reg[3] = self.weights.total
         reg[4] = ctx._high_water
         reg[5] = 0
-        track = -1 if ctx._track is None else ctx._track
-        budget = ctx._budget
         if self.rand is None:  # pragma: no cover — restore always refills
             self.rand = self.rng.random(_RAND_BLOCK)
+            self._bind_rand()
             reg[0] = 0
-        kern = self._kernels.jump_chain
-        arrays = self.tables.kernel_arrays
-        T = self.tables.T
+        args = self._args
+        args[self._TARGET] = target
+        args[self._BUDGET] = ctx._budget
+        args[self._TRACK] = -1 if ctx._track is None else ctx._track
+        kern = self._kernel
         ms_buf = self._ms_buf
         milestones = ctx.milestones
         while True:
-            status = kern(
-                counts_arr, values, *arrays,
-                self.rand, ms_buf, reg,
-                T, target, budget, track,
-            )
+            status = kern(*args)
             ms_len = int(reg[5])
             if ms_len:
                 milestones.extend(ms_buf[:ms_len].tolist())
@@ -123,12 +196,12 @@ class KernelJumpChain(JumpChain):
                 # The wrapper owns the Generator: refill at exactly the
                 # stream position the pure-Python loop refills at.
                 self.rand = self.rng.random(_RAND_BLOCK)
+                self._bind_rand()
                 reg[0] = 0
                 continue
             break
 
-        self.counts[:] = counts_arr.tolist()
-        self.weights = FenwickWeights(values.tolist())
+        self.counts[:] = self._counts.tolist()
         self.rand_pos = int(reg[0])
         self.converged = status == KERNEL_CONVERGED
         # int(): comparing the int64 register itself would make

@@ -61,6 +61,10 @@ from ..obs.instruments import record_kernel_compile
 
 __all__ = [
     "KernelSet",
+    "KERNEL_ARGS",
+    "address",
+    "arg_slot",
+    "bind_args",
     "KernelBuildError",
     "get_kernels",
     "reset_kernels",
@@ -298,7 +302,15 @@ int64_t pair_block(int64_t *states, int64_t *counts, const int64_t *dflat,
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class KernelSet:
-    """The active kernels and the backend that produced them."""
+    """The active kernels and the backend that produced them.
+
+    ``jump_chain`` and ``pair_block`` are the C functions themselves,
+    taking the positional arguments :data:`KERNEL_ARGS` names, with
+    every array passed as its raw data address (see :func:`address` and
+    :func:`bind_args`).  A caller binds the addresses once — the tables once per
+    :class:`~repro.engine.count_based.ChainTables`, its own buffers
+    once per chain or session — so a call converts no array.
+    """
 
     backend: str  # "cc" | "python"
     jump_chain: Callable | None
@@ -309,6 +321,87 @@ class KernelSet:
     def native(self) -> bool:
         """Whether the kernels exist (sessions run them only then)."""
         return self.backend != "python"
+
+
+#: Every kernel's arguments in C order: the dtype of an array argument,
+#: passed as its raw data address (a ``void *`` argtype), or ``None``
+#: for an ``int64_t`` scalar.  The argtypes and both binders read it.
+KERNEL_ARGS: dict[str, dict[str, type | None]] = {
+    "jump_chain": {
+        "counts": np.int64, "values": np.int64,
+        "in1": np.int64, "in2": np.int64, "out1": np.int64, "out2": np.int64,
+        "same": np.int64, "mult": np.int64,
+        "aff_off": np.int64, "aff_idx": np.int64,
+        "sig_off": np.int64, "sig_idx": np.int64, "sig_want": np.int64,
+        "n_sig": None,
+        "rand_buf": np.float64, "nrand": None,
+        "ms_buf": np.int64, "reg": np.int64,
+        "R": None, "T": None, "target": None, "budget": None, "track": None,
+    },
+    "pair_block": {
+        "states": np.int64, "counts": np.int64, "dflat": np.int64,
+        "in1": np.int64, "in2": np.int64, "same": np.int64, "mult": np.int64,
+        "weights": np.int64,
+        "pq_off": np.int64, "pq_idx": np.int64,
+        "sig_off": np.int64, "sig_idx": np.int64, "sig_want": np.int64,
+        "n_sig": None,
+        "buf_a": np.int64, "buf_b": np.int64, "n_buf": None,
+        "ms_buf": np.int64, "reg": np.int64,
+        "S": None, "target": None, "track": None,
+    },
+}
+
+#: Per kernel: (its array argument names, its scalar argument names).
+_ARG_KINDS = {
+    kernel: (
+        {name for name, dtype in spec.items() if dtype is not None},
+        {name for name, dtype in spec.items() if dtype is None},
+    )
+    for kernel, spec in KERNEL_ARGS.items()
+}
+
+
+def address(array: np.ndarray, dtype: type = np.int64) -> int:
+    """The data address of a kernel array argument, checked once.
+
+    The kernels take raw ``void *`` arguments, so the dtype and layout
+    check an ``ndpointer`` argtype would repeat on every call happens
+    here, when the argument is bound.  The caller keeps ``array`` alive
+    and never replaces it while the address is in use.
+    """
+    if array.dtype != dtype or array.ndim != 1 or not array.flags.c_contiguous:
+        raise TypeError(
+            f"kernel arrays are 1-D C-contiguous {np.dtype(dtype).name}; "
+            f"got {array.ndim}-D {array.dtype.name}"
+        )
+    return array.ctypes.data
+
+
+def arg_slot(kernel: str, name: str) -> int:
+    """The position of argument ``name`` in ``kernel``'s argument list."""
+    return list(KERNEL_ARGS[kernel]).index(name)
+
+
+def bind_args(kernel: str, addrs: dict[str, int], **scalars: int) -> list[int]:
+    """``kernel``'s positional argument list, in its C order.
+
+    ``addrs`` maps the name of every array argument to its data address
+    (from :func:`address`) and ``scalars`` gives every ``int64_t``
+    argument, both by their names in :data:`KERNEL_ARGS`.  A missing,
+    unknown or misplaced name raises :class:`TypeError`, so an address
+    can only land in a pointer slot.
+    """
+    spec = KERNEL_ARGS[kernel]
+    arrays, ints = _ARG_KINDS[kernel]
+    if addrs.keys() != arrays or scalars.keys() != ints:
+        raise TypeError(
+            f"{kernel} takes the arrays {sorted(arrays)} and the scalars "
+            f"{sorted(ints)}; got {sorted(addrs)} and {sorted(scalars)}"
+        )
+    return [
+        addrs[name] if dtype is not None else int(scalars[name])
+        for name, dtype in spec.items()
+    ]
 
 
 def _cc_cache_dir() -> Path:
@@ -364,50 +457,15 @@ def _build_cc() -> KernelSet:
     except OSError as exc:
         raise KernelBuildError(f"could not load compiled kernels: {exc}") from exc
 
-    i64 = ctypes.c_int64
-    arr = np.ctypeslib.ndpointer(dtype=np.int64, ndim=1, flags="C_CONTIGUOUS")
-    farr = np.ctypeslib.ndpointer(dtype=np.float64, ndim=1, flags="C_CONTIGUOUS")
+    for name, spec in KERNEL_ARGS.items():
+        kernel = getattr(lib, name)
+        kernel.restype = ctypes.c_int64
+        kernel.argtypes = [
+            ctypes.c_int64 if dtype is None else ctypes.c_void_p
+            for dtype in spec.values()
+        ]
 
-    lib.jump_chain.restype = i64
-    lib.jump_chain.argtypes = [
-        arr, arr, arr, arr, arr, arr, arr, arr,  # counts..mult
-        arr, arr,                                # aff CSR
-        arr, arr, arr, i64,                      # sig CSR + n_sig
-        farr, i64,                               # rand_buf + nrand
-        arr, arr,                                # ms_buf, reg
-        i64, i64, i64, i64, i64,                 # R, T, target, budget, track
-    ]
-    lib.pair_block.restype = i64
-    lib.pair_block.argtypes = [
-        arr, arr, arr,                           # states, counts, dflat
-        arr, arr, arr, arr, arr,                 # in1, in2, same, mult, weights
-        arr, arr,                                # pq CSR
-        arr, arr, arr, i64,                      # sig CSR + n_sig
-        arr, arr, i64,                           # buf_a, buf_b, n_buf
-        arr, arr,                                # ms_buf, reg
-        i64, i64, i64,                           # S, target, track
-    ]
-
-    def jump_chain(counts, values, in1, in2, out1, out2, same, mult,
-                   aff_off, aff_idx, sig_off, sig_idx, sig_want,
-                   rand_buf, ms_buf, reg, T, target, budget, track):
-        return int(lib.jump_chain(
-            counts, values, in1, in2, out1, out2, same, mult,
-            aff_off, aff_idx, sig_off, sig_idx, sig_want, len(sig_want),
-            rand_buf, len(rand_buf), ms_buf, reg,
-            len(values), T, target, budget, track,
-        ))
-
-    def pair_block(states, counts, dflat, in1, in2, same, mult, weights,
-                   pq_off, pq_idx, sig_off, sig_idx, sig_want,
-                   buf_a, buf_b, ms_buf, reg, S, target, track):
-        return int(lib.pair_block(
-            states, counts, dflat, in1, in2, same, mult, weights,
-            pq_off, pq_idx, sig_off, sig_idx, sig_want, len(sig_want),
-            buf_a, buf_b, len(buf_a), ms_buf, reg, S, target, track,
-        ))
-
-    return KernelSet("cc", jump_chain, pair_block, time.perf_counter() - t0)
+    return KernelSet("cc", lib.jump_chain, lib.pair_block, time.perf_counter() - t0)
 
 
 def _build_python() -> KernelSet:

@@ -12,7 +12,6 @@ stable mean (and explains the jitter visible in the paper's Figure 3).
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..engine.base import Engine
 from ..engine.runner import run_trials
@@ -34,6 +33,8 @@ def run_distribution(
     progress=None,
 ) -> ResultTable:
     """Estimate the stabilization-time distribution per (k, n)."""
+    from scipy import stats
+
     table = ResultTable(
         name="distribution",
         params={"points": [list(p) for p in points], "trials": trials, "seed": seed},

@@ -230,6 +230,9 @@ class ShardWriter:
             }
             self._write_manifest()
         self._keys: set[str] = set(self._manifest["keys"])
+        # True while the in-memory manifest lists shards or keys that the
+        # manifest file does not; flush() publishes them.
+        self._unpublished = False
         # Column-major buffer: name -> (values, tags), all equal length.
         self._buffer: dict[str, tuple[list[object], list[int]]] = {}
         self._buffered = 0
@@ -245,14 +248,9 @@ class ShardWriter:
         self.append_row(record)
 
     def append_row(self, record: Mapping[str, object]) -> None:
-        for key, value in record.items():
-            if not isinstance(key, str):
-                raise ColumnarError(f"column names must be strings, got {key!r}")
-            if not isinstance(value, _SCALARS):
-                raise ColumnarError(
-                    f"cells must be scalars; {key!r} has {type(value).__name__}"
-                )
         self._append_cells(record)
+        if self._buffered >= self.shard_rows:
+            self.flush()
 
     def append_rows(self, records: Iterable[Mapping[str, object]]) -> None:
         for record in records:
@@ -291,7 +289,7 @@ class ShardWriter:
             self.max_buffered = max(self.max_buffered, self._buffered)
             offset += take
             if self._buffered >= self.shard_rows:
-                self._flush_shard()
+                self.flush()
 
     def append_keyed(
         self, key: str, records: Iterable[Mapping[str, object]]
@@ -300,17 +298,22 @@ class ShardWriter:
 
         A key that the manifest already records is a no-op — the hook
         that lets a resumed campaign drain re-commit a job without
-        duplicating its trial rows.  The batch is flushed (buffer and
-        manifest) before the key is durable, so a crash between the
-        two can only *lose* the key, never orphan rows under it.
+        duplicating its trial rows.  The batch's shards are written
+        first and then one manifest replace publishes them together
+        with the key, so the key and its rows become durable at once: a
+        crash before the replace leaves only unreferenced shard files,
+        which the next writer overwrites.
         """
         if key in self._keys:
             return False
-        self.append_rows(records)
-        self.flush()
+        for record in records:
+            self._append_cells(record)
+            if self._buffered >= self.shard_rows:
+                self._flush_shard()
         self._keys.add(key)
         self._manifest["keys"] = sorted(self._keys)
-        self._write_manifest()
+        self._unpublished = True
+        self.flush()
         return True
 
     def has_key(self, key: str) -> bool:
@@ -330,6 +333,14 @@ class ShardWriter:
         return entry
 
     def _append_cells(self, record: Mapping[str, object]) -> None:
+        """Buffer one checked row; the caller writes a full buffer."""
+        for key, value in record.items():
+            if not isinstance(key, str):
+                raise ColumnarError(f"column names must be strings, got {key!r}")
+            if not isinstance(value, _SCALARS):
+                raise ColumnarError(
+                    f"cells must be scalars; {key!r} has {type(value).__name__}"
+                )
         for name in record:
             self._column_buffer(name)
         for name, (vals, tags) in self._buffer.items():
@@ -342,10 +353,10 @@ class ShardWriter:
                 tags.append(_TAG_MISSING)
         self._buffered += 1
         self.max_buffered = max(self.max_buffered, self._buffered)
-        if self._buffered >= self.shard_rows:
-            self._flush_shard()
 
     def _flush_shard(self) -> None:
+        """Write the buffered rows as a shard file and enter it in the
+        in-memory manifest; :meth:`flush` publishes it."""
         if self._buffered == 0:
             return
         index = len(self._manifest["shards"])
@@ -370,16 +381,22 @@ class ShardWriter:
         record_shard_write(rows=self._buffered, size=shard_path.stat().st_size)
         self._buffer = {}
         self._buffered = 0
-        self._write_manifest()
+        self._unpublished = True
 
     def _write_manifest(self) -> None:
         tmp = self.path / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(json.dumps(self._manifest, indent=2) + "\n")
+        # Compact: the manifest lists every shard and key, and the
+        # indented encoder is the pure-Python one.
+        tmp.write_text(json.dumps(self._manifest) + "\n")
         os.replace(tmp, self.path / MANIFEST_NAME)
+        self._unpublished = False
 
     def flush(self) -> None:
-        """Write any buffered rows as a (possibly short) shard."""
+        """Write any buffered rows as a (possibly short) shard, then
+        publish the manifest with one replace if anything changed."""
         self._flush_shard()
+        if self._unpublished:
+            self._write_manifest()
 
     def close(self) -> "ColumnStore":
         """Flush and return a reader over everything written."""

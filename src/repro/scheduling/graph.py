@@ -21,12 +21,16 @@ one seed they consume the same random stream.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..core.errors import SchedulerError
 from ..core.rng import SeedLike
 from .base import PairBlock, Scheduler
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["GraphScheduler", "edge_pairs"]
 
@@ -75,11 +79,15 @@ class GraphScheduler(Scheduler):
     @classmethod
     def complete(cls, n: int, seed: SeedLike = None) -> "GraphScheduler":
         """Scheduler over the complete graph K_n (equals uniform)."""
+        import networkx as nx
+
         return cls(nx.complete_graph(n), seed)
 
     @classmethod
     def cycle(cls, n: int, seed: SeedLike = None) -> "GraphScheduler":
         """Scheduler over the n-cycle — a sparse worst-ish case."""
+        import networkx as nx
+
         return cls(nx.cycle_graph(n), seed)
 
     @classmethod
@@ -100,6 +108,8 @@ class GraphScheduler(Scheduler):
         Passing a different ``seed`` never changes the topology, and a
         different ``graph_seed`` never perturbs the schedule stream.
         """
+        import networkx as nx
+
         graph = nx.random_regular_graph(degree, n, seed=graph_seed)
         return cls(graph, seed)
 
@@ -114,6 +124,8 @@ class GraphScheduler(Scheduler):
 
     @property
     def is_connected(self) -> bool:
+        import networkx as nx
+
         return nx.is_connected(self._graph)
 
     def next_block(self, size: int) -> PairBlock:

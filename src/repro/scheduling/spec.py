@@ -25,8 +25,8 @@ scheduler factory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..core.errors import SchedulerError
@@ -34,6 +34,9 @@ from .adversarial import RoundRobinScheduler
 from .base import Scheduler
 from .graph import GraphScheduler
 from .uniform import UniformScheduler
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["SchedulerSpec", "parse_scheduler", "scheduler_names"]
 
@@ -150,6 +153,8 @@ class SchedulerSpec:
             raise SchedulerError(
                 f"scheduler {self.name!r} has no interaction graph"
             )
+        import networkx as nx
+
         if self.topology == "complete":
             return nx.complete_graph(n)
         if self.topology == "cycle":

@@ -219,6 +219,136 @@ class TestMidTrialResume:
             scientific_content(baseline["record"])
 
 
+def _interactions(record: dict) -> list[int]:
+    return [r["interactions"] for r in record["results"]]
+
+
+class TestCheckpointByWork:
+    """Finished trials and the in-flight snapshot commit together once
+    the unsaved work reaches ``checkpoint_interactions``; a kill loses at
+    most that much work plus the trial in flight."""
+
+    def test_small_job_makes_no_checkpoint(self, store, monkeypatch):
+        spec = make_spec(n=30, trials=20, seed=4)
+        digest, _ = store.submit(spec)
+        saves = []
+        monkeypatch.setattr(
+            CampaignStore, "save_checkpoint",
+            lambda self, digest, **kwargs: saves.append(kwargs),
+        )
+        payload = executor_module.execute_spec_resumable(
+            spec.canonical(), store, digest=digest
+        )
+        total = sum(_interactions(payload["record"]))
+        assert 0 < total < executor_module.DEFAULT_CHECKPOINT_INTERACTIONS
+        assert saves == []
+
+    def test_interrupt_between_trials_keeps_finished_trials(
+        self, store, monkeypatch
+    ):
+        spec = make_spec(n=30, trials=6, seed=8)
+        digest, _ = store.submit(spec)
+        baseline = executor_module.execute_spec(spec.canonical())
+        real_engine_for = executor_module.engine_for_scheduler
+        starts = []
+
+        class Interrupting:
+            def __init__(self, engine):
+                self.name = engine.name
+                self._engine = engine
+
+            def start(self, *args, **kwargs):
+                starts.append(1)
+                if len(starts) == 4:
+                    raise KeyboardInterrupt
+                return self._engine.start(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(
+                executor_module, "engine_for_scheduler",
+                lambda *a: Interrupting(real_engine_for(*a)),
+            )
+            with pytest.raises(KeyboardInterrupt):
+                executor_module.execute_spec_resumable(
+                    spec.canonical(), store, digest=digest
+                )
+        ckpt = store.load_checkpoint(digest)
+        assert ckpt["trial_index"] == 3 and ckpt["session"] is None
+        assert scientific_content({"results": ckpt["completed"]})["results"] == \
+            scientific_content(baseline["record"])["results"][:3]
+        resumed = executor_module.execute_spec_resumable(
+            spec.canonical(), store, digest=digest
+        )
+        assert resumed["resumed"]
+        assert resumed["record"]["results"][:3] == ckpt["completed"]
+        assert scientific_content(resumed["record"]) == \
+            scientific_content(baseline["record"])
+
+    @pytest.mark.parametrize("kill_at", [7, 23])
+    def test_sigkilled_drain_loses_at_most_budget_plus_one_trial(
+        self, tmp_path, kill_at
+    ):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.engine.session import SessionState
+
+        budget = 3_000
+        spec = make_spec(n=40, trials=30, seed=12)
+        path = tmp_path / "campaign.db"
+        fresh = CampaignStore(path)
+        fresh.submit(spec)
+        fresh.close()
+        baseline = executor_module.execute_spec(spec.canonical())["record"]
+        per_trial = _interactions(baseline)
+        # The drain SIGKILLs itself as trial ``kill_at`` starts, with
+        # every uncommitted finished trial still in memory.
+        child = f"""
+import os, signal
+from repro.campaign import CampaignStore, executor, run_campaign
+real = executor.engine_for_scheduler
+class Killing:
+    def __init__(self, engine):
+        self.name, self.engine, self.starts = engine.name, engine, 0
+    def start(self, *args, **kwargs):
+        self.starts += 1
+        if self.starts > {kill_at}:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return self.engine.start(*args, **kwargs)
+executor.engine_for_scheduler = lambda *a: Killing(real(*a))
+run_campaign(CampaignStore({str(path)!r}), checkpoint_interactions={budget})
+"""
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == -9, proc.stderr.decode()
+
+        store = CampaignStore(path)
+        try:
+            ckpt = store.load_checkpoint(spec.digest)
+            saved = sum(r["interactions"] for r in ckpt["completed"])
+            if ckpt["session"] is not None:
+                snap = SessionState.from_bytes(ckpt["session"])
+                saved += snap.shared["interactions"]
+            done = sum(per_trial[:kill_at])
+            assert 0 < saved <= done
+            assert done - saved <= budget + max(per_trial)
+            report = run_campaign(store, checkpoint_interactions=budget)
+            assert (report.executed, report.resumed) == (1, 1)
+            record = store.result_record(spec.digest)
+        finally:
+            store.close()
+        assert scientific_content(record) == scientific_content(baseline)
+
+
 class TestColumnarSink:
     """run_campaign(..., sink=ShardWriter) streams per-trial rows."""
 

@@ -327,33 +327,42 @@ class TestCheckpoints:
 class TestCheckpointTrialRows:
     """Schema v3: one ``checkpoint_trials`` row per finished trial."""
 
-    def test_boundary_saves_encode_one_trial_each(self, store, monkeypatch):
-        # Count the bytes the store JSON-encodes on every save of a
-        # 200-trial job: a boundary save appends one record, so the last
-        # one costs what the first does (a full re-encode is ~200x).
-        encoded: list[int] = []
+    def test_each_finished_trial_is_encoded_once(self, store, monkeypatch):
+        # Commits come by work, not by trial: with a small checkpoint
+        # budget a 200-trial job commits mid-trial and at boundaries, and
+        # each save encodes only the trials finished since the last one —
+        # no record is ever encoded twice, so the last save costs what
+        # the first does.
+        encoded: list[dict] = []
 
         def dumps(obj, *args, **kwargs):
-            text = json.dumps(obj, *args, **kwargs)
-            encoded[-1] += len(text)
-            return text
+            encoded.append(obj)
+            return json.dumps(obj, *args, **kwargs)
 
+        saves: list[int] = []
         real_save = CampaignStore.save_checkpoint
 
         def save(self, digest, **kwargs):
-            encoded.append(0)
+            saves.append(len(kwargs["completed"]))
             real_save(self, digest, **kwargs)
 
+        spec = make_spec(trials=200, seed=5)
+        digest, _ = store.submit(spec)
         monkeypatch.setattr(
             store_module, "json", types.SimpleNamespace(dumps=dumps, loads=json.loads)
         )
         monkeypatch.setattr(CampaignStore, "save_checkpoint", save)
-        spec = make_spec(trials=200, seed=5)
-        digest, _ = store.submit(spec)
-        payload = execute_spec_resumable(spec.canonical(), store, digest=digest)
-        assert len(encoded) == 200  # one boundary save per trial
-        assert 0 < encoded[-1] <= 2 * encoded[0]
-        assert store.load_checkpoint(digest)["completed"] == payload["record"]["results"]
+        payload = execute_spec_resumable(
+            spec.canonical(), store, digest=digest, checkpoint_interactions=500
+        )
+        results = payload["record"]["results"]
+        assert 10 < len(saves) < 200
+        assert max(saves) < 200 // 10
+        # Each record once, in trial order; the trials after the last
+        # commit are encoded by nobody until mark_done stores the job.
+        assert encoded == results[: len(encoded)] and len(encoded) == sum(saves)
+        assert len(encoded) > 150
+        assert store.load_checkpoint(digest)["completed"] == encoded
 
     def test_partial_and_full_lists_store_the_same_state(self, store):
         records = [{"trial": t, "x": t / 3} for t in range(4)]

@@ -14,8 +14,10 @@ toolchain at all.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import pickle
+import re
 import sys
 import tempfile
 import threading
@@ -40,7 +42,15 @@ from repro.engine import (
 )
 from repro.engine.count_based import ChainTables, JumpChain
 from repro.engine.jit import KernelJumpChain
-from repro.engine.kernels import KERNEL_ENV, _build_cc, _find_cc
+from repro.engine.kernels import (
+    _C_SOURCE,
+    KERNEL_ARGS,
+    KERNEL_ENV,
+    _build_cc,
+    _find_cc,
+    address,
+    bind_args,
+)
 from repro.obs import Telemetry, use_telemetry
 from repro.protocols import (
     approximate_k_partition,
@@ -195,6 +205,89 @@ def _count_run(backend: str, monkeypatch, **kwargs):
     """A ``count`` run with the kernel backend forced to ``backend``."""
     with _backend(monkeypatch, backend):
         return CountBasedEngine().run(**kwargs)
+
+
+class TestKernelArguments:
+    """The kernels take raw addresses, so ctypes cannot catch an array
+    bound to the wrong slot: :data:`KERNEL_ARGS` is the one argument
+    list, and these tests pin it to the C source and to the binders."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_ARGS))
+    def test_argument_table_matches_the_c_signature(self, kernel):
+        head = re.search(rf"int64_t {kernel}\((.*?)\)\s*{{", _C_SOURCE, re.S)
+        params = [" ".join(p.split()) for p in head.group(1).split(",")]
+        c_types = {"const int64_t *": np.int64, "int64_t *": np.int64,
+                   "const double *": np.float64, "int64_t ": None}
+        declared = {}
+        for param in params:
+            name = param.rsplit("*", 1)[-1].split()[-1]
+            declared[name] = c_types[param[: len(param) - len(name)]]
+        assert declared == KERNEL_ARGS[kernel]
+        assert list(declared) == list(KERNEL_ARGS[kernel])
+
+    @pytest.mark.skipif(_find_cc() is None, reason="no C compiler on PATH")
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_ARGS))
+    def test_argtypes_put_pointers_exactly_at_array_slots(self, kernel):
+        argtypes = getattr(_build_cc(), kernel).argtypes
+        assert len(argtypes) == len(KERNEL_ARGS[kernel])
+        for ctype, dtype in zip(argtypes, KERNEL_ARGS[kernel].values()):
+            assert ctype is (ctypes.c_int64 if dtype is None else ctypes.c_void_p)
+
+    def test_bind_args_rejects_a_misplaced_name(self):
+        names = KERNEL_ARGS["pair_block"]
+        addrs = {n: 8 for n, dtype in names.items() if dtype is not None}
+        scalars = {n: 1 for n, dtype in names.items() if dtype is None}
+        assert len(bind_args("pair_block", addrs, **scalars)) == len(names)
+        with pytest.raises(TypeError):  # an address in a scalar slot
+            bind_args("pair_block", {**addrs, "n_buf": 8},
+                      **{k: v for k, v in scalars.items() if k != "n_buf"})
+        with pytest.raises(TypeError):  # a scalar in an array slot
+            bind_args("pair_block",
+                      {k: v for k, v in addrs.items() if k != "buf_a"},
+                      **scalars, buf_a=8)
+        with pytest.raises(TypeError):  # a missing argument
+            bind_args("pair_block", addrs,
+                      **{k: v for k, v in scalars.items() if k != "track"})
+
+    def test_address_checks_dtype_and_layout(self):
+        assert address(np.zeros(3, dtype=np.int64)) != 0
+        assert address(np.zeros(3), np.float64) != 0
+        for bad in (np.zeros(3), np.zeros((2, 2), dtype=np.int64),
+                    np.zeros(6, dtype=np.int64)[::2]):
+            with pytest.raises(TypeError):
+                address(bad)
+
+    @pytest.mark.skipif(_find_cc() is None, reason="no C compiler on PATH")
+    def test_kernel_chain_binds_its_arrays_by_name(self, monkeypatch):
+        proto = uniform_k_partition(3)
+        with _backend(monkeypatch, "cc"):
+            chain = KernelJumpChain(
+                proto, proto.initial_counts(30).tolist(),
+                np.random.default_rng(0), 30,
+            )
+        tables = chain.tables
+        table_names = ("in1", "in2", "out1", "out2", "same", "mult",
+                       "aff_off", "aff_idx", "sig_off", "sig_idx", "sig_want")
+        expected = {
+            **{name: address(array)
+               for name, array in zip(table_names, tables.kernel_arrays)},
+            "counts": address(chain._counts),
+            "values": address(chain._weights),
+            "rand_buf": address(chain.rand, np.float64),
+            "ms_buf": address(chain._ms_buf),
+            "reg": address(chain._reg),
+            "n_sig": len(tables.kernel_arrays[-1]),
+            "nrand": len(chain.rand),
+            "R": len(tables.in1),
+            "T": tables.T,
+            "target": 0, "budget": 0, "track": -1,
+        }
+        assert chain._args == [expected[name] for name in KERNEL_ARGS["jump_chain"]]
+        # The shared template leaves every per-chain buffer NULL.
+        own = {"counts", "values", "rand_buf", "ms_buf", "reg", "nrand"}
+        assert tables.kernel_args == [
+            0 if name in own else expected[name] for name in KERNEL_ARGS["jump_chain"]
+        ]
 
 
 class TestCountTierIdentity:

@@ -4,17 +4,20 @@ The agent-vs-batch equality tests compare two engines with each other,
 so a change to a pair draw that both engines share would still pass
 them.  These digests compare each engine with its own past output: any
 change to how a uniform pair or a random edge is drawn, to the refill
-size or to the refill order moves them.
+size or to the refill order moves them.  A pinned ``count`` snapshot
+checks that a state written by an older release still resumes to the
+same record on either kernel backend.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.engine import engine_for_scheduler
+from repro.engine import CountBasedEngine, engine_for_scheduler, reset_kernels
 from repro.protocols import uniform_k_partition
 
 #: (engine, scheduler) -> SHA-256 of the records of seeds 0, 1, 2 at
@@ -47,3 +50,31 @@ def test_records_unchanged(case):
         records.append(record)
     payload = json.dumps(records, sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_RECORDS[case]
+
+
+#: A ``count`` snapshot written before the kernel chain bound its
+#: arguments once and dropped its Fenwick tree: k = 3, n = 300, seed 11,
+#: tracking g3, taken after ``advance(2_000)``.
+PINNED_COUNT_STATE = Path(__file__).parent / "data" / "count-k3-n300-seed11-at2000.state"
+#: SHA-256 of the straight run's record (``elapsed`` stripped).
+PINNED_COUNT_RECORD = "3f8a10835290c804e39726637716ab8b35844fa107e3d0147195cead748ee846"
+
+
+@pytest.mark.parametrize("backend", ["auto", "python"])
+def test_pinned_count_snapshot_resumes_to_the_straight_run(monkeypatch, backend):
+    monkeypatch.setenv("REPRO_KERNEL", backend)
+    reset_kernels()
+    try:
+        session = CountBasedEngine().start(
+            uniform_k_partition(3), 300, seed=0, track_state="g3"
+        )
+        session.restore(PINNED_COUNT_STATE.read_bytes())
+        assert session.interactions >= 2_000
+        session.advance()
+        record = session.result().to_record()
+    finally:
+        monkeypatch.undo()
+        reset_kernels()
+    del record["elapsed"]
+    payload = json.dumps(record, sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_COUNT_RECORD

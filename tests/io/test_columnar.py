@@ -150,6 +150,65 @@ class TestWriterContract:
             assert w.append_keyed("job-2", [{"a": 3}])
         assert [r["a"] for r in ColumnStore(path).iter_rows()] == [1, 2, 3]
 
+    @pytest.mark.parametrize("rows", [1, 5, 11])
+    def test_one_manifest_write_per_keyed_append(self, tmp_path, monkeypatch, rows):
+        from repro.io import columnar
+
+        writes = []
+        real_replace = columnar.os.replace
+        monkeypatch.setattr(
+            columnar.os, "replace",
+            lambda src, dst: (writes.append(dst), real_replace(src, dst)),
+        )
+        with ShardWriter(tmp_path / "store", name="t", shard_rows=4) as w:
+            writes.clear()
+            for job in range(3):
+                w.append_keyed(f"job-{job}", [{"a": i} for i in range(rows)])
+            assert len(writes) == 3  # however many shards a batch spans
+            w.append_keyed("job-0", [{"a": 99}])
+            assert len(writes) == 3  # a known key writes nothing
+        store = ColumnStore(tmp_path / "store")
+        assert store.rows == 3 * rows
+
+    def test_manifest_keys_name_rows_in_its_shards(self, tmp_path, monkeypatch):
+        # Check every manifest a crash could leave behind: each key names
+        # rows in the shards it lists, and no listed row lacks its key.
+        from repro.io import columnar
+
+        path = tmp_path / "store"
+        states = []
+
+        def check():
+            store = ColumnStore(path)
+            jobs = {row["job"] for row in store.iter_rows()}
+            assert jobs == set(store.keys)
+            states.append(store.rows)
+
+        real_replace = columnar.os.replace
+        monkeypatch.setattr(
+            columnar.os, "replace",
+            lambda src, dst: (real_replace(src, dst), check()),
+        )
+        writer = ShardWriter(path, name="t", shard_rows=3)
+        for job, rows in (("job-a", 4), ("job-b", 2), ("job-c", 7)):
+            writer.append_keyed(job, [{"job": job, "i": i} for i in range(rows)])
+        assert states == [0, 4, 6, 13]
+
+        # A crash before the publishing replace leaves the last published
+        # state, and a resumed writer overwrites the unpublished shards.
+        def crash(src, dst):
+            raise OSError("killed before the manifest replace")
+
+        monkeypatch.setattr(columnar.os, "replace", crash)
+        with pytest.raises(OSError, match="killed"):
+            writer.append_keyed("job-d", [{"job": "job-d", "i": i} for i in range(5)])
+        monkeypatch.setattr(columnar.os, "replace", real_replace)
+        assert ColumnStore(path).rows == 13
+        with ShardWriter(path) as w:
+            assert w.append_keyed("job-d", [{"job": "job-d", "i": i} for i in range(5)])
+        check()
+        assert ColumnStore(path).rows == 18
+
     def test_rejects_non_scalar_cells(self, tmp_path):
         with ShardWriter(tmp_path / "store", name="t") as w:
             with pytest.raises(ColumnarError, match="scalar"):

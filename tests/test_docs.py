@@ -317,3 +317,45 @@ class TestSourceDocstrings:
             if command not in scripts
         ]
         assert not bad, bad
+
+
+class TestCiInstalls:
+    """Every CI install gives the job what the package declares: a
+    clean runner cannot import ``repro`` or collect the suite without
+    the runtime requirements and the ``test`` extra."""
+
+    @staticmethod
+    def declared() -> tuple[set[str], set[str]]:
+        import configparser
+
+        cfg = configparser.ConfigParser()
+        cfg.read(ROOT / "setup.cfg")
+
+        def names(value: str) -> set[str]:
+            return {
+                re.split(r"[<>=!~\[ ]", line.strip())[0].lower()
+                for line in value.splitlines()
+                if line.strip()
+            }
+
+        return (
+            names(cfg["options"]["install_requires"]),
+            names(cfg["options.extras_require"]["test"]),
+        )
+
+    def test_every_pip_install_covers_declared_dependencies(self):
+        runtime, test = self.declared()
+        assert {"numpy", "scipy", "networkx"} <= runtime and "hypothesis" in test
+        lines = re.findall(
+            r"pip install (.+)$", (ROOT / ".github/workflows/ci.yml").read_text(),
+            flags=re.M,
+        )
+        installs = [line for line in lines if line.split() != ["--upgrade", "pip"]]
+        assert installs
+        for line in installs:
+            args = [arg.strip("\"'") for arg in line.split() if arg != "-e"]
+            if ".[test]" in args:
+                continue
+            named = {re.split(r"[<>=!~\[]", arg)[0].lower() for arg in args}
+            missing = (runtime | test) - named
+            assert not missing, f"`pip install {line}` misses {sorted(missing)}"

@@ -110,3 +110,27 @@ class TestSubpackages:
                 obj = getattr(mod, name)
                 if callable(obj):
                     assert obj.__doc__, f"{module}.{name} lacks a docstring"
+
+
+class TestImportFloor:
+    def test_entry_points_load_no_scipy_or_networkx(self):
+        """scipy and networkx load only in the functions that use them,
+        so starting a campaign, the experiment CLI or the session
+        daemon pays for neither."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import sys\n"
+            "import repro, repro.campaign, repro.experiments.cli, repro.sessiond.cli\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
