@@ -1,6 +1,7 @@
-"""Simulation engines: reference agent-based, the one pair-loop session
-(``batch``; ``batch-jit`` is the same engine under a second name, and
-``graph`` swaps in an edge sampler for graph-restricted schedulers),
+"""Simulation engines: the one pair-loop session (``batch``;
+``batch-jit`` is the same engine under a second name, ``graph`` swaps
+in an edge sampler for graph-restricted schedulers, and ``agent`` draws
+its pairs from any scheduler object),
 the count-based jump-chain engine with null-interaction skipping
 (``count-jit`` is the same engine under a second name), the ensemble
 engine that vectorizes the jump chain across replicates, and the

@@ -1,21 +1,19 @@
-"""Reference agent-level engine.
+"""Agent-level engine with a pluggable scheduler.
 
-Keeps an explicit per-agent state array, asks a
-:class:`~repro.scheduling.base.Scheduler` for interaction pairs, and
-applies the compiled transition table one interaction at a time.  This
+Keeps an explicit per-agent state array and asks a
+:class:`~repro.scheduling.base.Scheduler` for interaction pairs.  This
 is the engine that supports *arbitrary* schedulers (graph-restricted,
 weighted, sticky, round-robin); the batch and count engines are
-specialized to the uniform scheduler.
+specialized to the uniform scheduler, and the graph engine to random
+edge draws.
 
-The inner loop follows the optimization guidance for Python hot loops:
-pairs are pre-sampled in NumPy blocks, and the per-interaction body
-works on plain Python lists and ints (list indexing beats NumPy scalar
-indexing by ~5x for this access pattern).
-
-The loop lives in :class:`AgentBasedSession` (an
-:class:`~repro.engine.session.EngineSession` stepper); snapshots carry
-the scheduler's mutable state (RNG, position — via
-:meth:`~repro.scheduling.base.Scheduler.capture_state`, sharing the
+:class:`AgentBasedSession` is a :class:`~repro.engine.batch.BatchSession`
+whose pair sampler is the scheduler's ``next_block``: it runs the one
+pair loop, the compiled ``pair_block`` kernel whenever that loop can,
+on every scheduler.  Only construction (explicit per-agent
+``initial_states``, the scheduler) and the snapshot payload are its
+own.  Snapshots carry the scheduler's mutable state (RNG, position —
+via :meth:`~repro.scheduling.base.Scheduler.capture_state`, sharing the
 immutable graph/pair structure) plus the unconsumed remainder of the
 current pair block, so a sliced run consumes the exact random stream of
 a straight-through run.
@@ -30,10 +28,10 @@ import numpy as np
 from ..core.errors import SimulationError
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike
-from ..scheduling.base import Scheduler
+from ..scheduling.base import PairBlock, Scheduler
 from ..scheduling.uniform import UniformScheduler
 from .base import Engine, StepCallback
-from .session import PAIR_BLOCK, EngineSession
+from .batch import BatchSession
 
 __all__ = ["AgentBasedEngine", "AgentBasedSession"]
 
@@ -41,8 +39,8 @@ __all__ = ["AgentBasedEngine", "AgentBasedSession"]
 SchedulerFactory = Callable[[int, np.random.Generator], Scheduler]
 
 
-class AgentBasedSession(EngineSession):
-    """Stepper for :class:`AgentBasedEngine`: agent array + scheduler."""
+class AgentBasedSession(BatchSession):
+    """The pair-loop session with pairs from a scheduler object."""
 
     def __init__(
         self,
@@ -73,7 +71,7 @@ class AgentBasedSession(EngineSession):
         else:
             states = None
         super().__init__(
-            engine.name,
+            engine,
             protocol,
             n,
             seed=seed,
@@ -82,110 +80,15 @@ class AgentBasedSession(EngineSession):
             track_state=track_state,
             on_effective=on_effective,
         )
-        if states is None:
-            states = []
-            for idx, c in enumerate(self.counts):
-                states.extend([idx] * c)
-        self._states: list[int] = states
+        if states is not None:
+            self._states = states
         if engine._factory is None:
             self._scheduler = UniformScheduler(self._n, self._rng)
         else:
             self._scheduler = engine._factory(self._n, self._rng)
-        compiled = protocol.compiled
-        self._S = compiled.num_states
-        self._dflat = compiled.delta_list
-        self._classes = compiled.classes
-        self._pred = protocol.stability_predicate(self._n)
-        # Unconsumed tail of the current pre-sampled pair block.
-        self._buf_a: list[int] = []
-        self._buf_b: list[int] = []
-        self._pos = 0
 
-    # ------------------------------------------------------------------
-    # Stepper
-    # ------------------------------------------------------------------
-    def _silent_now(self) -> bool:
-        counts = self.counts
-        return all(cls.weight(counts) == 0 for cls in self._classes)
-
-    def _is_stable(self) -> bool:
-        return self._pred(self.counts) if self._pred is not None else self._silent_now()
-
-    def _advance_inner(self, target: int) -> None:
-        counts = self.counts
-        states = self._states
-        S = self._S
-        dflat = self._dflat
-        pred = self._pred
-        classes = self._classes
-        scheduler = self._scheduler
-        track = self._track
-        on_effective = self._on_effective
-        budget = self._budget
-        interactions = self.interactions
-        effective = self.effective
-        milestones = self.milestones
-        high_water = self._high_water
-        buf_a = self._buf_a
-        buf_b = self._buf_b
-        pos = self._pos
-
-        def silent() -> bool:
-            return all(cls.weight(counts) == 0 for cls in classes)
-
-        def is_stable() -> bool:
-            return pred(counts) if pred is not None else silent()
-
-        converged = is_stable()
-        while not converged and interactions < target:
-            if pos >= len(buf_a):
-                # Refill exactly as the monolithic loop did: block-sized
-                # draws clipped by the *run* budget, never the slice
-                # target — slicing must not change the random stream.
-                take = min(PAIR_BLOCK, budget - interactions)
-                a_arr, b_arr = scheduler.next_block(take)
-                buf_a = a_arr.tolist()
-                buf_b = b_arr.tolist()
-                pos = 0
-            end = min(len(buf_a), pos + (target - interactions))
-            seg_a = buf_a[pos:end]
-            seg_b = buf_b[pos:end]
-            before = interactions
-            for a, b in zip(seg_a, seg_b):
-                interactions += 1
-                p = states[a]
-                q = states[b]
-                pq = p * S + q
-                out = dflat[pq]
-                if out == pq:
-                    continue
-                p2, q2 = divmod(out, S)
-                states[a] = p2
-                states[b] = q2
-                counts[p] -= 1
-                counts[q] -= 1
-                counts[p2] += 1
-                counts[q2] += 1
-                effective += 1
-                if track is not None:
-                    cur = counts[track]
-                    while high_water < cur:
-                        high_water += 1
-                        milestones.append(interactions)
-                if on_effective is not None:
-                    on_effective(interactions, counts)
-                if is_stable():
-                    converged = True
-                    break
-            pos += interactions - before
-
-        self._buf_a = buf_a
-        self._buf_b = buf_b
-        self._pos = pos
-        self.interactions = interactions
-        self.effective = effective
-        self._high_water = high_water
-        self._converged = converged
+    def _sample_pairs(self, take: int) -> PairBlock:
+        return self._scheduler.next_block(take)
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -217,26 +120,6 @@ class AgentBasedSession(EngineSession):
         self._buf_b = list(extra["buf_b"])
         self._pos = 0
 
-    # ------------------------------------------------------------------
-    # Driven execution
-    # ------------------------------------------------------------------
-    def apply_scheduled(self, a: int, b: int, p: int, q: int) -> bool:
-        states = self._states
-        S = self._S
-        pq = states[a] * S + states[b]
-        out = self._dflat[pq]
-        if out == pq:
-            return False
-        p2, q2 = divmod(out, S)
-        counts = self.counts
-        counts[states[a]] -= 1
-        counts[states[b]] -= 1
-        counts[p2] += 1
-        counts[q2] += 1
-        states[a] = p2
-        states[b] = q2
-        return True
-
 
 class AgentBasedEngine(Engine):
     """Agent-array engine with pluggable schedulers.
@@ -246,9 +129,10 @@ class AgentBasedEngine(Engine):
     scheduler_factory:
         ``(n, rng) -> Scheduler``; defaults to the paper's uniform
         random scheduler.  The scheduler is asked for
-        :data:`~repro.engine.session.PAIR_BLOCK` pairs at a time, as
-        the batch sessions draw them, so both engines consume identical
-        random streams for the same seed.
+        :data:`~repro.engine.session.PAIR_BLOCK` pairs at a time by the
+        batch sessions' pair loop, so with the uniform scheduler
+        ``agent`` and ``batch`` consume identical random streams for
+        the same seed.
     """
 
     name = "agent"

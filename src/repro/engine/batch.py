@@ -1,30 +1,33 @@
-"""Batched uniform-scheduler engine: the one pair-loop session.
+"""The one pair-loop session: block pair sampling over an agent array.
 
-Semantically identical to
-:class:`~repro.engine.agent_based.AgentBasedEngine` with the uniform
-scheduler, but without the scheduler object and with the loop body
-kept free of any indirection.  Both draw
-:data:`~repro.engine.session.PAIR_BLOCK` pairs per refill through
-:func:`~repro.scheduling.uniform.uniform_pairs`, so for the same seed
-this engine consumes exactly the same random stream as the agent-based
-engine and therefore reproduces the *identical* execution — the test
-suite uses that for cross-validation.
+:class:`BatchSession` is the only pair-draw/apply loop of the
+agent-level engines.  ``batch`` and ``batch-jit`` (the same engine
+under a second name) run it on the uniform scheduler, ``graph``
+(:mod:`~repro.engine.graph_batch`) swaps its pair sampler for a random
+edge draw, and ``agent`` (:mod:`~repro.engine.agent_based`) swaps it
+for any :class:`~repro.scheduling.base.Scheduler`'s ``next_block``.
+Every one of them draws :data:`~repro.engine.session.PAIR_BLOCK` pairs
+per refill, so ``batch`` and ``agent`` with the uniform scheduler (both
+call :func:`~repro.scheduling.uniform.uniform_pairs`) reproduce the
+*identical* execution for the same seed.
 
-Use this engine for moderate workloads where per-interaction fidelity
-matters (e.g. recording callbacks at exact interaction indices); use
-the count-based engine when only counts and totals matter.
+Use these engines when per-interaction fidelity matters (e.g.
+recording callbacks at exact interaction indices) or the scheduler is
+not uniform; use the count-based engine when only counts and totals
+matter.
 
-:class:`BatchSession` is the only pair-draw/apply loop.  ``batch``,
-``batch-jit`` (the same engine under a second name) and ``graph``
-(:mod:`~repro.engine.graph_batch`, which swaps the pair sampler) all
-run it.  It runs the compiled ``pair_block`` kernel of
+The session runs the compiled ``pair_block`` kernel of
 :mod:`repro.engine.kernels` when a native backend is present, no
 ``on_effective`` callback is set and any stability predicate has a
 :class:`~repro.core.protocol.StabilitySignature`; otherwise it runs
-its Python loop, which the kernel matches bit for bit.  Snapshots
-carry the RNG state and the unconsumed tail of the current pair block
-(see :mod:`repro.engine.session` for the bit-identity discipline), so
-they move freely between the two loops.
+its Python loop, which the kernel matches bit for bit.  Neither loop
+carries class weights between advances: the Python loop tests
+stability with the protocol's predicate, or silence with a scan of the
+class weights, and the kernel recomputes the weights from the counts
+each time it is entered.  Snapshots carry the RNG state and the
+unconsumed tail of the current pair block (see
+:mod:`repro.engine.session` for the bit-identity discipline), so they
+move freely between the two loops.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ _BUF_A, _BUF_B, _N_BUF = (
 
 
 class BatchSession(EngineSession):
-    """Stepper for :class:`BatchEngine`: block uniform pair sampling
-    plus incrementally maintained total active weight."""
+    """Stepper for :class:`BatchEngine`: an agent array stepped through
+    blocks of pairs drawn by :meth:`_sample_pairs`."""
 
     def __init__(
         self,
@@ -87,57 +90,32 @@ class BatchSession(EngineSession):
         self._S = compiled.num_states
         self._dflat = compiled.delta_list
         self._classes = compiled.classes
-        self._state_classes = compiled.state_classes
         self._pred = protocol.stability_predicate(self._n)
         states: list[int] = []
         for idx, c in enumerate(self.counts):
             states.extend([idx] * c)
         self._states = states
-        self._init_weights()
         # Unconsumed tail of the current pre-sampled pair block.
         self._buf_a: list[int] = []
         self._buf_b: list[int] = []
         self._pos = 0
 
-    def _init_weights(self) -> None:
-        # Total active weight, maintained incrementally: after each
-        # effective interaction only the classes sharing a touched state
-        # are refreshed, so the silence test is an O(1) comparison
-        # instead of a rescan of every class.
-        self._weights = [cls.weight(self.counts) for cls in self._classes]
-        self._W = sum(self._weights)
-        # pq rule key -> indices of classes whose weight the rule can
-        # change (lazily cached; the reachable rule set is small).
-        self._dirty_by_pq: dict[int, list[int]] = {}
-
-    def _dirty(self, pq: int) -> list[int]:
-        """Classes whose weight the effective rule ``pq`` can change."""
-        dirty = self._dirty_by_pq.get(pq)
-        if dirty is None:
-            S = self._S
-            p, q = divmod(pq, S)
-            p2, q2 = divmod(self._dflat[pq], S)
-            touched: set[int] = set()
-            for s in (p, q, p2, q2):
-                touched.update(self._state_classes[s])
-            dirty = sorted(touched)
-            self._dirty_by_pq[pq] = dirty
-        return dirty
-
     # ------------------------------------------------------------------
     # Stepper
     # ------------------------------------------------------------------
     def _silent_now(self) -> bool:
-        return self._W == 0
+        counts = self.counts
+        return all(cls.weight(counts) == 0 for cls in self._classes)
 
     def _sample_pairs(self, take: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw the next ``take`` scheduled pairs from ``self._rng``.
 
         A method (rather than a call inline in the loop) so subclasses
-        can swap the pair distribution — the graph engine draws edges —
-        while inheriting the whole advance/snapshot/driven machinery,
-        and the kernel, unchanged.  Called once per block refill, so the
-        indirection costs nothing measurable.
+        can swap the pair distribution — the graph engine draws edges,
+        the agent engine asks its scheduler — while inheriting the whole
+        advance/snapshot/driven machinery, and the kernel, unchanged.
+        Called once per block refill, so the indirection costs nothing
+        measurable.
         """
         return uniform_pairs(self._rng, self._n, take)
 
@@ -159,14 +137,20 @@ class BatchSession(EngineSession):
         if arrays is None or not kernels.native:
             return None
         in1, in2, _, _, same, mult, _, _, sig_off, sig_idx, sig_want = arrays
-        # Dirty-class CSR over every rule key pq (rows empty for nulls).
+        # Dirty-class CSR over every rule key pq: the classes whose
+        # weight an effective rule can change, those sharing one of its
+        # four states (rows empty for nulls).
         S = self._S
         dflat = self._dflat
+        state_classes = self._protocol.compiled.state_classes
         pq_off = np.zeros(S * S + 1, dtype=np.int64)
         pq_idx: list[int] = []
-        for pq in range(S * S):
-            if dflat[pq] != pq:
-                pq_idx.extend(self._dirty(pq))
+        for pq, out in enumerate(dflat):
+            if out != pq:
+                touched: set[int] = set()
+                for s in (*divmod(pq, S), *divmod(out, S)):
+                    touched.update(state_classes[s])
+                pq_idx.extend(sorted(touched))
             pq_off[pq + 1] = len(pq_idx)
         tables = {
             "dflat": np.asarray(dflat, dtype=np.int64),
@@ -188,10 +172,7 @@ class BatchSession(EngineSession):
         S = self._S
         dflat = self._dflat
         pred = self._pred
-        classes = self._classes
-        weights = self._weights
-        W_active = self._W
-        dirty_by_pq = self._dirty_by_pq
+        silent = self._silent_now
         sample_pairs = self._sample_pairs
         track = self._track
         on_effective = self._on_effective
@@ -205,11 +186,13 @@ class BatchSession(EngineSession):
         pos = self._pos
 
         def is_stable() -> bool:
-            return pred(counts) if pred is not None else W_active == 0
+            return pred(counts) if pred is not None else silent()
 
         converged = is_stable()
         while not converged and interactions < target:
             if pos >= len(buf_a):
+                # Block-sized draws clipped by the *run* budget, never
+                # the slice target: slicing must not change the stream.
                 take = min(PAIR_BLOCK, budget - interactions)
                 a_arr, b_arr = sample_pairs(take)
                 buf_a = a_arr.tolist()
@@ -235,13 +218,6 @@ class BatchSession(EngineSession):
                 counts[p2] += 1
                 counts[q2] += 1
                 effective += 1
-                dirty = dirty_by_pq.get(pq)
-                if dirty is None:
-                    dirty = self._dirty(pq)
-                for j in dirty:
-                    w = classes[j].weight(counts)
-                    W_active += w - weights[j]
-                    weights[j] = w
                 if track is not None:
                     cur = counts[track]
                     while high_water < cur:
@@ -257,7 +233,6 @@ class BatchSession(EngineSession):
         self._buf_a = buf_a
         self._buf_b = buf_b
         self._pos = pos
-        self._W = W_active
         self.interactions = interactions
         self.effective = effective
         self._high_water = high_water
@@ -266,14 +241,22 @@ class BatchSession(EngineSession):
     def _advance_kernel(
         self, pair_block, tables: dict, addrs: dict, target: int
     ) -> None:
-        """:meth:`_advance_inner` through the compiled kernel."""
+        """:meth:`_advance_inner` through the compiled kernel.
+
+        The kernel keeps the class weights up to date internally for its
+        silence test; they are a pure function of the counts, so each
+        advance computes them afresh and the session keeps none.
+        """
+        counts_list = self.counts
+        weights = np.asarray(
+            [cls.weight(counts_list) for cls in self._classes], dtype=np.int64
+        )
         states = np.asarray(self._states, dtype=np.int64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        weights = np.asarray(self._weights, dtype=np.int64)
+        counts = np.asarray(counts_list, dtype=np.int64)
         buf_a = np.asarray(self._buf_a, dtype=np.int64)
         buf_b = np.asarray(self._buf_b, dtype=np.int64)
         reg = np.asarray(
-            [self._pos, self.interactions, self.effective, self._W,
+            [self._pos, self.interactions, self.effective, int(weights.sum()),
              self._high_water, 0],
             dtype=np.int64,
         )
@@ -317,13 +300,11 @@ class BatchSession(EngineSession):
 
         self._states = states.tolist()
         self.counts[:] = counts.tolist()
-        self._weights = weights.tolist()
         self._buf_a = buf_a.tolist()
         self._buf_b = buf_b.tolist()
         self._pos = int(reg[0])
         self.interactions = int(reg[1])
         self.effective = int(reg[2])
-        self._W = int(reg[3])
         self._high_water = int(reg[4])
         self._converged = status == KERNEL_CONVERGED
 
@@ -346,9 +327,6 @@ class BatchSession(EngineSession):
         self._buf_a = list(extra["buf_a"])
         self._buf_b = list(extra["buf_b"])
         self._pos = 0
-        # Weights are a pure function of the counts: recompute instead
-        # of shipping them (integer arithmetic, so exactly identical).
-        self._init_weights()
 
     # ------------------------------------------------------------------
     # Driven execution
@@ -370,18 +348,14 @@ class BatchSession(EngineSession):
         counts[q2] += 1
         states[a] = p2
         states[b] = q2
-        for j in self._dirty(pq):
-            w = self._classes[j].weight(counts)
-            self._W += w - self._weights[j]
-            self._weights[j] = w
         return True
 
     def audit(self) -> str | None:
-        true_w = self._protocol.compiled.total_active_weight(
-            np.asarray(self.counts, dtype=np.int64)
-        )
-        if self._W != true_w:
-            return f"incremental active weight {self._W} != recomputed {true_w}"
+        derived = [0] * self._S
+        for s in self._states:
+            derived[s] += 1
+        if derived != list(self.counts):
+            return f"agent states tally {derived} != counts {list(self.counts)}"
         return None
 
 

@@ -1,21 +1,20 @@
 """Batched engine for graph-restricted schedulers.
 
-:class:`~repro.engine.agent_based.AgentBasedEngine` is the only engine
-that accepts arbitrary schedulers, but it pays scheduler-object call
-overhead per block and Python-object pair assembly per draw.  For the
-*graph-restricted* schedulers that overhead is unnecessary: a graph
-schedule is just "uniform random row of a fixed ``(E, 2)`` int64 edge
-array, randomly oriented", which vectorizes exactly like the batch
-engine's uniform draw.
+:class:`~repro.engine.agent_based.AgentBasedEngine` accepts arbitrary
+schedulers through a scheduler object.  A *graph-restricted* schedule
+needs none: it is just "uniform random row of a fixed ``(E, 2)`` int64
+edge array, randomly oriented", a function of the spec and ``n``, so
+this engine takes the spec itself and pins its name in every
+snapshot.
 
-:class:`GraphBatchSession` is therefore a
+:class:`GraphBatchSession` is a
 :class:`~repro.engine.batch.BatchSession` with one method swapped — the
 pair sampler — inheriting the pair loop (the compiled ``pair_block``
 kernel when it can run, which refills its buffers through this
-sampler, else the Python loop), the incremental active-weight silence
-check, snapshot/restore with pre-drawn block tails, and driven
-execution.  With the kernel, ``graph`` beats ``agent`` on the
-graph-bipartition schedules (see ``docs/performance.md``).  The sampler
+sampler, else the Python loop), the silence scan, snapshot/restore
+with pre-drawn block tails, and driven execution.  ``agent`` on a
+graph scheduler runs the same loop and the same kernel, so the two
+cost about the same (see ``docs/performance.md``).  The sampler
 and :meth:`~repro.scheduling.graph.GraphScheduler.next_block` both call
 :func:`~repro.scheduling.graph.edge_pairs` on
 :data:`~repro.engine.session.PAIR_BLOCK`-sized refills, so for the same
@@ -23,7 +22,7 @@ seed this engine reproduces the agent engine + GraphScheduler execution
 **bit for bit** — the conformance suite pins that equivalence the same
 way it pins batch-vs-agent on the complete graph.
 
-Silence caveat (shared with the agent engine): the active-weight test
+Silence caveat (shared with the agent engine): the class-weight scan
 counts interacting pairs over the *complete* graph, so it is
 conservative on restricted topologies — weight zero still implies truly
 silent, but a configuration whose only enabled pairs are non-adjacent

@@ -98,13 +98,14 @@ def engine_for_scheduler(
     untouched.  Otherwise the scheduler constrains which engines can
     execute it:
 
-    * ``graph:*`` — the ``"graph"`` engine runs it at batch speed (and
-      is what a bare engine name of ``"graph"`` or ``None`` resolves
-      to); ``"agent"`` runs it through an explicit
-      :class:`~repro.scheduling.graph.GraphScheduler` (the lockstep
-      reference the conformance differ compares against).
-    * ``roundrobin`` — agent-array only, so the ``"agent"`` engine is
-      required (and is the default).
+    * ``graph:*`` — the ``"graph"`` engine draws random edges from the
+      spec's edge array (and is what a bare engine name of ``"graph"``
+      or ``None`` resolves to); ``"agent"`` draws them through an
+      explicit :class:`~repro.scheduling.graph.GraphScheduler`.  Both
+      run the one pair loop, compiled kernel included, and reproduce
+      each other's execution bit for bit.
+    * ``roundrobin`` — only a scheduler object can run it, so the
+      ``"agent"`` engine is required (and is the default).
 
     Engine *instances* are passed through only when already compatible.
     """

@@ -261,7 +261,8 @@ class ShardWriter:
 
         The vectorized ingestion path: a million synthetic rows arrive
         as a handful of arrays, chunked internally so the buffer never
-        exceeds ``shard_rows``.
+        exceeds ``shard_rows``.  Buffered columns the call does not name
+        get missing cells, as :meth:`append_row` gives them.
         """
         if not columns:
             return
@@ -278,13 +279,18 @@ class ShardWriter:
         offset = 0
         while offset < total:
             take = min(self.shard_rows - self._buffered, total - offset)
-            for name, values in lists.items():
-                vals, tags = self._column_buffer(name)
-                chunk = values[offset:offset + take]
-                vals.extend(chunk)
-                tags.extend(
-                    _TAG_NONE if v is None else _TAG_VALUE for v in chunk
-                )
+            for name in lists:
+                self._column_buffer(name)
+            for name, (vals, tags) in self._buffer.items():
+                if name in lists:
+                    chunk = lists[name][offset:offset + take]
+                    vals.extend(chunk)
+                    tags.extend(
+                        _TAG_NONE if v is None else _TAG_VALUE for v in chunk
+                    )
+                else:
+                    vals.extend([None] * take)
+                    tags.extend([_TAG_MISSING] * take)
             self._buffered += take
             self.max_buffered = max(self.max_buffered, self._buffered)
             offset += take
@@ -364,6 +370,11 @@ class ShardWriter:
         arrays: dict[str, np.ndarray] = {}
         shard_columns: dict[str, str] = {}
         for name, (vals, tags) in self._buffer.items():
+            if len(vals) != self._buffered or len(tags) != self._buffered:
+                raise ColumnarError(
+                    f"column {name!r} holds {len(vals)} cells, but the "
+                    f"shard has {self._buffered} rows"
+                )
             kind, arr, tag_arr = _encode_column(vals, tags)
             shard_columns[name] = kind
             arrays[f"v::{name}"] = arr

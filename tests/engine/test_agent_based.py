@@ -1,12 +1,21 @@
-"""Tests for the reference agent-based engine."""
+"""Tests for the agent-based engine."""
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import SimulationError
-from repro.engine import AgentBasedEngine
+from repro.engine import (
+    AgentBasedEngine,
+    SessionState,
+    engine_for_scheduler,
+    reset_kernels,
+)
 from repro.protocols import uniform_k_partition
 
 
@@ -204,3 +213,40 @@ class TestSnapshotUnderSchedulers:
         # resumed run replays the identical deterministic schedule.
         assert r.interactions == whole.interactions
         assert np.array_equal(r.final_counts, whole.final_counts)
+
+
+#: An ``agent`` snapshot written while the agent engine still ran its
+#: own pair loop: k = 3, n = 40, round-robin scheduler, seed 11,
+#: ``max_interactions=20_000``, tracking g3, taken after ``advance(700)``
+#: — mid-block, so ``scheduler_state`` carries the sweep position and
+#: the payload a pair-block tail.
+PINNED_AGENT_STATE = (
+    Path(__file__).parent / "data" / "agent-roundrobin-k3-n40-seed11-at700.state"
+)
+#: SHA-256 of the straight run's record (``elapsed`` stripped).
+PINNED_AGENT_RECORD = "49645f9d2f3dc5f65e952f1b4ad8c93d2a79a3a633f329d9cbe5eabaf40c988c"
+
+
+@pytest.mark.parametrize("backend", ["auto", "python"])
+def test_pinned_round_robin_snapshot_resumes_to_the_straight_run(
+    monkeypatch, backend
+):
+    monkeypatch.setenv("REPRO_KERNEL", backend)
+    reset_kernels()
+    try:
+        session = engine_for_scheduler("agent", "roundrobin").start(
+            uniform_k_partition(3), 40, seed=0, max_interactions=20_000,
+            track_state="g3",
+        )
+        state = SessionState.from_bytes(PINNED_AGENT_STATE.read_bytes())
+        assert state.extra["scheduler_state"]["pos"] == 976
+        session.restore(state)
+        assert session.interactions == 700
+        session.advance()
+        record = session.result().to_record()
+    finally:
+        monkeypatch.undo()
+        reset_kernels()
+    del record["elapsed"]
+    payload = json.dumps(record, sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == PINNED_AGENT_RECORD

@@ -3,10 +3,10 @@
 The compiled kernels consume the same pre-drawn random buffers the
 pure-Python loops draw, so a kernel run must be *bit-identical* to the
 Python loop — same counts, interaction totals, milestones, convergence
-flags.  ``count`` (the jump chain) and ``batch``, ``batch-jit`` and
-``graph`` (the one pair loop) run the kernel on a native backend and
-their Python loops under ``REPRO_KERNEL=python``, so the pins compare
-the two backends.  These tests cover seeds, protocols, schedulers,
+flags.  ``count`` (the jump chain) and ``batch``, ``batch-jit``,
+``graph`` and ``agent`` (the one pair loop, on any scheduler) run the
+kernel on a native backend and their Python loops under
+``REPRO_KERNEL=python``, so the pins compare the two backends.  These tests cover seeds, protocols, schedulers,
 slicing, snapshots moved between the loops, budget exhaustion, and the
 forced pure-Python fallback, so the suite passes with no native
 toolchain at all.
@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    AgentBasedEngine,
     BatchEngine,
     CountBasedEngine,
     GraphBatchEngine,
@@ -36,6 +37,7 @@ from repro.engine import (
     JitCountEngine,
     KernelBuildError,
     SessionState,
+    engine_for_scheduler,
     get_kernels,
     reset_kernels,
     run_trials,
@@ -469,12 +471,15 @@ class TestChainTables:
 
 #: The pair-loop engines and the schedules they run here: ``batch`` and
 #: its second name on the uniform scheduler, ``graph`` on two
-#: graph-restricted ones.
+#: graph-restricted ones, and ``agent`` through scheduler objects.
 PAIR_ENGINES = {
     "batch": BatchEngine,
     "batch-jit": JitBatchEngine,
     "graph:cycle": lambda: GraphBatchEngine("graph:cycle"),
     "graph:regular:4": lambda: GraphBatchEngine("graph:regular:4"),
+    "agent": AgentBasedEngine,
+    "agent:roundrobin": lambda: engine_for_scheduler("agent", "roundrobin"),
+    "agent:graph:cycle": lambda: engine_for_scheduler("agent", "graph:cycle"),
 }
 GRAPH_PROTO = graph_bipartition()
 
@@ -482,7 +487,7 @@ GRAPH_PROTO = graph_bipartition()
 def _pair_case(engine: str):
     """``(engine, protocol, n, track)`` of one pair-loop case; the batch
     tier simulates every null interaction, so n stays small."""
-    if engine.startswith("graph:"):
+    if "graph:" in engine:
         return PAIR_ENGINES[engine](), GRAPH_PROTO, 60, "g1"
     proto, _, track = PROTOCOLS["k3"]
     return PAIR_ENGINES[engine](), proto, 72, track
@@ -495,8 +500,8 @@ def _ran_kernel(session) -> bool:
 
 
 class TestBatchTierIdentity:
-    """``batch``, ``batch-jit`` and ``graph`` run the compiled pair loop
-    on a native backend and the Python loop under
+    """``batch``, ``batch-jit``, ``graph`` and ``agent`` run the compiled
+    pair loop on a native backend and the Python loop under
     ``REPRO_KERNEL=python``; the two must agree bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
@@ -504,7 +509,7 @@ class TestBatchTierIdentity:
     def test_bit_identical_to_batch_tier(self, monkeypatch, name, seed):
         proto, n, track = PROTOCOLS[name]
         n = min(n, 72)  # the batch tier simulates every null interaction
-        for engine in ("batch", "batch-jit"):
+        for engine in ("batch", "batch-jit", "agent"):
             runs = {}
             for backend in ("python", "auto"):
                 with _backend(monkeypatch, backend):

@@ -219,6 +219,25 @@ class TestWriterContract:
             with pytest.raises(ColumnarError, match="equal-length"):
                 w.append_arrays(a=[1, 2], b=[1])
 
+    def test_append_arrays_pads_columns_it_does_not_name(self, tmp_path):
+        # A buffered column the call leaves out gets missing cells, so
+        # every column of the shard has one cell per row.
+        with ShardWriter(tmp_path / "store", name="t", shard_rows=3) as w:
+            w.append(a=1, b=2)
+            w.append_arrays(a=[3, 4, 5])
+            w.append(b=6)
+        rows = list(ColumnStore(tmp_path / "store").iter_rows())
+        assert rows == [{"a": 1, "b": 2}, {"a": 3}, {"a": 4}, {"a": 5}, {"b": 6}]
+
+    def test_flush_refuses_a_short_column(self, tmp_path):
+        w = ShardWriter(tmp_path / "store", name="t")
+        w.append(a=1, b=2)
+        w._buffer["b"][0].pop()
+        w._buffer["b"][1].pop()
+        with pytest.raises(ColumnarError, match="'b' holds 0 cells"):
+            w.flush()
+        assert ColumnStore(tmp_path / "store").rows == 0
+
     def test_flush_on_kill_leaves_readable_store(self, tmp_path):
         path = tmp_path / "store"
         writer = ShardWriter(path, name="t", shard_rows=2)
