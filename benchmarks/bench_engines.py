@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import AgentBasedEngine, BatchEngine, CountBasedEngine, HybridEngine
+from repro.engine import build_engine
 from repro.protocols import uniform_k_partition
 
 PROTOCOL = uniform_k_partition(4)
 N = 240
 
 
-@pytest.mark.parametrize(
-    "engine",
-    [AgentBasedEngine(), BatchEngine(), CountBasedEngine(), HybridEngine()],
-    ids=["agent", "batch", "count", "hybrid"],
-)
-def test_engine_throughput(benchmark, engine):
+@pytest.mark.parametrize("name", ["agent", "batch", "count", "hybrid"])
+def test_engine_throughput(benchmark, name):
+    engine = build_engine(name)
     # Consume a seed per round so rounds are i.i.d. executions.
     state = {"seed": 0}
 
@@ -43,7 +40,7 @@ def test_count_engine_large_instance(benchmark):
 
     def run_once():
         state["seed"] += 1
-        return CountBasedEngine().run(proto, 960, seed=state["seed"])
+        return build_engine("count").run(proto, 960, seed=state["seed"])
 
     result = benchmark(run_once)
     assert result.converged

@@ -43,9 +43,8 @@ from repro.core.rng import spawn_seed_sequences
 from repro.engine import (
     CountBasedEngine,
     EnsembleEngine,
-    JitBatchEngine,
-    JitCountEngine,
     ParallelEnsembleEngine,
+    build_engine,
     get_kernels,
     reset_kernels,
 )
@@ -191,7 +190,7 @@ def test_kernel_tier_vs_count(k, n, trials):
         )
     kernels = get_kernels()
     jit_per_trial = _seconds_per_trial(
-        JitCountEngine(), protocol, n, seed=2026, trials=trials
+        build_engine("count-jit"), protocol, n, seed=2026, trials=trials
     )
     speedup = python_per_trial / jit_per_trial
     _record(
@@ -231,7 +230,7 @@ def test_batch_kernel_tier(k=3, n=120):
     with _python_loop():
         python_per_trial = seconds_per_trial(BatchEngine())
     kernels = get_kernels()
-    jit_per_trial = seconds_per_trial(JitBatchEngine())
+    jit_per_trial = seconds_per_trial(build_engine("batch-jit"))
     _record(
         f"batch_kernel_k{k}_n{n}",
         {

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Engine cross-validation and the null-skipping payoff.
 
-The library ships three engines implementing the same uniform-scheduler
-semantics.  This demo (1) shows the agent and batch engines producing
-the *identical* execution from the same seed, (2) KS-tests the count
-engine's distributional equivalence, and (3) measures where the
-count engine's closed-form null skipping starts to win.
+Every engine is built by its registry name (``build_engine``), and all
+of them implement the same uniform-scheduler semantics.  This demo (1)
+shows ``agent`` and ``batch`` — one pair-loop engine under two names —
+producing the *identical* execution from the same seed, (2) KS-tests
+the count engine's distributional equivalence, and (3) measures where
+the count engine's closed-form null skipping starts to win.
 
 Run:  python examples/engine_comparison.py
 """
@@ -17,15 +18,17 @@ import time
 import numpy as np
 from scipy import stats
 
-from repro import AgentBasedEngine, BatchEngine, CountBasedEngine, uniform_k_partition
+from repro import build_engine, uniform_k_partition
 
 
 def main() -> None:
     protocol = uniform_k_partition(4)
+    batch = build_engine("batch")
+    count = build_engine("count")
 
     print("=== 1. agent vs batch: exact twin executions ===\n")
-    a = AgentBasedEngine().run(protocol, 50, seed=123)
-    b = BatchEngine().run(protocol, 50, seed=123)
+    a = build_engine("agent").run(protocol, 50, seed=123)
+    b = batch.run(protocol, 50, seed=123)
     print(f"  agent: {a.interactions} interactions, finals {a.final_counts.tolist()}")
     print(f"  batch: {b.interactions} interactions, finals {b.final_counts.tolist()}")
     assert a.interactions == b.interactions
@@ -35,10 +38,10 @@ def main() -> None:
     print("=== 2. count engine: same law, different path ===\n")
     trials = 150
     batch_counts = np.array(
-        [BatchEngine().run(protocol, 20, seed=i).interactions for i in range(trials)]
+        [batch.run(protocol, 20, seed=i).interactions for i in range(trials)]
     )
     count_counts = np.array(
-        [CountBasedEngine().run(protocol, 20, seed=10_000 + i).interactions for i in range(trials)]
+        [count.run(protocol, 20, seed=10_000 + i).interactions for i in range(trials)]
     )
     ks = stats.ks_2samp(batch_counts, count_counts)
     print(f"  batch mean: {batch_counts.mean():8.1f}   count mean: {count_counts.mean():8.1f}")
@@ -49,10 +52,10 @@ def main() -> None:
     print(f"  {'n':>5}  {'batch (s)':>10}  {'count (s)':>10}  {'speedup':>8}  {'eff. frac':>9}")
     for n in (60, 120, 240, 480, 960):
         t0 = time.perf_counter()
-        rb = BatchEngine().run(protocol, n, seed=1)
+        rb = batch.run(protocol, n, seed=1)
         t_batch = time.perf_counter() - t0
         t0 = time.perf_counter()
-        rc = CountBasedEngine().run(protocol, n, seed=1)
+        rc = count.run(protocol, n, seed=1)
         t_count = time.perf_counter() - t0
         frac = rc.effective_interactions / rc.interactions
         print(

@@ -48,7 +48,6 @@ from .core import (
     TransitionTable,
 )
 from .engine import (
-    AgentBasedEngine,
     BatchEngine,
     CountBasedEngine,
     EnsembleEngine,
@@ -109,7 +108,6 @@ __all__ = [
     "build_protocol",
     "available_protocols",
     # engines
-    "AgentBasedEngine",
     "BatchEngine",
     "CountBasedEngine",
     "EnsembleEngine",

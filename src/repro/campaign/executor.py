@@ -23,6 +23,7 @@ SQLite, so pooled jobs checkpoint only at job granularity.
 
 from __future__ import annotations
 
+import json
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -343,12 +344,14 @@ def _commit_success(
         # Keyed by digest: a retried or resumed drain re-commits the
         # same job without duplicating its trial rows in the shards.
         sink.append_keyed(digest, trial_sink_rows(spec, payload))
+    # One encoding serves the trial cache and the job row.
+    record = json.dumps(payload["record"])
     if payload.get("trial_key"):
-        store.trial_cache(tenant).put(payload["trial_key"], payload["record"])
+        store.trial_cache(tenant).put(payload["trial_key"], record)
     store.mark_done(
         digest,
         summary=payload["summary"],
-        record=payload["record"],
+        record=record,
         wall_time=payload["wall_time"],
         tenant=tenant,
     )

@@ -92,7 +92,9 @@ class JobSpec:
                 f"got {self.scheduler!r} (digests must be stable)"
             )
         if not spec.is_uniform:
-            allowed = ("agent",) if spec.kind == "roundrobin" else ("agent", "graph")
+            from ..engine.registry import scheduler_engines
+
+            allowed = scheduler_engines(spec.kind)
             if self.engine not in allowed:
                 raise CampaignError(
                     f"scheduler {self.scheduler!r} needs engine "

@@ -217,6 +217,12 @@ def _insert_trials(
     )
 
 
+def _record_text(record: dict | str) -> str:
+    """A record's JSON text; text already encoded passes through, so a
+    caller writing one record to two tables encodes it once."""
+    return record if isinstance(record, str) else json.dumps(record)
+
+
 def _migrate_v2_to_v3(conn: sqlite3.Connection) -> None:
     """Split every v2 ``completed`` list into per-trial rows.
 
@@ -318,12 +324,13 @@ class StoreTrialCache:
         self.hits += 1
         return json.loads(row["record"])
 
-    def put(self, key: str, record: dict) -> None:
+    def put(self, key: str, record: dict | str) -> None:
+        """Store ``record`` (a dict, or its JSON text) under ``key``."""
         with self._store._write() as conn:
             conn.execute(
                 "INSERT OR REPLACE INTO trial_cache "
                 "(tenant, key, record, created_at) VALUES (?, ?, ?, ?)",
-                (self.tenant, key, json.dumps(record), time.time()),
+                (self.tenant, key, _record_text(record), time.time()),
             )
 
 
@@ -462,10 +469,12 @@ class CampaignStore(WalStore):
         digest: str,
         *,
         summary: dict,
-        record: dict,
+        record: dict | str,
         wall_time: float,
         tenant: str = DEFAULT_TENANT,
     ) -> None:
+        """Finish a job; ``record`` is the trial-set record or its JSON
+        text."""
         with self._write() as conn:
             conn.execute(
                 "UPDATE jobs SET status = 'done', summary = ?, record = ?, "
@@ -473,7 +482,7 @@ class CampaignStore(WalStore):
                 "git_rev = ?, package_version = ? WHERE tenant = ? AND digest = ?",
                 (
                     json.dumps(summary),
-                    json.dumps(record),
+                    _record_text(record),
                     wall_time,
                     time.time(),
                     git_rev(),

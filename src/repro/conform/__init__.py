@@ -14,7 +14,8 @@ This subsystem makes the agreement *checkable* instead of hoped-for:
   interaction schedules recorded from it, replayable and
   JSON-serializable (the minimal-reproducer format);
 * :mod:`repro.conform.differ` — the drivable engine paths
-  (:data:`ENGINE_PATHS`, started by :func:`start_driven`) and a
+  (:data:`ENGINE_PATHS`, one per distinct execution; every name in
+  :data:`DRIVEABLE_ENGINES` is started by :func:`start_driven`) and a
   lockstep differential executor that replays one schedule through
   each engine's own transition-application data path and diffs the
   count vectors step by step, dumping a reproducer via
@@ -32,7 +33,13 @@ CLI: ``repro-experiments conform {diff,fuzz,check}``; see
 ``docs/conformance.md``.
 """
 
-from .differ import ENGINE_PATHS, DiffReport, Divergence, run_differential
+from .differ import (
+    DRIVEABLE_ENGINES,
+    ENGINE_PATHS,
+    DiffReport,
+    Divergence,
+    run_differential,
+)
 from .fuzzer import FuzzCase, FuzzFinding, default_corpus, run_fuzz
 from .invariants import (
     ConformanceMonitor,
@@ -45,6 +52,7 @@ from .runtime import active_conformance, check_result, use_conformance
 from .schedule import InteractionSchedule, ReferenceInterpreter, record_schedule
 
 __all__ = [
+    "DRIVEABLE_ENGINES",
     "ENGINE_PATHS",
     "Invariant",
     "invariant_pack",

@@ -2,14 +2,12 @@
 
 The engine paths agree *in law* but not bit-for-bit: the count, hybrid
 and ensemble engines consume randomness as a jump chain, so seeding
-them identically to the agent engines cannot line trajectories up.
-What they all share is the transition-application data path — scalar
-``delta_list`` lookups (agent), ``delta_flat`` with incremental active
-weights (batch), interaction classes with Fenwick-indexed weights
-(count), the batch-to-count hand-off (hybrid), the vectorized
-class/weight matrices (ensemble), and the sessions behind the
-``-jit`` names (count-jit, batch-jit), which share the class tables
-and flat transition arrays the compiled kernels consume.  The differ replays one recorded
+them identically to the agent-level engine cannot line trajectories
+up.  What they all share is the transition-application data path — the
+agent array and ``delta_list`` lookups of the one pair loop (batch),
+interaction classes with Fenwick-indexed weights (count), the
+batch-to-count hand-off (hybrid) and the vectorized class/weight
+matrices (ensemble).  The differ replays one recorded
 :class:`~repro.conform.schedule.InteractionSchedule` through the
 **real engine sessions** — every engine's
 :meth:`~repro.engine.session.EngineSession.apply_scheduled` pushes one
@@ -53,43 +51,43 @@ __all__ = [
     "run_differential",
     "start_driven",
     "write_reproducer",
+    "DRIVEABLE_ENGINES",
     "ENGINE_PATHS",
 ]
 
-#: Engine data paths a schedule can drive, in canonical order: the
-#: differ's default set and the engines of driven sessiond sessions.
-#: ``ensemble-parallel`` has no path of its own — its data path is the
-#: ensemble engine's, shard by shard.  The kernel tiers drive the same
-#: class tables and flat transition arrays their compiled kernels
+#: Engine data paths a schedule can drive, each distinct execution
+#: once, in canonical order: the differ's default set.  ``batch`` is
+#: the one agent-level pair loop (``agent``, ``batch-jit`` and
+#: ``graph`` drive the same session: driven application samples no
+#: pairs), and ``count`` the jump chain (``count-jit`` is the same
+#: engine); ``ensemble-parallel`` has no path of its own — its data path
+#: is the ensemble engine's, shard by shard.  The kernel tiers drive the
+#: same class tables and flat transition arrays their compiled kernels
 #: consume.
-ENGINE_PATHS = (
-    "agent",
-    "batch",
-    "count",
-    "hybrid",
-    "ensemble",
-    "count-jit",
-    "batch-jit",
-    "graph",
-)
+ENGINE_PATHS = ("batch", "count", "hybrid", "ensemble")
+
+#: Every name :func:`start_driven` accepts: the paths above and the
+#: registry names that build one of them under another name.
+DRIVEABLE_ENGINES = (*ENGINE_PATHS, "agent", "batch-jit", "graph", "count-jit")
 
 
 def start_driven(
     engine: str, protocol: Protocol, initial_counts: Sequence[int]
 ) -> EngineSession:
-    """A session of engine path ``engine``, ready for ``apply_scheduled``.
+    """A session of engine ``engine`` (any of :data:`DRIVEABLE_ENGINES`),
+    ready for ``apply_scheduled``.
 
     The ensemble engine is pinned to its pure vectorized path
     (``finish_threshold=0``): its scalar-finisher hand-off does not
     accept external schedules.  Driven sessions never sample pairs, so
-    the graph path's topology is irrelevant and the complete graph
+    the graph name's topology is irrelevant and the complete graph
     stands in, and the seed is irrelevant because driven application
     consumes no engine randomness.
     """
-    if engine not in ENGINE_PATHS:
+    if engine not in DRIVEABLE_ENGINES:
         raise SimulationError(
             f"engine {engine!r} does not support driven execution; "
-            f"choose from {list(ENGINE_PATHS)}"
+            f"choose from {list(DRIVEABLE_ENGINES)}"
         )
     built = (
         EnsembleEngine(finish_threshold=0)
@@ -266,7 +264,8 @@ def run_differential(
         this is how the (protocol, fairness, graph) grid reaches every
         engine data path.  Ignored when ``schedule`` is supplied.
     engines:
-        Engine paths to replicate, default all of :data:`ENGINE_PATHS`.
+        Engine names to replicate (any of :data:`DRIVEABLE_ENGINES`),
+        default all of :data:`ENGINE_PATHS`.
     check_invariants:
         Also enforce the protocol's invariant pack on the oracle
         trajectory (every effective step plus the endpoints).
@@ -319,10 +318,10 @@ def run_differential(
         )
 
     names = engines if engines is not None else list(ENGINE_PATHS)
-    unknown = [e for e in names if e not in ENGINE_PATHS]
+    unknown = [e for e in names if e not in DRIVEABLE_ENGINES]
     if unknown:
         raise SimulationError(
-            f"unknown engine path(s) {unknown}; choose from {list(ENGINE_PATHS)}"
+            f"unknown engine path(s) {unknown}; choose from {list(DRIVEABLE_ENGINES)}"
         )
 
     counts0 = schedule.initial_counts

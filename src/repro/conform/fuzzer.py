@@ -7,7 +7,7 @@ checks:
 1. **differential** — record a schedule and replay it through every
    engine data path (:func:`~repro.conform.differ.run_differential`),
    with the invariant pack enforced on the oracle trajectory;
-2. **scheduler sweep** — run the agent engine under the case's
+2. **scheduler sweep** — run the ``agent`` engine under the case's
    scheduler with a :class:`~repro.conform.invariants.ConformanceMonitor`
    attached: the paper's invariants are properties of *reachable
    configurations* and must hold under any scheduler, fair or not
@@ -34,7 +34,7 @@ from collections.abc import Callable, Sequence
 
 from ..core.errors import InvariantViolation, SchedulerError
 from ..core.protocol import Protocol
-from ..engine.agent_based import AgentBasedEngine
+from ..engine.batch import BatchEngine
 from ..engine.registry import build_engine
 from ..protocols.registry import build_protocol
 from ..scheduling.adversarial import RoundRobinScheduler, StickyScheduler
@@ -214,7 +214,7 @@ def _fuzz_one(
     factory = SCHEDULERS[case.scheduler]
     monitor = ConformanceMonitor(invariant_pack(protocol, case.n))
     try:
-        AgentBasedEngine(scheduler_factory=factory).run(
+        BatchEngine(factory, name="agent").run(
             protocol,
             case.n,
             seed=case.seed,
@@ -231,10 +231,11 @@ def _fuzz_one(
         )
 
     # 3. Cross-engine output agreement (uniform scheduler only — the
-    # jump-chain engines require it).
+    # jump-chain engines require it).  One name per distinct execution:
+    # ``agent`` on the uniform scheduler is the ``batch`` run.
     if case.deterministic_output and case.scheduler == "uniform":
         outputs: dict[str, tuple[int, ...]] = {}
-        for engine_name in ("agent", "batch", "count", "hybrid", "ensemble"):
+        for engine_name in ("batch", "count", "hybrid", "ensemble"):
             result = build_engine(engine_name).run(
                 protocol,
                 case.n,
@@ -255,55 +256,6 @@ def _fuzz_one(
                 )
             )
 
-    # 4. Agent-vs-graph bit-identity (graph schedulers only).  The
-    # graph engine documents draw-for-draw equivalence with the agent
-    # engine under a GraphScheduler built from the same spec — not a
-    # distributional claim but an exact one, so any drift in either
-    # sampling path is a finding.
-    if diff_scheduler is not None and diff_scheduler.kind == "graph":
-        from ..engine.graph_batch import GraphBatchEngine
-
-        spec = diff_scheduler
-        kwargs = dict(
-            seed=case.seed, max_interactions=case.max_interactions
-        )
-        agent_result = AgentBasedEngine(scheduler_factory=spec.build).run(
-            protocol, case.n, **kwargs
-        )
-        graph_result = GraphBatchEngine(spec).run(protocol, case.n, **kwargs)
-        mismatches = [
-            f"{field_name}: agent={a!r} graph={g!r}"
-            for field_name, a, g in (
-                (
-                    "final_counts",
-                    [int(x) for x in agent_result.final_counts],
-                    [int(x) for x in graph_result.final_counts],
-                ),
-                (
-                    "interactions",
-                    agent_result.interactions,
-                    graph_result.interactions,
-                ),
-                (
-                    "effective_interactions",
-                    agent_result.effective_interactions,
-                    graph_result.effective_interactions,
-                ),
-                ("converged", agent_result.converged, graph_result.converged),
-            )
-            if a != g
-        ]
-        if mismatches:
-            findings.append(
-                FuzzFinding(
-                    case=case,
-                    kind="engine-split",
-                    detail=(
-                        "agent+GraphScheduler and graph engine are not "
-                        "bit-identical: " + "; ".join(mismatches)
-                    ),
-                )
-            )
     return findings
 
 

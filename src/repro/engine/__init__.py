@@ -1,8 +1,7 @@
-"""Simulation engines: the one pair-loop session (``batch``;
-``batch-jit`` is the same engine under a second name, ``graph`` swaps
-in an edge sampler for graph-restricted schedulers, and ``agent`` draws
-its pairs from any scheduler object),
-the count-based jump-chain engine with null-interaction skipping
+"""Simulation engines: the one agent-level pair-loop engine (``batch``;
+``agent``, ``batch-jit`` and ``graph`` are the same engine under other
+names, its pairs drawn by whatever scheduler it is given), the
+count-based jump-chain engine with null-interaction skipping
 (``count-jit`` is the same engine under a second name), the ensemble
 engine that vectorizes the jump chain across replicates, and the
 process-parallel sharded ensemble tier (``ensemble-parallel``).  The
@@ -13,14 +12,11 @@ Each engine is a stepper factory: ``Engine.start`` returns a resumable
 :class:`EngineSession` (advance/snapshot/restore/result) and
 ``Engine.run`` drives a fresh session to completion in one call."""
 
-from .agent_based import AgentBasedEngine
 from .base import Engine, SimulationResult, StepCallback
 from .batch import BatchEngine
 from .count_based import CountBasedEngine
 from .ensemble import EnsembleEngine
-from .graph_batch import GraphBatchEngine, GraphBatchSession
 from .hybrid import HybridEngine
-from .jit import JitBatchEngine, JitCountEngine
 from .kernels import KernelBuildError, KernelSet, get_kernels, reset_kernels
 from .parallel import ParallelEnsembleEngine, ShardedEnsembleSession
 from .metrics import TimeSeriesRecorder, aggregate_milestones
@@ -49,15 +45,10 @@ __all__ = [
     "EngineSession",
     "SessionState",
     "SessionStatus",
-    "AgentBasedEngine",
     "BatchEngine",
     "CountBasedEngine",
     "EnsembleEngine",
-    "GraphBatchEngine",
-    "GraphBatchSession",
     "HybridEngine",
-    "JitCountEngine",
-    "JitBatchEngine",
     "ParallelEnsembleEngine",
     "ShardedEnsembleSession",
     "KernelSet",

@@ -8,17 +8,19 @@ executions pick two agents uniformly at random whether or not their
 meeting changes anything.
 
 Nine registry names implement the same semantics at different speed/
-generality trade-offs (``batch-jit`` and ``count-jit`` are ``batch`` and
-``count`` under second names):
+generality trade-offs.  ``agent``, ``batch``, ``batch-jit`` and
+``graph`` are one engine, :class:`~repro.engine.batch.BatchEngine`,
+under four names that differ only in the schedulers they accept, and
+``count-jit`` is ``count`` under a second name:
 
 =================  =======================  =================================
 engine             scheduler support        cost model
 =================  =======================  =================================
-agent              any :class:`Scheduler`   O(1) per interaction (reference)
-batch              uniform only             O(1) per interaction, tightest
+agent              any scheduler            O(1) per interaction, tightest
                                             loop (compiled when possible)
-graph              ``graph:*`` only         the batch loop over an edge array
-count              uniform only             O(#rules) per *effective*
+batch, batch-jit   uniform only             the same loop
+graph              ``graph:*`` only         the same loop over an edge array
+count, count-jit   uniform only             O(#rules) per *effective*
                                             interaction; null interactions
                                             are skipped in closed form
 hybrid             uniform only             batch early, count late

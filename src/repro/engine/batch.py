@@ -1,19 +1,33 @@
-"""The one pair-loop session: block pair sampling over an agent array.
+"""The one agent-level engine: block pair sampling over an agent array.
 
-:class:`BatchSession` is the only pair-draw/apply loop of the
-agent-level engines.  ``batch`` and ``batch-jit`` (the same engine
-under a second name) run it on the uniform scheduler, ``graph``
-(:mod:`~repro.engine.graph_batch`) swaps its pair sampler for a random
-edge draw, and ``agent`` (:mod:`~repro.engine.agent_based`) swaps it
-for any :class:`~repro.scheduling.base.Scheduler`'s ``next_block``.
-Every one of them draws :data:`~repro.engine.session.PAIR_BLOCK` pairs
-per refill, so ``batch`` and ``agent`` with the uniform scheduler (both
-call :func:`~repro.scheduling.uniform.uniform_pairs`) reproduce the
-*identical* execution for the same seed.
+:class:`BatchEngine` is the only agent-level engine, and
+:class:`BatchSession` its only pair-draw/apply loop.  The registry
+names ``agent``, ``batch``, ``batch-jit`` and ``graph`` each build it
+under their own name (so records, JobSpec digests and trial-cache keys
+recorded under any of them stay valid); they differ only in the
+scheduler they run by default and the scheduler kinds they accept (see
+:data:`SCHEDULER_KINDS`).
 
-Use these engines when per-interaction fidelity matters (e.g.
-recording callbacks at exact interaction indices) or the scheduler is
-not uniform; use the count-based engine when only counts and totals
+The session picks its pair source once, at start, from the engine's
+scheduler:
+
+* ``uniform`` — :func:`~repro.scheduling.uniform.uniform_pairs` on the
+  session RNG;
+* ``graph:*`` — :func:`~repro.scheduling.graph.edge_pairs` on the
+  session RNG over the spec's ``(E, 2)`` edge array, which the engine
+  builds once per population size and shares across trials;
+* ``roundrobin``, or an ``(n, rng) -> Scheduler`` factory — the
+  scheduler's ``next_block``.
+
+Every source is asked for :data:`~repro.engine.session.PAIR_BLOCK`
+pairs per refill, and :class:`~repro.scheduling.uniform.UniformScheduler`
+and :class:`~repro.scheduling.graph.GraphScheduler` draw through the
+same two functions, so a factory building either of them reproduces
+the named scheduler's execution bit for bit.
+
+Use this engine when per-interaction fidelity matters (e.g. recording
+callbacks at exact interaction indices) or the scheduler is not
+uniform; use the count-based engine when only counts and totals
 matter.
 
 The session runs the compiled ``pair_block`` kernel of
@@ -24,21 +38,33 @@ its Python loop, which the kernel matches bit for bit.  Neither loop
 carries class weights between advances: the Python loop tests
 stability with the protocol's predicate, or silence with a scan of the
 class weights, and the kernel recomputes the weights from the counts
-each time it is entered.  Snapshots carry the RNG state and the
-unconsumed tail of the current pair block (see
-:mod:`repro.engine.session` for the bit-identity discipline), so they
-move freely between the two loops.
+each time it is entered.  Snapshots carry the RNG state (or a
+scheduler object's mutable state) and the unconsumed tail of the
+current pair block (see :mod:`repro.engine.session` for the
+bit-identity discipline), so they move freely between the two loops.
+
+Silence caveat on restricted topologies: the class-weight scan counts
+interacting pairs over the *complete* graph, so it is conservative
+there — weight zero still implies truly silent, but a configuration
+whose only enabled pairs are non-adjacent keeps running until the
+budget.  Protocols aimed at restricted graphs (e.g.
+``graph-bipartition``) terminate via their stability predicate
+instead, which is exact.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from functools import cached_property
+from collections.abc import Callable, Sequence
+from functools import cached_property, partial
 
 import numpy as np
 
+from ..core.errors import SimulationError
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike
+from ..scheduling.base import PairBlock, Scheduler
+from ..scheduling.graph import edge_pairs
+from ..scheduling.spec import SchedulerSpec
 from ..scheduling.uniform import uniform_pairs
 from .base import Engine, StepCallback
 from .count_based import ChainTables
@@ -52,17 +78,31 @@ from .kernels import (
 )
 from .session import PAIR_BLOCK, EngineSession
 
-__all__ = ["BatchEngine", "BatchSession"]
+__all__ = ["BatchEngine", "BatchSession", "SCHEDULER_KINDS", "SchedulerFactory"]
+
+#: Builds a scheduler for a population of n agents from the session RNG.
+SchedulerFactory = Callable[[int, np.random.Generator], Scheduler]
 
 #: Positions of the pair-block arguments a refill rebinds.
 _BUF_A, _BUF_B, _N_BUF = (
     arg_slot("pair_block", name) for name in ("buf_a", "buf_b", "n_buf")
 )
 
+#: The scheduler kinds each registry name of this engine accepts; every
+#: other engine name runs only the uniform scheduler.  The first name
+#: that accepts a non-uniform kind is the default engine for it.
+SCHEDULER_KINDS: dict[str, tuple[str, ...]] = {
+    "graph": ("graph",),
+    "agent": ("uniform", "roundrobin", "graph"),
+    "batch": ("uniform",),
+    "batch-jit": ("uniform",),
+}
+
 
 class BatchSession(EngineSession):
     """Stepper for :class:`BatchEngine`: an agent array stepped through
-    blocks of pairs drawn by :meth:`_sample_pairs`."""
+    blocks of pairs drawn by ``_sample_pairs``, the pair source chosen
+    at start."""
 
     def __init__(
         self,
@@ -72,10 +112,25 @@ class BatchSession(EngineSession):
         *,
         seed: SeedLike,
         initial_counts: Sequence[int] | np.ndarray | None,
+        initial_states: Sequence[str] | Sequence[int] | None,
         max_interactions: int | None,
         track_state: str | int | None,
         on_effective: StepCallback | None,
     ) -> None:
+        states: list[int] | None = None
+        if initial_states is not None:
+            if initial_counts is not None:
+                raise SimulationError(
+                    "pass either initial_counts or initial_states, not both"
+                )
+            space = protocol.space
+            states = [
+                space.index(s) if isinstance(s, str) else int(s)
+                for s in initial_states
+            ]
+            initial_counts = np.bincount(
+                np.asarray(states, dtype=np.int64), minlength=protocol.num_states
+            )
         super().__init__(
             engine.name,
             protocol,
@@ -91,14 +146,36 @@ class BatchSession(EngineSession):
         self._dflat = compiled.delta_list
         self._classes = compiled.classes
         self._pred = protocol.stability_predicate(self._n)
-        states: list[int] = []
-        for idx, c in enumerate(self.counts):
-            states.extend([idx] * c)
+        if states is None:
+            states = []
+            for idx, c in enumerate(self.counts):
+                states.extend([idx] * c)
         self._states = states
         # Unconsumed tail of the current pre-sampled pair block.
         self._buf_a: list[int] = []
         self._buf_b: list[int] = []
         self._pos = 0
+        # The pair source, fixed for the session's lifetime.  The
+        # uniform and edge draws close over self._rng, so restore sets
+        # its state in place; a scheduler object restores its own.
+        spec = engine.spec
+        self._scheduler_name = None if spec is None else spec.name
+        self._scheduler: Scheduler | None = None
+        self._sample_pairs: Callable[[int], PairBlock]
+        if spec is None or spec.kind == "roundrobin":
+            factory = engine.scheduler_factory if spec is None else spec.build
+            self._scheduler = factory(self._n, self._rng)
+            self._sample_pairs = self._scheduler.next_block
+        elif spec.kind == "graph":
+            # The edge array is looked up per refill and built on the
+            # first (once per engine and n): a driven session, which
+            # never draws, builds no graph.
+            edge_array = engine.edge_array
+            self._sample_pairs = lambda take: edge_pairs(
+                self._rng, edge_array(self._n), take
+            )
+        else:
+            self._sample_pairs = partial(uniform_pairs, self._rng, self._n)
 
     # ------------------------------------------------------------------
     # Stepper
@@ -106,18 +183,6 @@ class BatchSession(EngineSession):
     def _silent_now(self) -> bool:
         counts = self.counts
         return all(cls.weight(counts) == 0 for cls in self._classes)
-
-    def _sample_pairs(self, take: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw the next ``take`` scheduled pairs from ``self._rng``.
-
-        A method (rather than a call inline in the loop) so subclasses
-        can swap the pair distribution — the graph engine draws edges,
-        the agent engine asks its scheduler — while inheriting the whole
-        advance/snapshot/driven machinery, and the kernel, unchanged.
-        Called once per block refill, so the indirection costs nothing
-        measurable.
-        """
-        return uniform_pairs(self._rng, self._n, take)
 
     @cached_property
     def _pair_kernel(self) -> tuple | None:
@@ -312,18 +377,39 @@ class BatchSession(EngineSession):
     # Snapshot / restore
     # ------------------------------------------------------------------
     def _capture(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "states": list(self._states),
-            "rng": self._rng_state(self._rng),
-            "buf_a": self._buf_a[self._pos:],
-            "buf_b": self._buf_b[self._pos:],
-        }
+        extra: dict = {"counts": list(self.counts), "states": list(self._states)}
+        if self._scheduler is not None:
+            # Only the scheduler's *mutable* state: its immutable
+            # structure stays shared with the live scheduler.
+            extra["scheduler_state"] = self._scheduler.capture_state()
+        else:
+            extra["rng"] = self._rng_state(self._rng)
+        extra["buf_a"] = self._buf_a[self._pos:]
+        extra["buf_b"] = self._buf_b[self._pos:]
+        if self._scheduler_name not in (None, "uniform"):
+            # Pin the topology, so a snapshot cannot be restored into a
+            # session sampling a different edge set.
+            extra["scheduler"] = self._scheduler_name
+        return extra
 
     def _restore(self, extra: dict) -> None:
+        """Adopt any payload an agent-level session has written: ``rng``
+        (uniform), ``rng`` plus the scheduler name (graph), or
+        ``scheduler_state`` (a scheduler object, including the uniform
+        and graph schedulers the ``agent`` name once ran through)."""
+        recorded = extra.get("scheduler")
+        if recorded is not None and recorded != self._scheduler_name:
+            raise SimulationError(
+                f"snapshot was taken on scheduler {recorded!r}, "
+                f"cannot restore into {self._scheduler_name!r}"
+            )
+        if self._scheduler is not None:
+            self._scheduler.restore_state(extra["scheduler_state"])
+        else:
+            rng = extra["rng"] if "rng" in extra else extra["scheduler_state"]["rng"]
+            self._rng.bit_generator.state = rng
         self.counts = list(extra["counts"])
         self._states = list(extra["states"])
-        self._rng = self._rng_from_state(extra["rng"])
         self._buf_a = list(extra["buf_a"])
         self._buf_b = list(extra["buf_b"])
         self._pos = 0
@@ -360,10 +446,58 @@ class BatchSession(EngineSession):
 
 
 class BatchEngine(Engine):
-    """Tight-loop uniform-scheduler engine with block pair sampling."""
+    """The agent-level engine: an agent array stepped through blocks of
+    scheduled pairs.
+
+    Parameters
+    ----------
+    scheduler:
+        A scheduler name (see :mod:`repro.scheduling.spec`), a parsed
+        :class:`~repro.scheduling.spec.SchedulerSpec`, or an
+        ``(n, rng) -> Scheduler`` factory called once per session with
+        the session RNG.
+    name:
+        The registry name the engine runs under, reported in every
+        result and pinned in every snapshot.  A name accepts only the
+        scheduler kinds :data:`SCHEDULER_KINDS` lists for it; a factory
+        is accepted under any name.
+    """
 
     name = "batch"
-    _session_cls: type[BatchSession] = BatchSession
+
+    def __init__(
+        self,
+        scheduler: str | SchedulerSpec | SchedulerFactory = "uniform",
+        *,
+        name: str = "batch",
+    ) -> None:
+        self.name = name
+        self.scheduler_factory: SchedulerFactory | None = None
+        self.spec: SchedulerSpec | None = None
+        if callable(scheduler):
+            self.scheduler_factory = scheduler
+        else:
+            spec = SchedulerSpec.parse(scheduler)
+            kinds = SCHEDULER_KINDS.get(name, ("uniform",))
+            if spec.kind not in kinds:
+                raise SimulationError(
+                    f"engine {name!r} cannot run scheduler {spec.name!r}; "
+                    f"it runs {' and '.join(kinds)} schedulers only"
+                )
+            self.spec = spec
+        # Edge arrays are deterministic in (spec, n): cached per n, so a
+        # multi-trial run builds each graph once.
+        self._edge_cache: dict[int, np.ndarray] = {}
+
+    def edge_array(self, n: int) -> np.ndarray:
+        """The read-only ``(E, 2)`` int64 edge array of this engine's
+        ``graph:*`` scheduler for a population of ``n``."""
+        cached = self._edge_cache.get(n)
+        if cached is None:
+            cached = self.spec.edge_array(n)
+            cached.setflags(write=False)
+            self._edge_cache[n] = cached
+        return cached
 
     def start(
         self,
@@ -372,16 +506,25 @@ class BatchEngine(Engine):
         *,
         seed: SeedLike = None,
         initial_counts: Sequence[int] | np.ndarray | None = None,
+        initial_states: Sequence[str] | Sequence[int] | None = None,
         max_interactions: int | None = None,
         track_state: str | int | None = None,
         on_effective: StepCallback | None = None,
     ) -> BatchSession:
-        return self._session_cls(
+        """See :meth:`Engine.start`.
+
+        This engine additionally accepts ``initial_states``: explicit
+        per-agent starting states (names or indices).  Agent *position*
+        is irrelevant under exchangeable schedulers but matters for
+        graph-restricted ones, where agent i sits on graph node i.
+        """
+        return BatchSession(
             self,
             protocol,
             n,
             seed=seed,
             initial_counts=initial_counts,
+            initial_states=initial_states,
             max_interactions=max_interactions,
             track_state=track_state,
             on_effective=on_effective,

@@ -1,4 +1,4 @@
-"""Kernel wrapper of the jump chain, and the ``-jit`` engine names.
+"""Kernel wrapper of the jump chain.
 
 :class:`KernelJumpChain` runs the jump chain of
 :mod:`~repro.engine.count_based` through the compiled kernels of
@@ -6,10 +6,10 @@
 :class:`~repro.engine.count_based.CountBasedSession` builds a
 ``KernelJumpChain`` whenever it can, and
 :class:`~repro.engine.batch.BatchSession` runs the compiled pair loop
-whenever it can.  ``count-jit`` and ``batch-jit`` are ``count`` and
-``batch`` under second names, kept so JobSpec digests and trial-cache
-keys stay valid.  The science is bit-identical to the Python loops by
-construction:
+whenever it can.  ``count-jit`` and ``batch-jit`` are registry names
+that build ``count`` and ``batch`` under those names, kept so JobSpec
+digests and trial-cache keys stay valid.  The science is bit-identical
+to the Python loops by construction:
 
 * kernels consume the *same* pre-drawn random buffers the Python loops
   draw (and snapshot), at the same stream positions — they never touch
@@ -49,8 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.protocol import Protocol
-from .batch import BatchEngine
-from .count_based import _RAND_BLOCK, ChainTables, CountBasedEngine, JumpChain
+from .count_based import _RAND_BLOCK, ChainTables, JumpChain
 from .kernels import (
     KERNEL_CONVERGED,
     KERNEL_EXHAUSTED,
@@ -62,11 +61,7 @@ from .kernels import (
 )
 from .sampling import FenwickWeights
 
-__all__ = [
-    "JitCountEngine",
-    "JitBatchEngine",
-    "KernelJumpChain",
-]
+__all__ = ["KernelJumpChain"]
 
 
 class KernelJumpChain(JumpChain):
@@ -215,25 +210,3 @@ class KernelJumpChain(JumpChain):
         ctx.interactions = int(reg[1])
         ctx.effective = int(reg[2])
         ctx._high_water = int(reg[4])
-
-
-class JitCountEngine(CountBasedEngine):
-    """The ``count`` engine under the name ``count-jit``.
-
-    ``count`` already runs the compiled kernel whenever it can; the name
-    is kept so results, JobSpec digests and trial-cache keys recorded
-    under it stay valid.
-    """
-
-    name = "count-jit"
-
-
-class JitBatchEngine(BatchEngine):
-    """The ``batch`` engine under the name ``batch-jit``.
-
-    ``batch`` already runs the compiled pair kernel whenever it can; the
-    name is kept so results, JobSpec digests and trial-cache keys
-    recorded under it stay valid.
-    """
-
-    name = "batch-jit"

@@ -2,7 +2,7 @@
 
 The jump-chain inner loop (:class:`~repro.engine.count_based.JumpChain`)
 and the pair-draw/apply loop (:class:`~repro.engine.batch.BatchSession`,
-which serves ``batch``, ``batch-jit`` and ``graph``) spend their time in
+which serves ``agent``, ``batch``, ``batch-jit`` and ``graph``) spend their time in
 tight integer arithmetic that pure Python executes one bytecode at a
 time.  This module provides the same two loops as *kernels* —
 allocation-free state machines over flat int64/float64 arrays,

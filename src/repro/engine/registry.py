@@ -5,23 +5,28 @@ accept either an :class:`~repro.engine.base.Engine` instance or a
 string name; this module maps names to constructors so callers can say
 ``engine="ensemble"`` without importing engine classes.  Third-party
 engines can join via :func:`register_engine`.
+
+Several names build one engine under a second name, so results, JobSpec
+digests and trial-cache keys recorded under each name stay valid:
+``agent``, ``batch``, ``batch-jit`` and ``graph`` build
+:class:`~repro.engine.batch.BatchEngine` (``graph`` on
+``graph:complete`` unless a scheduler says otherwise), and ``count-jit``
+builds :class:`~repro.engine.count_based.CountBasedEngine`.
 """
 
 from __future__ import annotations
 
 import difflib
 from collections.abc import Callable
+from functools import partial
 
 from ..core.errors import SimulationError, UnknownEngineError
 from ..scheduling.spec import SchedulerSpec
-from .agent_based import AgentBasedEngine
 from .base import Engine
-from .batch import BatchEngine
+from .batch import SCHEDULER_KINDS, BatchEngine
 from .count_based import CountBasedEngine
 from .ensemble import EnsembleEngine
-from .graph_batch import GraphBatchEngine
 from .hybrid import HybridEngine
-from .jit import JitBatchEngine, JitCountEngine
 from .parallel import ParallelEnsembleEngine
 
 __all__ = [
@@ -30,19 +35,33 @@ __all__ = [
     "engine_for_scheduler",
     "register_engine",
     "resolve_engine",
+    "scheduler_engines",
 ]
 
+
+def _count_jit() -> CountBasedEngine:
+    engine = CountBasedEngine()
+    engine.name = "count-jit"
+    return engine
+
+
 _REGISTRY: dict[str, Callable[[], Engine]] = {
-    AgentBasedEngine.name: AgentBasedEngine,
-    BatchEngine.name: BatchEngine,
+    "agent": partial(BatchEngine, name="agent"),
+    "batch": BatchEngine,
+    "batch-jit": partial(BatchEngine, name="batch-jit"),
+    "graph": partial(BatchEngine, "graph:complete", name="graph"),
     CountBasedEngine.name: CountBasedEngine,
+    "count-jit": _count_jit,
     HybridEngine.name: HybridEngine,
     EnsembleEngine.name: EnsembleEngine,
-    JitCountEngine.name: JitCountEngine,
-    JitBatchEngine.name: JitBatchEngine,
     ParallelEnsembleEngine.name: ParallelEnsembleEngine,
-    GraphBatchEngine.name: GraphBatchEngine,
 }
+
+
+def scheduler_engines(kind: str) -> tuple[str, ...]:
+    """The engine names that can run a non-uniform scheduler ``kind``,
+    the default first (every name runs ``uniform``)."""
+    return tuple(name for name, kinds in SCHEDULER_KINDS.items() if kind in kinds)
 
 
 def available_engines() -> tuple[str, ...]:
@@ -95,49 +114,43 @@ def engine_for_scheduler(
     """Resolve an engine configured for the requested scheduler.
 
     ``scheduler`` of ``None`` or ``"uniform"`` leaves the engine choice
-    untouched.  Otherwise the scheduler constrains which engines can
-    execute it:
+    untouched (each name runs its own default scheduler).  Otherwise
+    the name must accept the scheduler's kind
+    (:func:`scheduler_engines`; ``None`` picks the kind's default,
+    ``graph`` for ``graph:*`` and ``agent`` for ``roundrobin``) and a
+    :class:`~repro.engine.batch.BatchEngine` of that name and scheduler
+    is built.
 
-    * ``graph:*`` — the ``"graph"`` engine draws random edges from the
-      spec's edge array (and is what a bare engine name of ``"graph"``
-      or ``None`` resolves to); ``"agent"`` draws them through an
-      explicit :class:`~repro.scheduling.graph.GraphScheduler`.  Both
-      run the one pair loop, compiled kernel included, and reproduce
-      each other's execution bit for bit.
-    * ``roundrobin`` — only a scheduler object can run it, so the
-      ``"agent"`` engine is required (and is the default).
-
-    Engine *instances* are passed through only when already compatible.
+    A ``BatchEngine`` instance passes through when it already runs this
+    scheduler, and is rebuilt under its own name when it runs the
+    uniform scheduler and its name accepts the kind; any other instance
+    is refused.
     """
     spec = None if scheduler is None else SchedulerSpec.parse(scheduler)
     if spec is None or spec.is_uniform:
         return resolve_engine(engine, default)
-
-    if isinstance(engine, Engine):
-        if spec.kind == "graph" and isinstance(engine, GraphBatchEngine):
-            if engine.spec == spec:
-                return engine
+    allowed = scheduler_engines(spec.kind)
+    if engine is None:
+        engine = allowed[0]
+    if isinstance(engine, str):
+        if engine not in SCHEDULER_KINDS:
+            raise SimulationError(
+                f"engine {engine!r} runs only the uniform scheduler, not "
+                f"{spec.name!r}; use {' or '.join(repr(e) for e in allowed)}"
+            )
+        # Refuses a kind this name does not accept.
+        return BatchEngine(spec, name=engine)
+    if isinstance(engine, BatchEngine) and engine.spec is not None:
+        if engine.spec == spec:
+            return engine
+        if engine.spec.is_uniform and engine.name in allowed:
+            return BatchEngine(spec, name=engine.name)
+        if not engine.spec.is_uniform:
             raise SimulationError(
                 f"engine instance is configured for {engine.spec.name!r}, "
                 f"not {spec.name!r}"
             )
-        if isinstance(engine, AgentBasedEngine) and engine._factory is None:
-            return AgentBasedEngine(scheduler_factory=spec.build)
-        raise SimulationError(
-            f"engine instance {engine.name!r} cannot run scheduler {spec.name!r}; "
-            "pass an engine name instead"
-        )
-
-    name = engine if engine is not None else ("agent" if spec.kind == "roundrobin" else "graph")
-    if name == "agent":
-        return AgentBasedEngine(scheduler_factory=spec.build)
-    if name == "graph":
-        if spec.kind != "graph":
-            raise SimulationError(
-                f"the 'graph' engine needs a graph:* scheduler, got {spec.name!r}"
-            )
-        return GraphBatchEngine(spec)
     raise SimulationError(
-        f"engine {name!r} is specialized to the uniform scheduler and "
-        f"cannot run {spec.name!r}; use 'agent' or 'graph'"
+        f"engine instance {engine.name!r} cannot run scheduler {spec.name!r}; "
+        "pass an engine name instead"
     )

@@ -300,8 +300,10 @@ def run_trials(
         (``None``/``"uniform"`` = the paper's uniform scheduler).
         Non-uniform schedulers constrain the engine: ``graph:*`` runs
         on the ``"graph"`` engine (default) or ``"agent"``;
-        ``roundrobin`` requires ``"agent"``.  See
-        :func:`~repro.engine.registry.engine_for_scheduler`.
+        ``roundrobin`` requires ``"agent"``.  The engine is resolved
+        once per call (see
+        :func:`~repro.engine.registry.engine_for_scheduler`), so a
+        graph's edge array is built once and shared by every trial.
     seed:
         Master seed; per-trial streams are spawned from it.
     require_convergence:
@@ -328,8 +330,9 @@ def run_trials(
         per-trial seeds are spawned up front, scalar-engine results are
         bit-identical to the serial run regardless of worker count or
         completion order.  Requires the engine and protocol to be
-        picklable (all engines and shipped protocols are; agent-based
-        engines with lambda scheduler factories are not).
+        picklable (all engines and shipped protocols are; a
+        :class:`~repro.engine.batch.BatchEngine` built on a lambda
+        scheduler factory is not).
     """
     if trials < 1:
         raise SimulationError(f"trials must be positive, got {trials}")

@@ -61,12 +61,13 @@ SNAPSHOT_VERSION = 1
 #: Budget sentinel for unbounded runs (same value the engines used).
 _UNBOUNDED = 2**62
 
-#: Pairs drawn per refill by every pair-stepping session (``agent``,
-#: ``batch``, ``batch-jit``, ``graph`` and ``hybrid``'s first phase),
-#: clipped only by the run's interaction budget.  One value for all of
-#: them is what lets the agent engine and the batch sessions consume the
-#: identical random stream per seed; changing it changes every recorded
-#: result of those engines.
+#: Pairs drawn per refill by every pair-stepping session (the
+#: :class:`~repro.engine.batch.BatchSession` behind ``agent``,
+#: ``batch``, ``batch-jit`` and ``graph``, and ``hybrid``'s first
+#: phase), clipped only by the run's interaction budget.  One value for
+#: all of them is what lets a scheduler object and the named pair
+#: sources consume the identical random stream per seed; changing it
+#: changes every recorded result of those engines.
 PAIR_BLOCK = 4096
 
 

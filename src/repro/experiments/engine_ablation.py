@@ -14,11 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..engine.agent_based import AgentBasedEngine
-from ..engine.batch import BatchEngine
-from ..engine.count_based import CountBasedEngine
-from ..engine.ensemble import EnsembleEngine
-from ..engine.hybrid import HybridEngine
+from ..engine.registry import build_engine
 from ..engine.runner import run_trials
 from ..io.results import ResultTable
 from ..protocols.kpartition import uniform_k_partition
@@ -38,11 +34,8 @@ def run_engine_ablation(
 ) -> ResultTable:
     """Time all the engines on (k, n) workload points."""
     engines = [
-        AgentBasedEngine(),
-        BatchEngine(),
-        CountBasedEngine(),
-        HybridEngine(),
-        EnsembleEngine(),
+        build_engine(name)
+        for name in ("agent", "batch", "count", "hybrid", "ensemble")
     ]
     table = ResultTable(
         name="engine_ablation",

@@ -15,8 +15,9 @@ this class to probe robustness (the protocol still stabilizes on dense
 connected graphs, while sparse graphs slow it down).
 
 :func:`edge_pairs` is the one implementation of the random-edge draw:
-the scheduler and the ``graph`` engine's sessions both call it, so for
-one seed they consume the same random stream.
+the scheduler and the agent-level engine's sessions on a ``graph:*``
+spec both call it, so for one seed they consume the same random
+stream.
 """
 
 from __future__ import annotations

@@ -16,9 +16,14 @@ The ``@<gs>`` suffix is the *graph seed*: it selects which d-regular
 topology is drawn and is deliberately separate from the schedule seed
 (see :meth:`~repro.scheduling.graph.GraphScheduler.random_regular`),
 so the same name always denotes the same edge set.  Specs are frozen
-dataclasses, so they pickle cleanly into campaign workers, and
-:meth:`SchedulerSpec.build` has the ``(n, rng) -> Scheduler`` signature
-:class:`~repro.engine.agent_based.AgentBasedEngine` expects of a
+dataclasses, so they pickle cleanly into campaign workers.
+
+:class:`~repro.engine.batch.BatchEngine` takes a spec directly and picks
+its pair source from :attr:`SchedulerSpec.kind`: the uniform draw for
+``uniform``, the random-edge draw over :meth:`SchedulerSpec.edge_array`
+(built once per run) for ``graph``, and :meth:`SchedulerSpec.build`'s
+scheduler object for ``roundrobin``.  :meth:`SchedulerSpec.build` also
+has the ``(n, rng) -> Scheduler`` signature of a ``BatchEngine``
 scheduler factory.
 """
 
@@ -172,7 +177,8 @@ class SchedulerSpec:
 
         Uses the exact conversion :class:`GraphScheduler` applies to
         its graph, so edge *order* — and therefore the sampled pair
-        stream for a given RNG — matches the agent engine bit-for-bit.
+        stream for a given RNG — matches a ``GraphScheduler`` on
+        :meth:`build_graph` bit for bit.
         """
         return np.asarray(list(self.build_graph(n).edges), dtype=np.int64)
 

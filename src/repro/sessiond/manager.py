@@ -51,7 +51,7 @@ from ..conform.schedule import InteractionSchedule, ReferenceInterpreter
 from ..core.errors import SimulationError
 from ..core.protocol import Protocol
 from ..engine.base import Engine, SimulationResult
-from ..engine.registry import build_engine
+from ..engine.registry import engine_for_scheduler
 from ..engine.session import EngineSession, SessionStatus, protocol_fingerprint
 from ..obs.telemetry import get_telemetry
 from ..protocols.registry import build_protocol
@@ -151,7 +151,9 @@ class SessionManager:
         Config keys: ``protocol`` (registry name), ``params`` (builder
         kwargs), ``engine``, ``mode`` ("free" | "driven"), and then
         per-mode — free: ``n`` (or ``initial_counts``), ``seed``,
-        ``max_interactions``, ``track``; driven: ``schedule`` (an
+        ``max_interactions``, ``track``, ``scheduler`` (a scheduler name,
+        resolved with the engine as :func:`~repro.engine.runner.run_trials`
+        resolves it; absent means uniform); driven: ``schedule`` (an
         :meth:`InteractionSchedule.to_record` dict).  ``mutate_rule``
         (optional) corrupts one transition rule via
         :func:`~repro.conform.mutation.mutate_protocol` — the seeded-bug
@@ -203,7 +205,10 @@ class SessionManager:
         elif mode == "free":
             schedule = None
             interpreter = None
-            session = build_engine(engine_name).start(
+            engine = engine_for_scheduler(
+                engine_name, config.get("scheduler", "uniform")
+            )
+            session = engine.start(
                 protocol,
                 config.get("n"),
                 seed=config.get("seed"),

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis import InvariantViolation
 from repro.conform import ConformanceMonitor, Invariant, check_counts, invariant_pack
-from repro.engine import AgentBasedEngine, CountBasedEngine
+from repro.engine import CountBasedEngine, build_engine
 from repro.protocols import uniform_k_partition
 
 
@@ -39,7 +39,7 @@ class TestMonitor:
         """Dynamic verification of Lemma 1 (the paper proves it by
         induction; we check it on every effective step of real runs)."""
         monitor = ConformanceMonitor(lemma1_pack(proto, 20))
-        r = AgentBasedEngine().run(proto, 20, seed=0, on_effective=monitor)
+        r = build_engine("agent").run(proto, 20, seed=0, on_effective=monitor)
         assert r.converged
         # The initial configuration, then every effective step; finalize
         # is skipped because the last call already checked the end.
@@ -93,7 +93,7 @@ class TestFinalizeHook:
         # A run that ends on its budget, not on convergence: the
         # terminal configuration is checked all the same.
         monitor = ConformanceMonitor(lemma1_pack(proto, 20), every=10**9)
-        r = AgentBasedEngine().run(
+        r = build_engine("agent").run(
             proto, 20, seed=0, max_interactions=50, on_effective=monitor
         )
         assert not r.converged

@@ -40,6 +40,27 @@ class TestDrain:
         assert record["engine"] == "count-jit"
         assert all(r["converged"] for r in record["results"])
 
+    def test_record_encoded_once_for_cache_and_job_row(self, store, monkeypatch):
+        spec = make_spec()
+        store.submit(spec)
+        dumps: list[int] = []
+        real_dumps = executor_module.json.dumps
+
+        def counting(obj, *args, **kwargs):
+            if isinstance(obj, dict) and "results" in obj:
+                dumps.append(1)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(executor_module.json, "dumps", counting)
+        run_campaign(store)
+        monkeypatch.undo()
+        assert len(dumps) == 1
+        (cached,) = store._query("SELECT record FROM trial_cache").fetchall()
+        (job,) = store._query(
+            "SELECT record FROM jobs WHERE digest = ?", (spec.digest,)
+        ).fetchall()
+        assert cached["record"] == job["record"]
+
     def test_max_jobs_stops_early(self, store):
         store.submit_many([make_spec(seed=s) for s in range(4)])
         report = run_campaign(store, max_jobs=2)

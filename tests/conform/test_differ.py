@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.conform import (
+    DRIVEABLE_ENGINES,
     ENGINE_PATHS,
     invariant_pack,
     mutate_protocol,
@@ -35,7 +36,7 @@ class TestCleanReplay:
         assert report.effective_steps > 0
         assert "no divergence" in report.summary()
 
-    @pytest.mark.parametrize("engine", ENGINE_PATHS)
+    @pytest.mark.parametrize("engine", DRIVEABLE_ENGINES)
     def test_each_path_alone(self, proto, engine):
         report = run_differential(proto, 25, seed=1, engines=[engine])
         assert report.ok

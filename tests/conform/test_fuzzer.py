@@ -110,8 +110,8 @@ class TestScenarioGrid:
         assert cases  # the discriminating weak-fairness scenario
 
     def test_graph_case_engine_split_is_clean(self):
-        # Check 4: GraphBatchEngine vs agent+GraphScheduler bit-identity
-        # on a fuzzed graph case.
+        # A fuzzed graph case: the differential replay and the agent
+        # run under its GraphScheduler come back clean.
         cases = [
             FuzzCase(
                 protocol="graph-bipartition",

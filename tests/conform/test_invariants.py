@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis import InvariantViolation
 from repro.conform import ConformanceMonitor, check_counts, invariant_pack
-from repro.engine import AgentBasedEngine, CountBasedEngine
+from repro.engine import CountBasedEngine, build_engine
 from repro.protocols import (
     leader_election,
     r_generalized_partition,
@@ -106,7 +106,7 @@ class TestChecks:
 class TestConformanceMonitor:
     def test_clean_run_passes(self, proto):
         monitor = ConformanceMonitor(invariant_pack(proto, 15))
-        r = AgentBasedEngine().run(proto, 15, seed=0, on_effective=monitor)
+        r = build_engine("agent").run(proto, 15, seed=0, on_effective=monitor)
         assert r.converged
         # prime + every effective step + (finalize skipped: last call checked)
         assert monitor.checks_performed == r.effective_interactions + 1
@@ -133,7 +133,7 @@ class TestConformanceMonitor:
 
     def test_stride_still_checks_terminal(self, proto):
         monitor = ConformanceMonitor(invariant_pack(proto, 15), every=10**9)
-        r = AgentBasedEngine().run(proto, 15, seed=0, on_effective=monitor)
+        r = build_engine("agent").run(proto, 15, seed=0, on_effective=monitor)
         assert r.converged
         # prime + finalize, nothing in between.
         assert monitor.checks_performed == 2

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.conform import ConformanceMonitor, check_counts, invariant_pack
-from repro.engine import AgentBasedEngine, CountBasedEngine
+from repro.engine import BatchEngine, CountBasedEngine
 from repro.protocols import available_protocols, build_protocol
 
 #: One representative parameter point per registry protocol.  The
@@ -53,7 +53,7 @@ def _run(name, engine_cls, seed):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@pytest.mark.parametrize("engine_cls", [AgentBasedEngine, CountBasedEngine])
+@pytest.mark.parametrize("engine_cls", [BatchEngine, CountBasedEngine])
 def test_no_reachable_configuration_violates_the_pack(name, engine_cls):
     protocol, monitor, result = _run(name, engine_cls, seed=17)
     # The monitor raises on any violation; reaching here means every
@@ -64,7 +64,7 @@ def test_no_reachable_configuration_violates_the_pack(name, engine_cls):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_final_configuration_passes_stateless_pack(name):
-    protocol, _, result = _run(name, AgentBasedEngine, seed=23)
+    protocol, _, result = _run(name, BatchEngine, seed=23)
     pack = invariant_pack(protocol, CASES[name]["n"], include_stateful=False)
     assert check_counts(pack, result.final_counts) == []
 

@@ -11,7 +11,7 @@ import pytest
 from repro.conform import InteractionSchedule, ReferenceInterpreter, record_schedule
 from repro.core import SimulationError
 from repro.core.rng import ensure_generator
-from repro.engine import AgentBasedEngine
+from repro.engine import build_engine
 from repro.protocols import build_protocol, uniform_k_partition
 from repro.scheduling import SchedulerSpec, StickyScheduler
 
@@ -157,7 +157,7 @@ class TestRecording:
         # but the recorded run is a legal execution: its final counts
         # must satisfy the same stability predicate the engines use.
         sched = record_schedule(proto, 21, seed=11)
-        r = AgentBasedEngine().run(proto, 21, seed=11)
+        r = build_engine("agent").run(proto, 21, seed=11)
         assert sched.converged and r.converged
         assert sorted(proto.group_sizes(sched.final_counts)) == sorted(
             r.group_sizes

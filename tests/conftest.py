@@ -4,16 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import (
-    AgentBasedEngine,
-    BatchEngine,
-    CountBasedEngine,
-    EnsembleEngine,
-    HybridEngine,
-    JitBatchEngine,
-    JitCountEngine,
-    ParallelEnsembleEngine,
-)
+from repro.engine import build_engine
 from repro.protocols import (
     approximate_k_partition,
     approximate_majority,
@@ -74,13 +65,4 @@ def majority():
 )
 def any_engine(request):
     """Parametrizes a test over all engines."""
-    return {
-        "agent": AgentBasedEngine(),
-        "batch": BatchEngine(),
-        "count": CountBasedEngine(),
-        "hybrid": HybridEngine(),
-        "ensemble": EnsembleEngine(),
-        "count-jit": JitCountEngine(),
-        "batch-jit": JitBatchEngine(),
-        "ensemble-parallel": ParallelEnsembleEngine(),
-    }[request.param]
+    return build_engine(request.param)

@@ -11,8 +11,9 @@ import pytest
 
 from repro.core import SimulationError
 from repro.engine import (
-    AgentBasedEngine,
+    BatchEngine,
     SessionState,
+    build_engine,
     engine_for_scheduler,
     reset_kernels,
 )
@@ -26,7 +27,7 @@ def proto():
 
 class TestRun:
     def test_converges_and_partitions(self, proto):
-        r = AgentBasedEngine().run(proto, 12, seed=0)
+        r = build_engine("agent").run(proto, 12, seed=0)
         assert r.converged
         assert r.group_sizes.tolist() == [4, 4, 4]
         assert r.engine == "agent"
@@ -34,43 +35,43 @@ class TestRun:
         assert r.interactions >= r.effective_interactions > 0
 
     def test_reproducible(self, proto):
-        a = AgentBasedEngine().run(proto, 15, seed=1)
-        b = AgentBasedEngine().run(proto, 15, seed=1)
+        a = build_engine("agent").run(proto, 15, seed=1)
+        b = build_engine("agent").run(proto, 15, seed=1)
         assert a.interactions == b.interactions
         assert np.array_equal(a.final_counts, b.final_counts)
 
     def test_budget_respected(self, proto):
-        r = AgentBasedEngine().run(proto, 30, seed=2, max_interactions=5)
+        r = build_engine("agent").run(proto, 30, seed=2, max_interactions=5)
         assert not r.converged
         assert r.interactions == 5
 
     def test_budget_larger_than_need(self, proto):
-        r = AgentBasedEngine().run(proto, 9, seed=3, max_interactions=10**9)
+        r = build_engine("agent").run(proto, 9, seed=3, max_interactions=10**9)
         assert r.converged
         assert r.interactions < 10**9
 
     def test_population_conservation(self, proto):
-        r = AgentBasedEngine().run(proto, 17, seed=4)
+        r = build_engine("agent").run(proto, 17, seed=4)
         assert int(r.final_counts.sum()) == 17
 
     def test_track_state_milestones(self, proto):
-        r = AgentBasedEngine().run(proto, 12, seed=5, track_state="g3")
+        r = build_engine("agent").run(proto, 12, seed=5, track_state="g3")
         assert len(r.tracked_milestones) == 4  # floor(12/3)
         assert r.tracked_milestones == sorted(r.tracked_milestones)
         assert r.tracked_milestones[-1] <= r.interactions
 
     def test_track_state_by_index(self, proto):
         idx = proto.space.index("g3")
-        r = AgentBasedEngine().run(proto, 9, seed=6, track_state=idx)
+        r = build_engine("agent").run(proto, 9, seed=6, track_state=idx)
         assert len(r.tracked_milestones) == 3
 
     def test_track_state_bad_index(self, proto):
         with pytest.raises(SimulationError, match="out of range"):
-            AgentBasedEngine().run(proto, 9, seed=7, track_state=99)
+            build_engine("agent").run(proto, 9, seed=7, track_state=99)
 
     def test_on_effective_callback(self, proto):
         seen = []
-        AgentBasedEngine().run(
+        build_engine("agent").run(
             proto, 9, seed=8, on_effective=lambda i, c: seen.append(i)
         )
         assert seen == sorted(seen)
@@ -82,24 +83,24 @@ class TestRun:
         counts[proto.space.index("g2")] = 1
         counts[proto.space.index("g3")] = 1
         counts[proto.space.index("initial")] = 3
-        r = AgentBasedEngine().run(proto, initial_counts=counts, seed=9)
+        r = build_engine("agent").run(proto, initial_counts=counts, seed=9)
         assert r.converged
         assert r.group_sizes.tolist() == [2, 2, 2]
 
     def test_initial_counts_validation(self, proto):
         with pytest.raises(SimulationError, match="shape"):
-            AgentBasedEngine().run(proto, initial_counts=[1, 2])
+            build_engine("agent").run(proto, initial_counts=[1, 2])
         bad = np.zeros(proto.num_states, dtype=np.int64)
         bad[0] = -1
         with pytest.raises(SimulationError, match="non-negative"):
-            AgentBasedEngine().run(proto, initial_counts=bad)
+            build_engine("agent").run(proto, initial_counts=bad)
         ok = proto.initial_counts(5)
         with pytest.raises(SimulationError, match="n = 4"):
-            AgentBasedEngine().run(proto, 4, initial_counts=ok)
+            build_engine("agent").run(proto, 4, initial_counts=ok)
 
     def test_initial_states_and_counts_mutually_exclusive(self, proto):
         with pytest.raises(SimulationError, match="not both"):
-            AgentBasedEngine().run(
+            build_engine("agent").run(
                 proto,
                 initial_counts=proto.initial_counts(3),
                 initial_states=["initial"] * 3,
@@ -107,15 +108,15 @@ class TestRun:
 
     def test_requires_two_agents(self, proto):
         with pytest.raises(SimulationError, match="at least two"):
-            AgentBasedEngine().run(proto, 1)
+            build_engine("agent").run(proto, 1)
         with pytest.raises(SimulationError, match="either n or"):
-            AgentBasedEngine().run(proto)
+            build_engine("agent").run(proto)
 
     def test_already_stable_initial(self, proto):
         counts = np.zeros(proto.num_states, dtype=np.int64)
         for g in ("g1", "g2", "g3"):
             counts[proto.space.index(g)] = 2
-        r = AgentBasedEngine().run(proto, initial_counts=counts, seed=10)
+        r = build_engine("agent").run(proto, initial_counts=counts, seed=10)
         assert r.converged
         assert r.interactions == 0
         assert r.silent
@@ -123,13 +124,13 @@ class TestRun:
     def test_stable_but_not_silent_detected(self, proto):
         # n mod k == 1: the leftover free agent flips forever; the
         # engine must stop at the signature, not wait for silence.
-        r = AgentBasedEngine().run(proto, 10, seed=11)
+        r = build_engine("agent").run(proto, 10, seed=11)
         assert r.converged
         assert not r.silent
         assert r.group_sizes.tolist() == [4, 3, 3]
 
     def test_elapsed_recorded(self, proto):
-        r = AgentBasedEngine().run(proto, 9, seed=13)
+        r = build_engine("agent").run(proto, 9, seed=13)
         assert r.elapsed >= 0.0
 
 
@@ -143,8 +144,8 @@ class TestSnapshotUnderSchedulers:
         from repro.protocols import graph_bipartition
         from repro.scheduling import GraphScheduler
 
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: GraphScheduler.cycle(n, rng)
+        engine = BatchEngine(
+            lambda n, rng: GraphScheduler.cycle(n, rng), name="agent"
         )
         session = engine.start(graph_bipartition(), 10, seed=0)
         session.advance(100)
@@ -167,7 +168,7 @@ class TestSnapshotUnderSchedulers:
                 return GraphScheduler.cycle(n, rng)
             return GraphScheduler.random_regular(4, n, rng)
 
-        engine = AgentBasedEngine(scheduler_factory=factory)
+        engine = BatchEngine(factory, name="agent")
         proto = graph_bipartition()
         whole = engine.run(proto, 14, seed=21, max_interactions=2_000_000)
 
@@ -191,8 +192,8 @@ class TestSnapshotUnderSchedulers:
         from repro.protocols import weak_k_partition
         from repro.scheduling import RoundRobinScheduler
 
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: RoundRobinScheduler(n)
+        engine = BatchEngine(
+            lambda n, rng: RoundRobinScheduler(n), name="agent"
         )
         proto = weak_k_partition(3)
         whole = engine.run(proto, 31, seed=0, max_interactions=100_000)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.engine import AgentBasedEngine, BatchEngine, CountBasedEngine
+from repro.engine import BatchEngine, CountBasedEngine, build_engine
 from repro.protocols import (
     approximate_k_partition,
     leader_election,
@@ -31,7 +31,7 @@ class TestAgentBatchExact:
     @pytest.mark.parametrize("n,seed", [(11, 0), (20, 1), (33, 2), (10, 3)])
     def test_identical_executions_kpartition(self, n, seed):
         p = uniform_k_partition(3)
-        a = AgentBasedEngine().run(p, n, seed=seed, track_state="g3")
+        a = build_engine("agent").run(p, n, seed=seed, track_state="g3")
         b = BatchEngine().run(p, n, seed=seed, track_state="g3")
         assert a.interactions == b.interactions
         assert a.effective_interactions == b.effective_interactions
@@ -40,7 +40,7 @@ class TestAgentBatchExact:
 
     def test_identical_executions_other_protocols(self):
         for p in (uniform_bipartition(), leader_election(), approximate_k_partition(3)):
-            a = AgentBasedEngine().run(p, 14, seed=5)
+            a = build_engine("agent").run(p, 14, seed=5)
             b = BatchEngine().run(p, 14, seed=5)
             assert a.interactions == b.interactions, p.name
             assert np.array_equal(a.final_counts, b.final_counts), p.name
@@ -90,7 +90,7 @@ class TestCountDistributional:
         p = uniform_k_partition(5)
         finals = [
             engine.run(p, 23, seed=9).final_counts
-            for engine in (AgentBasedEngine(), BatchEngine(), CountBasedEngine())
+            for engine in (build_engine("agent"), BatchEngine(), CountBasedEngine())
         ]
         # n = 23, k = 5 -> r = 3: the only freedom is the free-agent
         # flavour (none here since r != 1), so counts agree exactly.

@@ -29,16 +29,13 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    AgentBasedEngine,
     BatchEngine,
     CountBasedEngine,
-    GraphBatchEngine,
-    JitBatchEngine,
-    JitCountEngine,
     KernelBuildError,
     SessionState,
     engine_for_scheduler,
     get_kernels,
+    build_engine,
     reset_kernels,
     run_trials,
 )
@@ -337,16 +334,18 @@ class TestCountTierIdentity:
     def test_count_jit_is_count_under_another_name(self):
         proto, n, track = PROTOCOLS["k3"]
         plain = CountBasedEngine().run(proto, n, seed=4, track_state=track)
-        jit = JitCountEngine().run(proto, n, seed=4, track_state=track)
+        engine = build_engine("count-jit")
+        assert type(engine) is CountBasedEngine
+        jit = engine.run(proto, n, seed=4, track_state=track)
         assert _science(jit) == _science(plain)
         assert (plain.engine, jit.engine) == ("count", "count-jit")
-        session = JitCountEngine().start(proto, n, seed=0)
+        session = engine.start(proto, n, seed=0)
         assert type(session) is type(CountBasedEngine().start(proto, n, seed=0))
 
     def test_callback_forces_python_loop(self, monkeypatch):
         proto, n, _ = PROTOCOLS["k3"]
         plain = _count_run("python", monkeypatch, protocol=proto, n=n, seed=1)
-        for engine in (CountBasedEngine(), JitCountEngine()):
+        for engine in (CountBasedEngine(), build_engine("count-jit")):
             seen: list[int] = []
             session = engine.start(
                 proto, n, seed=1, on_effective=lambda i, c: seen.append(i)
@@ -421,7 +420,7 @@ class TestChainTables:
     def test_tables_built_once_and_shared(self):
         proto = uniform_k_partition(3)
         a = CountBasedEngine().start(proto, 30, seed=0)._chain
-        b = JitCountEngine().start(proto, 30, seed=1)._chain
+        b = build_engine("count-jit").start(proto, 30, seed=1)._chain
         c = JumpChain(proto, proto.initial_counts(30).tolist(), None, 30, draw=False)
         assert a.tables is b.tables is c.tables is ChainTables.of(proto, 30)
         assert ChainTables.of(proto, 31) is not a.tables
@@ -474,10 +473,10 @@ class TestChainTables:
 #: graph-restricted ones, and ``agent`` through scheduler objects.
 PAIR_ENGINES = {
     "batch": BatchEngine,
-    "batch-jit": JitBatchEngine,
-    "graph:cycle": lambda: GraphBatchEngine("graph:cycle"),
-    "graph:regular:4": lambda: GraphBatchEngine("graph:regular:4"),
-    "agent": AgentBasedEngine,
+    "batch-jit": lambda: build_engine("batch-jit"),
+    "graph:cycle": lambda: engine_for_scheduler("graph", "graph:cycle"),
+    "graph:regular:4": lambda: engine_for_scheduler("graph", "graph:regular:4"),
+    "agent": lambda: build_engine("agent"),
     "agent:roundrobin": lambda: engine_for_scheduler("agent", "roundrobin"),
     "agent:graph:cycle": lambda: engine_for_scheduler("agent", "graph:cycle"),
 }
@@ -526,7 +525,7 @@ class TestBatchTierIdentity:
         runs = {}
         for backend in ("python", "auto"):
             with _backend(monkeypatch, backend):
-                runs[backend] = GraphBatchEngine(scheduler).run(
+                runs[backend] = engine_for_scheduler("graph", scheduler).run(
                     GRAPH_PROTO, 60, seed=seed, track_state="g1",
                     max_interactions=2_000_000,
                 )

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    AgentBasedEngine,
     TimeSeriesRecorder,
     aggregate_milestones,
+    build_engine,
 )
 from repro.protocols import uniform_k_partition
 
@@ -21,7 +21,7 @@ def proto():
 class TestTimeSeriesRecorder:
     def test_records_every_effective_step(self, proto):
         rec = TimeSeriesRecorder()
-        r = AgentBasedEngine().run(proto, 9, seed=0, on_effective=rec)
+        r = build_engine("agent").run(proto, 9, seed=0, on_effective=rec)
         # Every effective step, plus the primed step-0 snapshot.
         assert len(rec.times) == r.effective_interactions + 1
         times, snaps = rec.as_arrays()
@@ -32,7 +32,7 @@ class TestTimeSeriesRecorder:
     def test_initial_configuration_recorded(self, proto):
         """Regression: stride > 1 used to skip the step-0 snapshot."""
         rec = TimeSeriesRecorder(stride=7)
-        AgentBasedEngine().run(proto, 9, seed=1, on_effective=rec)
+        build_engine("agent").run(proto, 9, seed=1, on_effective=rec)
         assert rec.times[0] == 0
         initial = proto.initial_counts(9)
         assert rec.snapshots[0] == [int(c) for c in initial]
@@ -40,13 +40,13 @@ class TestTimeSeriesRecorder:
     def test_final_configuration_recorded(self, proto):
         """Regression: stride > 1 used to drop the converged snapshot."""
         rec = TimeSeriesRecorder(stride=7)
-        r = AgentBasedEngine().run(proto, 9, seed=2, on_effective=rec)
+        r = build_engine("agent").run(proto, 9, seed=2, on_effective=rec)
         assert rec.times[-1] == r.interactions
         assert rec.snapshots[-1] == [int(c) for c in r.final_counts]
 
     def test_stride(self, proto):
         rec = TimeSeriesRecorder(stride=5)
-        r = AgentBasedEngine().run(proto, 9, seed=1, on_effective=rec)
+        r = build_engine("agent").run(proto, 9, seed=1, on_effective=rec)
         # Interior samples every 5 effective steps, plus the primed
         # step 0 and (unless it coincided) the finalized endpoint.
         interior = r.effective_interactions // 5
@@ -55,13 +55,13 @@ class TestTimeSeriesRecorder:
     def test_no_duplicate_endpoint(self, proto):
         """finalize() must not re-record a final step stride=1 sampled."""
         rec = TimeSeriesRecorder(stride=1)
-        AgentBasedEngine().run(proto, 9, seed=2, on_effective=rec)
+        build_engine("agent").run(proto, 9, seed=2, on_effective=rec)
         times, _ = rec.as_arrays()
         assert (np.diff(times) > 0).all()
 
     def test_times_monotone(self, proto):
         rec = TimeSeriesRecorder(stride=4)
-        AgentBasedEngine().run(proto, 9, seed=2, on_effective=rec)
+        build_engine("agent").run(proto, 9, seed=2, on_effective=rec)
         times, _ = rec.as_arrays()
         assert (np.diff(times) > 0).all()
 

@@ -14,7 +14,7 @@ from repro import (
 )
 from repro.analysis import decompose_groupings, verify_kpartition
 from repro.conform import ConformanceMonitor, invariant_pack
-from repro.engine import AgentBasedEngine
+from repro.engine import BatchEngine, build_engine
 from repro.scheduling import GraphScheduler
 
 
@@ -60,7 +60,7 @@ class TestFullPipeline:
 
         # 1. Simulate with the invariant pack (Lemma 1 among it) attached.
         monitor = ConformanceMonitor(invariant_pack(p, n))
-        r = AgentBasedEngine().run(p, n, seed=2, on_effective=monitor, track_state="g3")
+        r = build_engine("agent").run(p, n, seed=2, on_effective=monitor, track_state="g3")
         assert r.converged
         # The initial configuration, then every effective step.
         assert monitor.checks_performed == r.effective_interactions + 1
@@ -105,8 +105,8 @@ class TestFullPipeline:
         trials must still produce the correct partition.
         """
         p = uniform_k_partition(2)
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: GraphScheduler.random_regular(4, n, rng)
+        engine = BatchEngine(
+            lambda n, rng: GraphScheduler.random_regular(4, n, rng), name="agent"
         )
         ts = run_trials(
             p, 10, trials=5, engine=engine, seed=4,

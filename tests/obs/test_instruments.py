@@ -6,14 +6,9 @@ import pytest
 
 from repro import run_trials, uniform_k_partition
 from repro.engine import (
-    AgentBasedEngine,
-    BatchEngine,
     CountBasedEngine,
-    EnsembleEngine,
-    HybridEngine,
-    JitBatchEngine,
-    JitCountEngine,
     ParallelEnsembleEngine,
+    build_engine,
     get_kernels,
     reset_kernels,
 )
@@ -25,22 +20,16 @@ def proto():
     return uniform_k_partition(3)
 
 
-ENGINES = {
-    "agent": AgentBasedEngine,
-    "batch": BatchEngine,
-    "count": CountBasedEngine,
-    "ensemble": EnsembleEngine,
-    "hybrid": HybridEngine,
-    "count-jit": JitCountEngine,
-    "batch-jit": JitBatchEngine,
-    "ensemble-parallel": ParallelEnsembleEngine,
-}
+ENGINES = (
+    "agent", "batch", "count", "ensemble", "hybrid", "count-jit", "batch-jit",
+    "ensemble-parallel",
+)
 
 
 class TestEngineEmission:
     @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_run_emits_standard_metrics(self, name, proto):
-        engine = ENGINES[name]()
+        engine = build_engine(name)
         t = Telemetry()
         with use_telemetry(t):
             result = engine.run(proto, 12, seed=50)
@@ -84,7 +73,7 @@ class TestEngineEmission:
         t = Telemetry()
         with use_telemetry(t):
             kernels = get_kernels()
-            JitCountEngine().run(proto, 12, seed=57)
+            build_engine("count-jit").run(proto, 12, seed=57)
         snap = t.snapshot()
         if kernels.native:
             assert snap["counters"]["engine.kernel.compiles"] == 1

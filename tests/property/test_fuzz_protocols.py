@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import Protocol, StateSpace, TransitionTable
-from repro.engine import AgentBasedEngine, BatchEngine, CountBasedEngine
+from repro.engine import BatchEngine, CountBasedEngine, build_engine
 
 STATE_NAMES = ["s0", "s1", "s2", "s3"]
 
@@ -48,7 +48,7 @@ seeds = st.integers(min_value=0, max_value=2**31 - 1)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(protocol=random_protocols(), n=ns, seed=seeds, budget=budgets)
 def test_agent_and_batch_are_twins_on_any_protocol(protocol, n, seed, budget):
-    a = AgentBasedEngine().run(protocol, n, seed=seed, max_interactions=budget)
+    a = build_engine("agent").run(protocol, n, seed=seed, max_interactions=budget)
     b = BatchEngine().run(protocol, n, seed=seed, max_interactions=budget)
     assert a.interactions == b.interactions
     assert a.effective_interactions == b.effective_interactions

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from repro.core import Configuration, ProtocolError
-from repro.engine import AgentBasedEngine, BatchEngine, CountBasedEngine
+from repro.engine import BatchEngine, CountBasedEngine, build_engine
 from repro.protocols import (
     leader_election,
     parallel_compose,
@@ -84,7 +84,7 @@ class TestSimulation:
 
     def test_all_engines_agree_on_the_composition(self):
         c = parallel_compose(leader_election(), uniform_bipartition(), groups_from=2)
-        a = AgentBasedEngine().run(c, 10, seed=3)
+        a = build_engine("agent").run(c, 10, seed=3)
         b = BatchEngine().run(c, 10, seed=3)
         assert a.interactions == b.interactions
         assert np.array_equal(a.final_counts, b.final_counts)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import ProtocolError
-from repro.engine import AgentBasedEngine, BatchEngine, CountBasedEngine
+from repro.engine import BatchEngine, CountBasedEngine, build_engine
 from repro.protocols import graph_bipartition, uniform_bipartition
 from repro.scheduling import GraphScheduler
 
@@ -17,10 +17,8 @@ STAR_LAYOUT = ["g1", "initial", "initial", "g2", "g1", "g2", "g1", "g2"]
 
 
 def star_engine():
-    return AgentBasedEngine(
-        scheduler_factory=lambda n, rng: GraphScheduler(
-            nx.star_graph(n - 1), rng
-        )
+    return BatchEngine(
+        lambda n, rng: GraphScheduler(nx.star_graph(n - 1), rng), name="agent"
     )
 
 
@@ -57,7 +55,7 @@ class TestConservation:
         def check(interactions, counts):
             assert p.balance_residual(counts) == 0
 
-        r = AgentBasedEngine().run(p, 30, seed=0, on_effective=check)
+        r = build_engine("agent").run(p, 30, seed=0, on_effective=check)
         assert r.converged
 
     def test_free_parity_conserved(self):
@@ -67,13 +65,12 @@ class TestConservation:
         def check(interactions, counts):
             assert p.free_count(counts) % 2 == n % 2
 
-        AgentBasedEngine().run(p, n, seed=1, on_effective=check)
+        build_engine("agent").run(p, n, seed=1, on_effective=check)
 
 
 class TestConvergence:
-    @pytest.mark.parametrize(
-        "engine_cls", [AgentBasedEngine, BatchEngine, CountBasedEngine]
-    )
+    # ``agent`` on the uniform scheduler is the BatchEngine execution.
+    @pytest.mark.parametrize("engine_cls", [BatchEngine, CountBasedEngine])
     def test_even_n_balances_exactly(self, engine_cls):
         r = engine_cls().run(graph_bipartition(), 40, seed=2)
         assert r.converged
@@ -96,12 +93,13 @@ class TestConvergence:
     def test_converges_on_cycle_and_regular_graphs(self):
         p = graph_bipartition()
         for topo in ("cycle", "regular"):
-            engine = AgentBasedEngine(
-                scheduler_factory=lambda n, rng, t=topo: (
+            engine = BatchEngine(
+                lambda n, rng, t=topo: (
                     GraphScheduler.cycle(n, rng)
                     if t == "cycle"
                     else GraphScheduler.random_regular(4, n, rng)
-                )
+                ),
+                name="agent",
             )
             r = engine.run(p, 20, seed=5, max_interactions=2_000_000)
             assert r.converged, topo
@@ -164,8 +162,8 @@ class TestStarGraph:
     def test_previously_deadlocking_bipartite_topologies(self, make_graph, n):
         # Regression sweep over the tree/bipartite instances where both
         # invertible-flavour mobility variants demonstrably livelocked.
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda nn, rng: GraphScheduler(make_graph(nn), rng)
+        engine = BatchEngine(
+            lambda nn, rng: GraphScheduler(make_graph(nn), rng), name="agent"
         )
         r = engine.run(
             graph_bipartition(), n, seed=8, max_interactions=30_000_000

@@ -245,11 +245,11 @@ class TestEdgeRegimeExecutions:
     )
     def test_converges_to_signature_with_lemma1_held(self, k, n):
         from repro.conform import ConformanceMonitor, invariant_pack
-        from repro.engine import AgentBasedEngine
+        from repro.engine import build_engine
 
         p = uniform_k_partition(k)
         monitor = ConformanceMonitor(invariant_pack(p, n))
-        r = AgentBasedEngine().run(
+        r = build_engine("agent").run(
             p, n, seed=k * 1000 + n, max_interactions=500_000,
             on_effective=monitor,
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import AgentBasedEngine, CountBasedEngine, run_trials
+from repro.engine import CountBasedEngine, build_engine, run_trials
 from repro.protocols import FOLLOWER, LEADER, leader_election
 
 
@@ -47,7 +47,7 @@ class TestSimulation:
         def watch(interactions, counts):
             leaders_seen.append(counts[proto.leader_index])
 
-        AgentBasedEngine().run(proto, 30, seed=52, on_effective=watch)
+        build_engine("agent").run(proto, 30, seed=52, on_effective=watch)
         assert all(a >= b for a, b in zip(leaders_seen, leaders_seen[1:]))
         assert leaders_seen[-1] == 1
 

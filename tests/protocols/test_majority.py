@@ -120,10 +120,10 @@ class TestInitiatorVariant:
     def test_engines_agree_on_oriented_protocol(self, oriented):
         import numpy as np
 
-        from repro.engine import AgentBasedEngine, BatchEngine
+        from repro.engine import BatchEngine, build_engine
 
         init = oriented.opinion_configuration(8, 5)
-        a = AgentBasedEngine().run(oriented, initial_counts=init.counts, seed=7)
+        a = build_engine("agent").run(oriented, initial_counts=init.counts, seed=7)
         b = BatchEngine().run(oriented, initial_counts=init.counts, seed=7)
         assert a.interactions == b.interactions
         assert np.array_equal(a.final_counts, b.final_counts)

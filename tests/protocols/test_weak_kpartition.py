@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ProtocolError
-from repro.engine import AgentBasedEngine, BatchEngine, CountBasedEngine
+from repro.engine import BatchEngine, CountBasedEngine, build_engine
 from repro.protocols import uniform_k_partition, weak_k_partition
 from repro.protocols.weak_kpartition import FREE
 from repro.scheduling import RoundRobinScheduler
@@ -69,7 +69,7 @@ class TestClosedForms:
 
     def test_assignment_residuals_zero_on_reachable_configs(self):
         p = weak_k_partition(3)
-        engine = AgentBasedEngine()
+        engine = build_engine("agent")
 
         def check(interactions, counts):
             assert p.coordinator_count(counts) == 1
@@ -88,7 +88,8 @@ class TestClosedForms:
 
 
 class TestConvergence:
-    @pytest.mark.parametrize("engine_cls", [AgentBasedEngine, BatchEngine, CountBasedEngine])
+    # ``agent`` on the uniform scheduler is the BatchEngine execution.
+    @pytest.mark.parametrize("engine_cls", [BatchEngine, CountBasedEngine])
     def test_exact_uniform_partition(self, engine_cls):
         p = weak_k_partition(3)
         r = engine_cls().run(p, 100, seed=1)
@@ -117,8 +118,8 @@ class TestConvergence:
         entire point of the variant.
         """
         p = weak_k_partition(3)
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: RoundRobinScheduler(n)
+        engine = BatchEngine(
+            lambda n, rng: RoundRobinScheduler(n), name="agent"
         )
         r = engine.run(p, 47, seed=4, max_interactions=1_000_000)
         assert r.converged
@@ -127,8 +128,8 @@ class TestConvergence:
     def test_round_robin_contrast_with_global_fairness_protocol(self):
         # Same scheduler, same budget: the globally-fair protocol
         # makes no progress where the weak one finishes.
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: RoundRobinScheduler(n)
+        engine = BatchEngine(
+            lambda n, rng: RoundRobinScheduler(n), name="agent"
         )
         strong = engine.run(
             uniform_k_partition(2), 2, seed=5, max_interactions=5_000

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SchedulerError
-from repro.engine import AgentBasedEngine
+from repro.engine import BatchEngine
 from repro.protocols import uniform_k_partition
 from repro.scheduling import RoundRobinScheduler, StickyScheduler, WeightedScheduler
 
@@ -42,8 +42,8 @@ class TestWeighted:
         """Correctness only needs global fairness, not uniformity."""
         proto = uniform_k_partition(3)
         weights = [1.0] * 11 + [50.0]
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: WeightedScheduler(weights, rng)
+        engine = BatchEngine(
+            lambda n, rng: WeightedScheduler(weights, rng), name="agent"
         )
         result = engine.run(proto, 12, seed=3, max_interactions=5_000_000)
         assert result.converged
@@ -74,8 +74,8 @@ class TestSticky:
 
     def test_protocol_correct_under_burstiness(self):
         proto = uniform_k_partition(3)
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: StickyScheduler(n, 0.8, rng)
+        engine = BatchEngine(
+            lambda n, rng: StickyScheduler(n, 0.8, rng), name="agent"
         )
         result = engine.run(proto, 9, seed=6, max_interactions=5_000_000)
         assert result.converged
@@ -111,8 +111,8 @@ class TestRoundRobin:
         exactly the Figure 1 (a)->(c) loop made deterministic.
         """
         proto = uniform_k_partition(2)
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: RoundRobinScheduler(n)
+        engine = BatchEngine(
+            lambda n, rng: RoundRobinScheduler(n), name="agent"
         )
         result = engine.run(proto, 2, seed=7, max_interactions=10_000)
         # n = 2: the single pair flips initial <-> initial' forever.

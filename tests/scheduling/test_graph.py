@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core import SchedulerError
-from repro.engine import AgentBasedEngine
-from repro.protocols import uniform_k_partition
-from repro.scheduling import GraphScheduler
+from repro.engine import BatchEngine, engine_for_scheduler
+from repro.protocols import graph_bipartition, uniform_k_partition
+from repro.scheduling import GraphScheduler, SchedulerSpec
 
 
 class TestValidation:
@@ -110,6 +110,26 @@ class TestCaptureRestore:
         assert set(state) == {"rng"}
 
 
+def test_scheduler_object_run_equals_the_graph_name():
+    # A GraphScheduler factory draws through the scheduler object; the
+    # ``graph`` name draws edge_pairs over the cached edge array on the
+    # session RNG.  Same edges, same stream: the same run.
+    spec = SchedulerSpec.parse("graph:regular:4@3")
+    kwargs = dict(seed=11, max_interactions=2_000_000, track_state="g1")
+    by_object = BatchEngine(
+        lambda n, rng: GraphScheduler(spec.build_graph(n), rng), name="graph"
+    ).run(graph_bipartition(), 18, **kwargs)
+    by_name = engine_for_scheduler("graph", spec).run(
+        graph_bipartition(), 18, **kwargs
+    )
+    assert by_name.converged
+    record = by_object.to_record()
+    expected = by_name.to_record()
+    record.pop("elapsed")
+    expected.pop("elapsed")
+    assert record == expected
+
+
 class TestProtocolOnGraphs:
     """The paper's protocol on restricted (connected) interaction graphs.
 
@@ -130,8 +150,8 @@ class TestProtocolOnGraphs:
     def test_stabilizes_on_connected_graphs(self, make_graph):
         n, k = 12, 3
         proto = uniform_k_partition(k)
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n_, rng: GraphScheduler(make_graph(n_), rng)
+        engine = BatchEngine(
+            lambda n_, rng: GraphScheduler(make_graph(n_), rng), name="agent"
         )
         result = engine.run(proto, n, seed=8, max_interactions=2_000_000)
         assert result.converged
@@ -146,8 +166,8 @@ class TestProtocolOnGraphs:
         # partition is unreachable.  This documents the limitation.
         proto = uniform_k_partition(2)
         layout = ["initial", "g1", "g2", "g1", "initial", "g2", "g1", "g2"]
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: GraphScheduler.cycle(n, rng)
+        engine = BatchEngine(
+            lambda n, rng: GraphScheduler.cycle(n, rng), name="agent"
         )
         result = engine.run(
             proto, initial_states=layout, seed=9, max_interactions=100_000
@@ -163,8 +183,8 @@ class TestProtocolOnGraphs:
         # Same multiset, adjacent free agents: now the cycle CAN finish.
         proto = uniform_k_partition(2)
         layout = ["initial", "initial", "g1", "g2", "g1", "g2", "g1", "g2"]
-        engine = AgentBasedEngine(
-            scheduler_factory=lambda n, rng: GraphScheduler.cycle(n, rng)
+        engine = BatchEngine(
+            lambda n, rng: GraphScheduler.cycle(n, rng), name="agent"
         )
         result = engine.run(
             proto, initial_states=layout, seed=10, max_interactions=1_000_000

@@ -125,8 +125,8 @@ class TestBuild:
         )
 
     def test_build_is_a_scheduler_factory(self):
-        # The bound method must be usable as AgentBasedEngine's
-        # scheduler_factory: (n, rng) -> Scheduler.
+        # The bound method must be usable as a BatchEngine scheduler
+        # factory: (n, rng) -> Scheduler.
         spec = SchedulerSpec.parse("graph:cycle")
         sched = spec.build(8, np.random.default_rng(1))
         a, b = sched.next_block(100)

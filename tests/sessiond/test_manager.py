@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.core import SimulationError
+from repro.engine import engine_for_scheduler, reset_kernels
+from repro.protocols import build_protocol
 from repro.sessiond import SessionManager, config_digest
+
+DATA = Path(__file__).parent / "data"
 
 
 def science(record: dict) -> dict:
@@ -170,3 +178,75 @@ class TestAttach:
         )
         # A probe never disturbs the live session.
         assert manager.status("a")["status"] == "converged"
+
+
+class TestSchedulers:
+    """Free sessions start by the path ``run_trials`` uses: the config's
+    scheduler goes through ``engine_for_scheduler``."""
+
+    @pytest.mark.parametrize(
+        ("protocol", "params", "engine", "scheduler", "n"),
+        [
+            ("weak-k-partition", {"k": 3}, "agent", "roundrobin", 31),
+            ("graph-bipartition", {}, "graph", "graph:cycle", 16),
+        ],
+    )
+    def test_free_session_runs_its_scheduler(
+        self, manager, protocol, params, engine, scheduler, n
+    ):
+        config = {
+            "protocol": protocol, "params": params, "engine": engine,
+            "scheduler": scheduler, "mode": "free", "n": n, "seed": 7,
+            "max_interactions": 2_000_000,
+        }
+        manager.create(config, session_id="a")
+        manager.advance("a")
+        expected = engine_for_scheduler(engine, scheduler).run(
+            build_protocol(protocol, **params), n, seed=7,
+            max_interactions=2_000_000,
+        )
+        assert expected.converged
+        assert science(manager.result("a")) == science(expected.to_record())
+
+    def test_config_without_scheduler_runs_uniform(self, manager, free_config):
+        # No scheduler key means uniform: ``agent`` then runs the
+        # ``batch`` execution.
+        for sid, engine in (("a", "agent"), ("b", "batch")):
+            manager.create(dict(free_config, engine=engine), session_id=sid)
+            manager.advance(sid)
+        agent, batch = (science(manager.result(sid)) for sid in "ab")
+        assert (agent.pop("engine"), batch.pop("engine")) == ("agent", "batch")
+        assert agent == batch
+
+
+#: A store written before ``agent``, ``batch`` and ``graph`` became one
+#: engine class: one free session each (uniform-k-partition, k = 3,
+#: n = 60, seed 3, tracking g3), checkpointed at 0 and 300
+#: interactions, mid pair block.  The agent session's snapshots carry
+#: ``scheduler_state``, the batch one's ``rng``, and the graph one's
+#: ``rng`` and its scheduler name.  The JSON file holds the records
+#: (``elapsed`` stripped) each session finished with when resumed by
+#: the code that wrote the store.
+PARENT_STORE = DATA / "parent-free-sessions.db"
+PARENT_RECORDS = DATA / "parent-free-sessions.expected.json"
+
+
+@pytest.mark.parametrize("backend", ["auto", "python"])
+def test_parent_store_attaches_and_finishes_identically(
+    tmp_path, monkeypatch, backend
+):
+    monkeypatch.setenv("REPRO_KERNEL", backend)
+    reset_kernels()
+    db = tmp_path / "sessions.db"
+    shutil.copy(PARENT_STORE, db)
+    expected = json.loads(PARENT_RECORDS.read_text())
+    manager = SessionManager(db, checkpoint_interval=300)
+    try:
+        for sid in ("agent", "batch", "graph"):
+            assert manager.attach(sid)["interactions"] == 300
+            manager.advance(sid)
+            assert science(manager.result(sid)) == expected[sid], sid
+    finally:
+        manager.close()
+        monkeypatch.undo()
+        reset_kernels()

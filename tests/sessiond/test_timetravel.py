@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.conform import ENGINE_PATHS
+from repro.conform import DRIVEABLE_ENGINES
 from repro.core import SimulationError
 from repro.engine import available_engines
 
@@ -26,7 +26,7 @@ def science(record: dict) -> dict:
     return rec
 
 
-@pytest.mark.parametrize("engine", ENGINE_PATHS)
+@pytest.mark.parametrize("engine", DRIVEABLE_ENGINES)
 def test_driven_rewind_replay_is_bit_identical(
     manager, driven_config, schedule, engine
 ):

@@ -32,7 +32,7 @@ class TestTopLevel:
             assert name in repro.__all__
 
     def test_engines_exposed(self):
-        for name in ("AgentBasedEngine", "BatchEngine", "CountBasedEngine", "run_trials"):
+        for name in ("BatchEngine", "CountBasedEngine", "build_engine", "run_trials"):
             assert name in repro.__all__
 
     def test_protocol_builders_exposed(self):
