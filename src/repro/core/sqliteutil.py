@@ -4,9 +4,10 @@ The campaign store and the session snapshot store each keep one SQLite
 file that many handler threads read and write.  :class:`WalStore` owns
 the connection side for both: one connection per thread (WAL
 journaling, ``synchronous=NORMAL``, a 30 s busy timeout), the store's
-schema hook run on every new connection, and a ``close()`` after which
-every method raises :class:`~repro.core.errors.StoreClosedError`
-instead of silently opening a fresh connection.
+schema hook run on every new connection, ``release_connection()`` for
+a thread that is about to end, and a ``close()`` after which every
+method raises :class:`~repro.core.errors.StoreClosedError` instead of
+silently opening a fresh connection.
 """
 
 from __future__ import annotations
@@ -80,6 +81,22 @@ class WalStore:
     def _write(self) -> sqlite3.Connection:
         """Context manager: one committed transaction on this thread."""
         return self._conn()
+
+    def release_connection(self) -> None:
+        """Close the calling thread's connection, if it opened one.
+
+        A thread that is about to end calls this, so its connection
+        does not stay open until :meth:`close`.  A later call on the
+        same thread opens a fresh connection.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            return
+        self._local.conn = None
+        with self._conns_lock:
+            if conn in self._conns:  # close() may have dropped it already
+                self._conns.remove(conn)
+        conn.close()
 
     @property
     def closed(self) -> bool:

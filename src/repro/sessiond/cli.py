@@ -61,6 +61,13 @@ def build_session_parser() -> argparse.ArgumentParser:
         default="free",
         help="free: engine randomness; driven: replay a recorded schedule",
     )
+    create.add_argument(
+        "--scheduler",
+        default=None,
+        help="free mode: scheduler name, resolved with --engine as "
+        "run_trials resolves it (default: uniform), e.g. roundrobin "
+        "or graph:cycle",
+    )
     create.add_argument("--n", type=int, default=300)
     create.add_argument("--seed", type=int, default=0)
     create.add_argument(
@@ -189,6 +196,11 @@ def _cmd_create(args: argparse.Namespace) -> int:
     if args.checkpoint_interval is not None:
         config["checkpoint_interval"] = args.checkpoint_interval
     if args.mode == "driven":
+        if args.scheduler is not None:
+            raise SystemExit(
+                "session create: --scheduler applies to free sessions; a "
+                "driven session replays its recorded schedule"
+            )
         if args.schedule is not None:
             config["schedule"] = json.loads(Path(args.schedule).read_text())
         else:
@@ -206,6 +218,8 @@ def _cmd_create(args: argparse.Namespace) -> int:
     else:
         config["n"] = args.n
         config["seed"] = args.seed
+        if args.scheduler is not None:
+            config["scheduler"] = args.scheduler
         if args.max_interactions is not None:
             config["max_interactions"] = args.max_interactions
     manager = _manager(args)

@@ -41,7 +41,7 @@ import hashlib
 import json
 import threading
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +510,7 @@ class SessionManager:
                 ckpt.payload,
                 effective=ckpt.effective,
                 driver=ckpt.driver,
+                digest=ckpt.digest,
             )
             self.store.update_session(cid, status=child.status.value)
             self._live[cid] = child
@@ -674,18 +675,12 @@ class SessionManager:
         live advance.  The live session is never disturbed.
         """
         with self._lock:
-            row = self.store.require_session(session_id)
-            if row.mode != "driven":
-                raise SimulationError(
-                    f"counts_at needs a driven session; {session_id!r} is "
-                    f"mode {row.mode!r}"
-                )
+            scratch = self._probe_session(session_id)
             ckpt = self.store.nearest_snapshot(session_id, t)
             if ckpt is None:
                 raise SimulationError(
                     f"session {session_id!r} has no checkpoint at or before {t}"
                 )
-            scratch = self._build(f"probe-{session_id}", dict(row.config))
             self._restore_into(scratch, ckpt)
             assert scratch.schedule is not None
             if t > len(scratch.schedule.pairs):
@@ -696,6 +691,36 @@ class SessionManager:
             scratch.status = SessionStatus.RUNNING
             self._drive(scratch, t, checkpoint=False)
             return list(scratch.session.counts)
+
+    def _probe_session(self, session_id: str) -> ManagedSession:
+        """A scratch session for one :meth:`counts_at` probe.
+
+        A live session lends its protocol object, parsed schedule,
+        engine and checkpoint interval, so a probe neither decodes the
+        stored config nor rebuilds and recompiles the protocol; only the
+        engine session is new.  Otherwise the stored row is rebuilt.
+        """
+        live = self._live.get(session_id)
+        row = None if live is not None else self.store.require_session(session_id)
+        mode = (live or row).mode
+        if mode != "driven":
+            raise SimulationError(
+                f"counts_at needs a driven session; {session_id!r} is "
+                f"mode {mode!r}"
+            )
+        sid = f"probe-{session_id}"
+        if live is None:
+            return self._build(sid, dict(row.config))
+        assert live.schedule is not None
+        return replace(
+            live,
+            id=sid,
+            session=start_driven(
+                live.engine, live.protocol, live.schedule.initial_counts
+            ),
+            interpreter=None,
+            result_record=None,
+        )
 
     def gc(self, *, keep_every: int | None = None) -> dict:
         """Garbage-collect dominated checkpoints (see the store's gc)."""

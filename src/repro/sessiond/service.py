@@ -6,7 +6,9 @@ in slices from anywhere, fork it at a checkpoint, rewind it, bisect two
 sessions against each other — all over plain HTTP.  Pure stdlib —
 ``ThreadingHTTPServer`` gives one thread per connection; the manager's
 coarse lock serializes engine work and the store supports the handler
-threads via per-thread SQLite connections and WAL mode.
+threads via per-thread SQLite connections and WAL mode.  A handler
+thread closes its SQLite connection when its TCP connection ends, and
+every response leaves in one write on a ``TCP_NODELAY`` socket.
 
 Endpoints
 ---------
@@ -260,17 +262,35 @@ def _make_handler(service: SessionService) -> type[BaseHTTPRequestHandler]:
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY on every accepted socket: a small write never
+        # waits for the client to acknowledge the one before it.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt: str, *args: object) -> None:  # noqa: A003
             pass  # no access log — /metrics carries the counters
 
+        def finish(self) -> None:
+            try:
+                super().finish()
+            finally:
+                # This thread served one TCP connection and now ends;
+                # its SQLite connection would otherwise stay open until
+                # the store closes.
+                service.manager.store.release_connection()
+
         def _respond(self, code: int, payload: dict) -> None:
+            # Status line, headers and body leave in one write.  Written
+            # separately, the body of a keep-alive response waited for
+            # the client's delayed ACK of the head (about 40 ms).
             body = json.dumps(payload).encode()
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            head = (
+                f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            )
+            self.wfile.write(head.encode("latin-1") + body)
 
         def do_GET(self) -> None:  # noqa: N802 — http.server API
             from urllib.parse import parse_qsl, urlsplit

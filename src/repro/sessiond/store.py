@@ -35,6 +35,7 @@ bytes the store shrank by.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 import time
@@ -54,6 +55,12 @@ __all__ = [
 ]
 
 SESSION_STATUSES = ("running", "converged", "exhausted", "halted", "deleted")
+
+#: SQLite page cache per connection, in KiB (SQLite's default is about
+#: 2 MB).  The store's reads are point lookups and one-row blob
+#: fetches, so a small cache costs no speed and keeps a busy daemon's
+#: memory flat.
+_PAGE_CACHE_KIB = 256
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS sessions (
@@ -157,6 +164,8 @@ class Checkpoint:
     effective: int
     payload: bytes
     driver: dict | None
+    #: Content address of ``payload`` (its blob key).
+    digest: str
 
 
 class SnapshotStore(WalStore):
@@ -165,6 +174,7 @@ class SnapshotStore(WalStore):
     @staticmethod
     def _ensure_schema(conn: sqlite3.Connection) -> None:
         conn.executescript(_SCHEMA)
+        conn.execute(f"PRAGMA cache_size = -{_PAGE_CACHE_KIB}")
 
     # ------------------------------------------------------------------
     # Sessions
@@ -315,11 +325,15 @@ class SnapshotStore(WalStore):
         Re-checkpointing the same ``(session_id, interactions)`` slot
         replaces the pointer row (a rewound-and-replayed session visits
         the same coordinates again); the blob is written only when its
-        digest is new.
+        digest is new.  ``digest`` skips hashing when the caller already
+        holds the payload's content address (a fork passes the digest of
+        the checkpoint it copies).
         """
         if isinstance(state, SessionState):
             payload = state.to_bytes()
-            digest = state.digest() if digest is None else digest
+            if digest is None:
+                # SessionState.digest() would encode the state again.
+                digest = hashlib.sha256(payload).hexdigest()
         else:
             payload = bytes(state)
             if digest is None:
@@ -350,7 +364,8 @@ class SnapshotStore(WalStore):
 
     _SNAPSHOT_SELECT = (
         "SELECT s.interactions AS interactions, s.effective AS effective, "
-        "s.driver AS driver, b.payload AS payload FROM snapshots s "
+        "s.driver AS driver, s.digest AS digest, b.payload AS payload "
+        "FROM snapshots s "
         "JOIN blobs b ON b.digest = s.digest WHERE s.session_id = ?"
     )
 
@@ -363,6 +378,7 @@ class SnapshotStore(WalStore):
             effective=row["effective"],
             payload=bytes(row["payload"]),
             driver=None if row["driver"] is None else json.loads(row["driver"]),
+            digest=row["digest"],
         )
 
     def get_snapshot(

@@ -176,3 +176,36 @@ class TestValidation:
         )
         with pytest.raises(SimulationError, match="different"):
             bisect_divergence(manager, "a", "b")
+
+
+class TestProbeReuse:
+    """A probe on a live session reuses that session's protocol object
+    and parsed schedule; a probe on a stored session rebuilds both from
+    its row.  The two paths must give the same answers."""
+
+    def test_live_and_stored_probes_agree(self, pair_of_sessions):
+        from repro.sessiond import SessionManager
+
+        manager = pair_of_sessions
+        manager.advance("clean", 100)
+        live = bisect_divergence(manager, "clean", "mutated")
+        stored_manager = SessionManager(manager.store.path, checkpoint_interval=64)
+        try:
+            stored = bisect_divergence(stored_manager, "clean", "mutated")
+            assert not stored_manager.status("clean")["live"]
+        finally:
+            stored_manager.close()
+        assert live.diverged
+        assert live.to_record() == stored.to_record()
+
+    def test_live_probe_rebuilds_nothing(self, pair_of_sessions, monkeypatch):
+        from repro.sessiond import manager as manager_module
+
+        expected = pair_of_sessions.counts_at("mutated", 50)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a probe on a live session rebuilt it")
+
+        monkeypatch.setattr(manager_module, "build_protocol", refuse)
+        monkeypatch.setattr(manager_module.SessionManager, "_build", refuse)
+        assert pair_of_sessions.counts_at("mutated", 50) == expected

@@ -45,6 +45,34 @@ class TestVerbs:
         assert out["converged"] is True
         assert sum(out["final_counts"]) == 24
 
+    def test_create_with_scheduler_matches_run_trials_engine(self, capsys, db):
+        # Expected: the engine run_trials resolves for (agent,
+        # roundrobin), run on the same seed.
+        from repro.engine import engine_for_scheduler
+        from repro.protocols import build_protocol
+
+        run(
+            capsys, "create", "--store", db, "--id", "rr",
+            "--protocol", "weak-k-partition", "--param", "k=3",
+            "--engine", "agent", "--scheduler", "roundrobin", "--mode", "free",
+            "--n", "31", "--seed", "7", "--max-interactions", "2000000",
+        )
+        assert run(capsys, "advance", "--store", db, "rr")["status"] == "converged"
+        got = run(capsys, "result", "--store", db, "rr")
+        expected = engine_for_scheduler("agent", "roundrobin").run(
+            build_protocol("weak-k-partition", k=3), 31, seed=7,
+            max_interactions=2_000_000,
+        ).to_record()
+        got.pop("elapsed")
+        expected.pop("elapsed")
+        assert got == json.loads(json.dumps(expected))
+
+    def test_scheduler_rejected_for_driven_sessions(self, db):
+        with pytest.raises(SystemExit, match="free sessions"):
+            session_main(
+                ["create", "--store", db, "--scheduler", "roundrobin", *DRIVEN]
+            )
+
     def test_fork_and_rewind_roundtrip(self, capsys, db):
         run(capsys, "create", "--store", db, "--id", "a", *DRIVEN)
         run(capsys, "advance", "--store", db, "a", "--budget", "128")

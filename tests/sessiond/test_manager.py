@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import SimulationError
 from repro.engine import engine_for_scheduler, reset_kernels
+from repro.engine.session import SessionState
 from repro.protocols import build_protocol
 from repro.sessiond import SessionManager, config_digest
 
@@ -178,6 +179,51 @@ class TestAttach:
         )
         # A probe never disturbs the live session.
         assert manager.status("a")["status"] == "converged"
+
+
+class TestSnapshotEncoding:
+    """Each checkpoint is encoded once, and its digest is still the
+    :meth:`SessionState.digest` of the stored payload."""
+
+    def test_digests_match_session_state_digest(self, manager, free_config):
+        manager.create(free_config, session_id="a")
+        manager.advance("a", 200)
+        snaps = manager.store.list_snapshots("a")
+        assert len(snaps) >= 3
+        for snap in snaps:
+            ckpt = manager.store.get_snapshot("a", snap.interactions)
+            state = SessionState.from_bytes(ckpt.payload)
+            assert snap.digest == ckpt.digest == state.digest()
+
+    def test_checkpoint_encodes_state_once(self, manager, free_config, monkeypatch):
+        manager.create(free_config, session_id="a")
+        calls = []
+        to_bytes = SessionState.to_bytes
+
+        def counting(self):
+            calls.append(1)
+            return to_bytes(self)
+
+        monkeypatch.setattr(SessionState, "to_bytes", counting)
+        manager.snapshot("a")
+        assert len(calls) == 1
+
+    def test_fork_shares_parent_blob_without_reencoding(
+        self, manager, free_config, monkeypatch
+    ):
+        manager.create(free_config, session_id="a")
+        manager.advance("a", 200)
+        at = manager.snapshots("a")[1]["interactions"]
+        blobs = manager.store.stats()["blobs"]
+
+        def refuse(self):
+            raise AssertionError("fork re-encoded a stored checkpoint")
+
+        monkeypatch.setattr(SessionState, "to_bytes", refuse)
+        manager.fork("a", at=at, child_id="b")
+        assert manager.store.stats()["blobs"] == blobs
+        parent = {s["interactions"]: s["digest"] for s in manager.snapshots("a")}
+        assert manager.snapshots("b")[0]["digest"] == parent[at]
 
 
 class TestSchedulers:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -195,6 +198,47 @@ class TestErrors:
                 pass
         response = b"".join(chunks)
         assert response.startswith(b"HTTP/1.1 400")
+
+
+class TestConnections:
+    def test_one_shot_requests_do_not_leak_store_connections(self, service):
+        # One handler thread per TCP connection, and each thread used to
+        # keep its SQLite connection open until the store closed.
+        for _ in range(300):
+            assert http(service.url + "/sessions")[0] == 200
+        store = service.manager.store
+        deadline = time.monotonic() + 10
+        while len(store._conns) > 3 and time.monotonic() < deadline:
+            time.sleep(0.01)  # the last handler threads may still be ending
+        assert len(store._conns) <= 3
+
+    def test_keep_alive_requests_are_not_stalled(self, service, free_config):
+        # Headers and body in two sends made every keep-alive response
+        # wait out the client's delayed ACK: a p50 of about 44 ms.
+        conn = HTTPConnection(*service.address, timeout=30)
+
+        def p50_ms(method: str, path: str, body: dict | None = None) -> float:
+            times = []
+            for _ in range(40):
+                t0 = time.perf_counter()
+                conn.request(
+                    method, path,
+                    body=None if body is None else json.dumps(body),
+                    headers={"Content-Type": "application/json"},
+                )
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+                times.append((time.perf_counter() - t0) * 1000.0)
+            return statistics.median(times)
+
+        try:
+            healthz = p50_ms("GET", "/healthz")
+            create = p50_ms("POST", "/sessions", free_config)
+        finally:
+            conn.close()
+        assert healthz < 10.0, f"GET /healthz p50 {healthz:.1f} ms"
+        assert create < 10.0, f"POST /sessions p50 {create:.1f} ms"
 
 
 class TestTelemetryInstall:

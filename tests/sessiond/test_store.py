@@ -202,3 +202,49 @@ class TestClose:
         assert store.closed
         assert store._conns == []
         store.close()  # idempotent
+
+
+class TestReleaseConnection:
+    """A thread that is about to end closes its own connection."""
+
+    def test_release_then_reuse_opens_a_fresh_connection(self, store):
+        make_session(store, "a")
+        store.release_connection()
+        assert store._conns == []
+        assert store.get_session("a").id == "a"
+        assert len(store._conns) == 1
+
+    def test_release_after_close_is_a_no_op(self, tmp_path):
+        store = SnapshotStore(tmp_path / "s.db")
+        store.close()
+        store.release_connection()
+        assert store.closed and store._conns == []
+
+    def test_threads_that_release_leave_no_connections(self, store):
+        import sys
+        import threading
+
+        make_session(store, "a")
+        errors: list[BaseException] = []
+
+        def worker() -> None:
+            try:
+                for _ in range(20):
+                    assert store.get_session("a") is not None
+                    store.release_connection()
+            except BaseException as exc:  # reported on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(store._conns) == 1  # the main thread's, still open
