@@ -9,10 +9,11 @@ This subsystem makes the agreement *checkable* instead of hoped-for:
   conservation, the ``#g_1 >= ... >= #g_k`` staircase, ``|M| + |D|``
   cardinality bounds, stable-signature uniqueness per Lemmas 4-6)
   attachable to any engine through the ``on_effective`` callback;
-* :mod:`repro.conform.schedule` — the compilation-free
-  :class:`ReferenceInterpreter` every driven replay steps, and the
-  interaction schedules recorded from it, replayable and
-  JSON-serializable (the minimal-reproducer format);
+* :mod:`repro.conform.schedule` — the library's one recorded
+  execution: interaction schedules recorded through the name-level
+  :class:`ReferenceInterpreter` (re-exported from :mod:`repro.core`)
+  with the engines' own pair draw, replayable and JSON-serializable
+  (the minimal-reproducer format);
 * :mod:`repro.conform.differ` — the drivable engine paths
   (:data:`ENGINE_PATHS`, one per distinct execution; every name in
   :data:`DRIVEABLE_ENGINES` is started by :func:`start_driven`) and a

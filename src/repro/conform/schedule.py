@@ -1,16 +1,19 @@
-"""Recorded interaction schedules and the compilation-free reference run.
+"""Recorded interaction schedules: the library's one recorded execution.
 
 A schedule is the ground truth of one execution: the ordered list of
-(initiator, responder) agent indices that interacted.  The
-:class:`ReferenceInterpreter` is deliberately the *slowest, most
-obviously correct* interpreter in the library — it applies
-:meth:`~repro.core.transitions.TransitionTable.apply` on state
-**names**, bypassing the compiled tables every engine uses.  That makes
-it an independent oracle: the recorder steps it, and replaying a
-recorded schedule through the engines' own data paths (the differ in
-:mod:`repro.conform.differ`, driven sessions and bisection probes in
-:mod:`repro.sessiond`) steps it alongside the engine to cross-check the
-whole compilation pipeline against the paper's rule listing.
+(initiator, responder) agent indices that interacted.  The recorder
+steps :class:`~repro.core.population.ReferenceInterpreter` — the
+*slowest, most obviously correct* interpreter in the library, which
+applies :meth:`~repro.core.transitions.TransitionTable.apply` on state
+**names**, bypassing the compiled tables every engine uses — and draws
+its pairs exactly as the agent-level engines do, so
+``record_schedule(protocol, n, seed=S)`` is the run
+``engine_for_scheduler("agent", scheduler).run(protocol, n, seed=S)``
+makes.  Replaying a recorded schedule through the engines' own data
+paths (the differ in :mod:`repro.conform.differ`, driven sessions and
+bisection in :mod:`repro.sessiond`) steps the interpreter alongside the
+engine to cross-check the whole compilation pipeline against the
+paper's rule listing.
 
 Schedules serialize to JSON-safe records, which is also the
 minimal-reproducer format the differ dumps on divergence.
@@ -24,63 +27,14 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..core.errors import SimulationError
+from ..core.population import ReferenceInterpreter
 from ..core.protocol import Protocol
 from ..core.rng import SeedLike, ensure_generator
+from ..engine.session import PAIR_BLOCK
 from ..scheduling.base import Scheduler
 from ..scheduling.uniform import UniformScheduler
 
 __all__ = ["InteractionSchedule", "ReferenceInterpreter", "record_schedule"]
-
-_BLOCK = 1024
-
-
-class ReferenceInterpreter:
-    """The compilation-free name-level interpreter of one population.
-
-    ``states`` holds one state index per agent and ``counts`` the
-    configuration they form.  :meth:`step` looks the two agents' state
-    names up in the protocol's rule listing — no compiled tables,
-    interaction classes or weights — so its verdicts are independent of
-    every engine data path.
-    """
-
-    __slots__ = ("states", "counts", "_names", "_index", "_apply")
-
-    def __init__(self, protocol: Protocol, states: Sequence[int]) -> None:
-        space = protocol.space
-        self._names = space.names
-        self._index = space.index
-        self._apply = protocol.transitions.apply
-        self.states = [int(s) for s in states]
-        self.counts = [0] * protocol.num_states
-        for s in self.states:
-            self.counts[s] += 1
-
-    @classmethod
-    def at(cls, protocol: Protocol, counts: Sequence[int]) -> "ReferenceInterpreter":
-        """Agents laid out by state: ``counts[0]`` in state 0, then state 1, ..."""
-        return cls(protocol, [idx for idx, c in enumerate(counts) for _ in range(c)])
-
-    def step(self, a: int, b: int) -> tuple[int, int, bool]:
-        """Let agents ``a`` and ``b`` interact.
-
-        Returns their state indices before the interaction and whether
-        it changed either of them.
-        """
-        states, names = self.states, self._names
-        p, q = states[a], states[b]
-        p_name, q_name = names[p], names[q]
-        p2_name, q2_name = self._apply(p_name, q_name)
-        if p2_name == p_name and q2_name == q_name:
-            return p, q, False
-        p2, q2 = self._index(p2_name), self._index(q2_name)
-        states[a], states[b] = p2, q2
-        counts = self.counts
-        counts[p] -= 1
-        counts[q] -= 1
-        counts[p2] += 1
-        counts[q2] += 1
-        return p, q, True
 
 
 @dataclass(slots=True)
@@ -130,9 +84,9 @@ class InteractionSchedule:
     def slice(self, start: int, stop: int) -> "InteractionSchedule":
         """The window ``pairs[start:stop]`` as a standalone schedule.
 
-        The bisector restores a mid-run checkpoint and drives forward
-        from there, so it needs windows that start *inside* the run,
-        not just prefix cuts.  ``effective_steps`` is re-based to the
+        Unlike :meth:`prefix`, the window may start *inside* the run
+        (where a replay resumed from a mid-run checkpoint starts).
+        ``effective_steps`` is re-based to the
         window (step ``s`` becomes ``s - start``).  ``initial_counts``
         is carried over only when ``start == 0`` and ``final_counts``
         only when ``stop`` reaches the end — a mid-run window cannot
@@ -198,6 +152,12 @@ def record_schedule(
 ) -> InteractionSchedule:
     """Run the :class:`ReferenceInterpreter` and record every scheduled pair.
 
+    Pairs are drawn as every pair-stepping engine draws them: a refill
+    of ``min(PAIR_BLOCK, max_interactions - drawn)`` pairs whenever the
+    block is used up.  So the recording equals the ``agent`` engine's
+    run at the same seed (``scheduler`` built on that seed's generator
+    for a non-uniform scheduler), interaction for interaction.
+
     Stops at the protocol's stability predicate (silence when there is
     none) or at ``max_interactions``, which is mandatory and finite
     here: a recorded schedule must be materializable, so unbounded runs
@@ -243,7 +203,7 @@ def record_schedule(
     effective_steps: list[int] = []
     converged = is_stable()
     while not converged and len(pairs) < max_interactions:
-        take = min(_BLOCK, max_interactions - len(pairs))
+        take = min(PAIR_BLOCK, max_interactions - len(pairs))
         a_arr, b_arr = scheduler.next_block(take)
         for a, b in zip(a_arr.tolist(), b_arr.tolist()):
             pairs.append((a, b))

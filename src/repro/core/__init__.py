@@ -1,5 +1,6 @@
 """Core population-protocol model: states, transitions, protocols,
-configurations, populations, executions, and the protocol compiler."""
+configurations, populations and their name-level stepper, and the
+protocol compiler."""
 
 from .compiler import CompiledProtocol, InteractionClass, compile_protocol
 from .configuration import Configuration
@@ -19,8 +20,7 @@ from .errors import (
     UnknownProtocolError,
     UnknownStateError,
 )
-from .execution import ExecutionTrace, Step, record_script
-from .population import Population
+from .population import Population, ReferenceInterpreter
 from .protocol import Protocol, StabilitySignature
 from .rng import SeedLike, ensure_generator, spawn_generators, spawn_seed_sequences
 from .state import StateSpace
@@ -32,14 +32,12 @@ __all__ = [
     "compile_protocol",
     "Configuration",
     "Population",
+    "ReferenceInterpreter",
     "Protocol",
     "StabilitySignature",
     "StateSpace",
     "Transition",
     "TransitionTable",
-    "ExecutionTrace",
-    "Step",
-    "record_script",
     "SeedLike",
     "ensure_generator",
     "spawn_generators",

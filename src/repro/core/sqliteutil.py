@@ -54,7 +54,11 @@ class WalStore:
             raise self._closed_error()
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = sqlite3.connect(self.path, timeout=30.0)
+            # Each connection is used only by the thread that opened it
+            # (through ``_local``); close() may run on any thread.
+            conn = sqlite3.connect(
+                self.path, timeout=30.0, check_same_thread=False
+            )
             try:
                 conn.row_factory = sqlite3.Row
                 conn.execute("PRAGMA journal_mode=WAL")

@@ -1,4 +1,4 @@
-"""Result and trace persistence."""
+"""Result and protocol persistence."""
 
 from .columnar import (
     ColumnStore,
@@ -14,7 +14,6 @@ from .protocols import (
     save_protocol,
 )
 from .results import ResultTable, load_table
-from .traces import load_trace, replay, save_trace, trace_from_dict, trace_to_dict
 
 __all__ = [
     "ResultTable",
@@ -28,9 +27,4 @@ __all__ = [
     "save_protocol",
     "load_protocol",
     "load_table",
-    "trace_to_dict",
-    "trace_from_dict",
-    "save_trace",
-    "load_trace",
-    "replay",
 ]

@@ -14,8 +14,9 @@ Layers:
 * :mod:`repro.sessiond.manager` — live :class:`EngineSession` objects
   over the store: create/advance/fork/rewind/attach, free-running or
   driven by a recorded :class:`InteractionSchedule`.
-* :mod:`repro.sessiond.bisect` — checkpoint-accelerated binary search
-  for the first interaction where two sessions diverge.
+* :mod:`repro.sessiond.bisect` — the first interaction where two
+  sessions diverge: one lockstep replay from the last checkpoint
+  whose outcome trails both sessions share.
 * :mod:`repro.sessiond.service` / :mod:`repro.sessiond.cli` — the HTTP
   daemon and the command-line verbs.
 """

@@ -1,25 +1,27 @@
 """Divergence bisection: where do two sessions first disagree?
 
 Two driven sessions replaying the *same* recorded schedule are pure
-functions of their protocol tables — so if they end in different
-configurations, some single interaction is the first place the
-trajectories split (a mutated transition rule, a buggy engine data
-path, a protocol-variant behaviour difference).  Linear replay finds it
-in O(T) engine steps; this module finds it in O(log T) *probes*, each
-probe restoring the nearest stored checkpoint and driving only the
-window up to the probe point (O(checkpoint interval) work against a
-warm store).
+functions of their protocol tables, so the first interaction whose
+outcome differs between them is well defined (a mutated transition
+rule, a protocol-variant behaviour difference).  That split is found
+even when the trajectories later heal back into the same
+configuration.  Outcomes are the name-level interpreter's.  Each
+engine's effectiveness verdict is checked against its own rule listing
+on every step (:meth:`~repro.sessiond.manager.ManagedSession.step`
+raises on a mismatch); the conformance differ localizes engine faults.
 
-The binary search maintains the invariant "configurations equal after
-``lo`` interactions, different after ``hi``"; when the window closes,
-``lo`` is the 0-based index of the first divergent interaction — the
-two sessions agree on everything before pair ``lo`` and disagree right
-after it.  The caveat is the invariant's premise: bisection assumes a
-divergence, once present, persists to the probe points it inspects.  A
-divergence that heals itself exactly (possible in principle for
-count-identical excursions) would be invisible at the endpoints and
-not found; the conformance differ's linear lockstep replay remains the
-exhaustive tool.
+Every driven checkpoint carries the session's *trail*, a digest chained
+over the outcome of each effective step before it (see
+:mod:`repro.sessiond.manager`).  Equal trails at ``t`` mean the two
+sessions agree on every step before ``t``, and once two trails differ
+they stay different, so the latest position where both sessions hold a
+checkpoint with equal trails is a safe place to start.  Interaction 0
+always qualifies.  Bisection restores both sessions there (two
+*probes*) and steps them in lockstep until the first step whose
+post-states differ, or to the end of the schedule.  The cost is two
+checkpoint restores plus the distance from that shared checkpoint to
+the split; denser checkpoints only make it cheaper, never change the
+answer.  A checkpoint stored without a trail is skipped.
 
 The emitted minimal reproducer uses the conformance subsystem's trace
 format (``conform_divergence`` + ``conform_schedule`` records via
@@ -56,7 +58,8 @@ class BisectReport:
     #: Configurations immediately after the divergent interaction.
     counts_a: list[int] | None
     counts_b: list[int] | None
-    #: Checkpoint-restore probes the search spent.
+    #: Checkpoint restores the search spent (two, or none when the
+    #: sessions' trails already agree at the end of the schedule).
     probes: int
     reproducer_path: str | None = None
 
@@ -103,14 +106,13 @@ def bisect_divergence(
     *,
     reproducer_dir: str | Path | None = None,
 ) -> BisectReport:
-    """Binary-search the first interaction where two sessions diverge.
+    """The first interaction whose outcome differs between two sessions.
 
     Both sessions must be driven replays of the same schedule (same
     pair list, same population); their protocols may differ — that is
-    the point.  Neither session needs to have been advanced: probes
-    restore whatever checkpoints exist (interaction 0 always does) and
-    drive forward from there, so denser checkpoints only make the
-    search cheaper, never change its answer.
+    the point.  Neither session needs to have been advanced: the replay
+    starts from the last checkpoint both share with equal trails
+    (interaction 0 always does).
 
     When a divergence is found and ``reproducer_dir`` is given, the
     minimal reproducer — the schedule prefix up to and including the
@@ -136,16 +138,6 @@ def bisect_divergence(
             "configurations"
         )
 
-    telemetry = get_telemetry()
-    probes = 0
-
-    def counts(sid: str, t: int) -> list[int]:
-        nonlocal probes
-        probes += 1
-        if telemetry.enabled:
-            telemetry.counter("sessiond.bisect.probes").inc()
-        return manager.counts_at(sid, t)
-
     total = len(sched_a["pairs"])
     report = BisectReport(
         session_a=session_a,
@@ -157,31 +149,43 @@ def bisect_divergence(
         counts_b=None,
         probes=0,
     )
-    if total == 0 or counts(session_a, total) == counts(session_b, total):
-        report.probes = probes
+    trails_b = manager.store.checkpoint_trails(session_b)
+    start = max(
+        (
+            t
+            for t, trail in manager.store.checkpoint_trails(session_a).items()
+            if trails_b.get(t) == trail
+        ),
+        default=0,
+    )
+    if start >= total:
         return report
 
-    # Invariant: equal after lo interactions, different after hi.
-    lo, hi = 0, total
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if counts(session_a, mid) == counts(session_b, mid):
-            lo = mid
-        else:
-            hi = mid
-    step = lo  # counts_at(lo) agree, counts_at(lo + 1) differ
-    counts_a = counts(session_a, step + 1)
-    counts_b = counts(session_b, step + 1)
-    schedule = InteractionSchedule.from_record(sched_a)
-    report.first_divergence = step
-    report.pair = schedule.pairs[step]
-    report.counts_a = counts_a
-    report.counts_b = counts_b
-    report.probes = probes
-    if reproducer_dir is not None:
-        report.reproducer_path = _dump_reproducer(
-            reproducer_dir, schedule, report
-        )
+    run_a = manager.probe(session_a, start)
+    run_b = manager.probe(session_b, start)
+    report.probes = 2
+    telemetry = get_telemetry()
+    if telemetry.enabled:
+        telemetry.counter("sessiond.bisect.probes").inc(2)
+    assert run_a.schedule is not None and run_a.interpreter is not None
+    assert run_b.interpreter is not None
+    pairs = run_a.schedule.pairs
+    states_a, states_b = run_a.interpreter.states, run_b.interpreter.states
+    while run_a.cursor < total:
+        step = run_a.cursor
+        a, b = pairs[step]
+        run_a.step()
+        run_b.step()
+        if states_a[a] != states_b[a] or states_a[b] != states_b[b]:
+            report.first_divergence = step
+            report.pair = (a, b)
+            report.counts_a = list(run_a.session.counts)
+            report.counts_b = list(run_b.session.counts)
+            if reproducer_dir is not None:
+                report.reproducer_path = _dump_reproducer(
+                    reproducer_dir, run_a.schedule, report
+                )
+            break
     return report
 
 

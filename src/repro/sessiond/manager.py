@@ -23,12 +23,17 @@ Two advancement modes exist per session:
     (schedule, protocol).  That determinism is what makes time-travel
     replay bit-identical and divergence bisection meaningful.  Because
     count-level engines never see agent identities, the manager steps
-    the conformance oracle's
-    :class:`~repro.conform.schedule.ReferenceInterpreter` alongside the
+    the name-level
+    :class:`~repro.core.population.ReferenceInterpreter` alongside the
     engine to translate each scheduled pair ``(a, b)`` into the ordered
-    state pair ``(p, q)`` the engine needs; the interpreter's per-agent
-    states (the *shadow*) ride along with every checkpoint as the
-    driver sidecar.
+    state pair ``(p, q)`` the engine needs.  The driver sidecar of every
+    checkpoint carries the interpreter's per-agent states (the
+    *shadow*) and the session's *trail*: a digest chained over the
+    outcome ``(index, p2, q2)`` of every effective step so far, which
+    does not depend on where checkpoints fall.  Two sessions on one
+    schedule with equal trails at ``t`` agree on every step before
+    ``t``, which is what lets bisection start from the last checkpoint
+    both share.
 
 Budget-sliced fairness: :meth:`pump` advances every running session
 round-robin in bounded slices, so one monopolizing run cannot starve
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import threading
 import uuid
 from dataclasses import dataclass, field, replace
@@ -47,8 +53,9 @@ from pathlib import Path
 import numpy as np
 
 from ..conform.differ import start_driven
-from ..conform.schedule import InteractionSchedule, ReferenceInterpreter
+from ..conform.schedule import InteractionSchedule
 from ..core.errors import SimulationError
+from ..core.population import ReferenceInterpreter
 from ..core.protocol import Protocol
 from ..engine.base import Engine, SimulationResult
 from ..engine.registry import engine_for_scheduler
@@ -65,6 +72,10 @@ __all__ = [
 
 #: Default automatic-checkpoint cadence (interactions).
 DEFAULT_CHECKPOINT_INTERVAL = 4096
+
+#: One effective step's outcome in a driven session's trail:
+#: (index, p2, q2).
+_OUTCOME = struct.Struct("<qii")
 
 
 def config_digest(config: dict) -> str:
@@ -110,11 +121,45 @@ class ManagedSession:
     status: SessionStatus = SessionStatus.RUNNING
     #: Driven mode only: the name-level interpreter of the schedule.
     interpreter: ReferenceInterpreter | None = None
+    #: Driven mode only: the digest chained over every effective step's
+    #: outcome so far (b"" at interaction 0); None after restoring a
+    #: checkpoint that was stored without one.
+    trail: bytes | None = b""
     result_record: dict | None = field(default=None, repr=False)
 
     @property
     def terminal(self) -> bool:
         return self.status.terminal
+
+    def step(self) -> None:
+        """Replay the next schedule pair through the engine data path.
+
+        The reference interpreter supplies the ordered state pair; the
+        engine's own verdict on effectiveness must match the
+        interpreter's — a mismatch means the compiled data path diverged
+        from the rule listing, which is a hard error here (the
+        conformance differ exists to localize those).
+        """
+        assert self.schedule is not None and self.interpreter is not None
+        a, b = self.schedule.pairs[self.cursor]
+        p, q, effective = self.interpreter.step(a, b)
+        if self.session.apply_scheduled(a, b, p, q) != effective:
+            names = self.protocol.space.names
+            raise SimulationError(
+                f"session {self.id!r}: engine {self.engine!r} disagrees with "
+                f"the rule listing at interaction {self.cursor} "
+                f"(pair ({names[p]}, {names[q]})); run the conformance "
+                "differ to localize the divergence"
+            )
+        if effective:
+            self.effective += 1
+            if self.trail is not None:
+                states = self.interpreter.states
+                self.trail = hashlib.blake2b(
+                    self.trail + _OUTCOME.pack(self.cursor, states[a], states[b]),
+                    digest_size=16,
+                ).digest()
+        self.cursor += 1
 
 
 class SessionManager:
@@ -392,31 +437,9 @@ class SessionManager:
     def _drive(
         self, ms: ManagedSession, stop: int, *, checkpoint: bool = True
     ) -> None:
-        """Replay schedule pairs through the engine data path up to ``stop``.
-
-        The reference interpreter supplies the ordered state pair for
-        each scheduled interaction; the engine's own verdict on
-        effectiveness must match the interpreter's — a mismatch means
-        the compiled data path diverged from the rule listing, which is
-        a hard error here (the conformance differ exists to localize
-        those).  ``checkpoint=False`` drives a bisection probe.
-        """
-        schedule, interpreter = ms.schedule, ms.interpreter
-        assert schedule is not None and interpreter is not None
+        """Step the schedule up to ``stop``; ``checkpoint=False`` for probes."""
         while ms.cursor < stop:
-            a, b = schedule.pairs[ms.cursor]
-            p, q, effective = interpreter.step(a, b)
-            if ms.session.apply_scheduled(a, b, p, q) != effective:
-                names = ms.protocol.space.names
-                raise SimulationError(
-                    f"session {ms.id!r}: engine {ms.engine!r} disagrees with "
-                    f"the rule listing at interaction {ms.cursor} "
-                    f"(pair ({names[p]}, {names[q]})); run the conformance "
-                    "differ to localize the divergence"
-                )
-            if effective:
-                ms.effective += 1
-            ms.cursor += 1
+            ms.step()
             if checkpoint and ms.cursor % ms.checkpoint_interval == 0:
                 self._checkpoint(ms)
 
@@ -453,6 +476,8 @@ class SessionManager:
         if ms.mode == "driven":
             assert ms.interpreter is not None
             driver = {"shadow": list(ms.interpreter.states), "cursor": ms.cursor}
+            if ms.trail is not None:
+                driver["trail"] = ms.trail.hex()
         return self.store.put_snapshot(
             ms.id,
             ms.cursor,
@@ -558,6 +583,11 @@ class SessionManager:
                     "it was not taken from a driven session"
                 )
             ms.interpreter = ReferenceInterpreter(ms.protocol, ckpt.driver["shadow"])
+            trail = ckpt.driver.get("trail")
+            if trail is not None:
+                ms.trail = bytes.fromhex(trail)
+            else:
+                ms.trail = b"" if ckpt.interactions == 0 else None
             assert ms.schedule is not None
             if ms.cursor >= len(ms.schedule.pairs):
                 ms.status = self._driven_terminal_status(ms)
@@ -666,13 +696,18 @@ class SessionManager:
         )
 
     def counts_at(self, session_id: str, t: int) -> list[int]:
-        """The count vector after interaction ``t`` (driven sessions).
+        """The count vector after interaction ``t`` (driven sessions)."""
+        return list(self.probe(session_id, t).session.counts)
 
-        The bisector's probe: restores the nearest stored checkpoint at
-        or before ``t`` into a scratch session and drives the schedule
-        window forward — O(checkpoint interval) work per probe instead
-        of O(t) — with the same engine-versus-rule-listing check as a
-        live advance.  The live session is never disturbed.
+    def probe(self, session_id: str, t: int) -> ManagedSession:
+        """A scratch copy of a driven session, standing after interaction ``t``.
+
+        Restores the nearest stored checkpoint at or before ``t`` and
+        drives the schedule window forward — O(checkpoint interval) work
+        instead of O(t) — with the same engine-versus-rule-listing check
+        as a live advance.  The copy can be stepped further
+        (:meth:`ManagedSession.step`); the live session is never
+        disturbed, and nothing the copy does is stored.
         """
         with self._lock:
             scratch = self._probe_session(session_id)
@@ -690,10 +725,10 @@ class SessionManager:
                 )
             scratch.status = SessionStatus.RUNNING
             self._drive(scratch, t, checkpoint=False)
-            return list(scratch.session.counts)
+            return scratch
 
     def _probe_session(self, session_id: str) -> ManagedSession:
-        """A scratch session for one :meth:`counts_at` probe.
+        """A scratch session for one :meth:`probe`.
 
         A live session lends its protocol object, parsed schedule,
         engine and checkpoint interval, so a probe neither decodes the
@@ -705,7 +740,7 @@ class SessionManager:
         mode = (live or row).mode
         if mode != "driven":
             raise SimulationError(
-                f"counts_at needs a driven session; {session_id!r} is "
+                f"probes need a driven session; {session_id!r} is "
                 f"mode {mode!r}"
             )
         sid = f"probe-{session_id}"

@@ -293,12 +293,15 @@ class SnapshotStore(WalStore):
         current: str | None = session_id
         while current is not None and current not in seen:
             seen.add(current)
-            row = self.get_session(current)
+            row = self._query(
+                "SELECT parent_id, parent_interactions FROM sessions WHERE id = ?",
+                (current,),
+            ).fetchone()
             if row is None:
                 chain.append((current, None))
                 break
-            chain.append((current, row.parent_interactions))
-            current = row.parent_id
+            chain.append((current, row["parent_interactions"]))
+            current = row["parent_id"]
         chain.reverse()
         return chain
 
@@ -408,6 +411,20 @@ class SnapshotStore(WalStore):
             (session_id,),
         ).fetchone()
         return self._checkpoint(row)
+
+    def checkpoint_trails(self, session_id: str) -> dict[int, str]:
+        """``interactions -> trail`` over one driven session's checkpoints.
+
+        The trail is the outcome digest in the driver sidecar; a
+        checkpoint stored without one is left out.
+        """
+        rows = self._query(
+            "SELECT interactions, json_extract(driver, '$.trail') AS trail "
+            "FROM snapshots WHERE session_id = ? "
+            "AND json_extract(driver, '$.trail') IS NOT NULL",
+            (session_id,),
+        ).fetchall()
+        return {r["interactions"]: r["trail"] for r in rows}
 
     def list_snapshots(self, session_id: str) -> list[SnapshotRow]:
         rows = self._query(

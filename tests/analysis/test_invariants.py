@@ -130,12 +130,14 @@ class TestFinalizeHook:
 
 class TestHoldsAlong:
     def test_on_recorded_trace(self, proto):
-        from repro.core import Population, record_script
+        from repro.core import Population
 
         pop = Population(proto, n=6)
-        trace = record_script(pop, [(0, 1), (2, 3), (0, 2), (0, 1)])
         pack = invariant_pack(proto, 6)
-        assert all(not check_counts(pack, c.counts) for c in trace.configurations)
+        assert not check_counts(pack, pop.counts)
+        for a, b in [(0, 1), (2, 3), (0, 2), (0, 1)]:
+            pop.interact(a, b)
+            assert not check_counts(pack, pop.counts)
 
     def test_detects_bad_sequence(self, proto):
         bad = np.zeros(proto.num_states, dtype=np.int64)

@@ -3,12 +3,13 @@
 ``agent``, ``batch``, ``batch-jit`` and ``graph`` all run
 :class:`~repro.engine.batch.BatchSession`'s loop (or its compiled
 kernel), so comparing them with each other cannot catch a fault in that
-loop.  Here the test draws the pairs itself, by the engines' rule — a
-refill of ``min(PAIR_BLOCK, budget - interactions)`` pairs whenever the
-block is used up — and steps the name-level
-:class:`~repro.conform.ReferenceInterpreter` through them, which shares
-no compiled table with any engine.  Each engine's record must match
-that replay under both kernel backends.
+loop.  Here the schedule comes from
+:func:`~repro.conform.record_schedule`, which draws pairs by the
+engines' rule — a refill of ``min(PAIR_BLOCK, budget - interactions)``
+pairs whenever the block is used up — and steps the name-level
+:class:`~repro.core.population.ReferenceInterpreter`, which shares no
+compiled table with any engine.  Each engine's record must match that
+recording under both kernel backends.
 """
 
 from __future__ import annotations
@@ -16,14 +17,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.conform import ReferenceInterpreter
+from repro.conform import ReferenceInterpreter, record_schedule
 from repro.core.rng import ensure_generator
 from repro.engine import engine_for_scheduler, reset_kernels
-from repro.engine.session import PAIR_BLOCK
 from repro.protocols.registry import build_protocol
-from repro.scheduling.graph import edge_pairs
 from repro.scheduling.spec import SchedulerSpec
-from repro.scheduling.uniform import uniform_pairs
 
 #: case id -> (engine, scheduler, protocol, params, n, track, budget)
 CASES = {
@@ -38,47 +36,30 @@ CASES = {
 }
 
 
-def _pair_source(engine: str, scheduler: str, n: int, seed: int):
-    """``take -> (a, b)``: the draw the engine makes on each refill."""
-    rng = ensure_generator(seed)
-    spec = SchedulerSpec.parse(scheduler)
-    if engine == "agent":
-        return spec.build(n, rng).next_block
-    if engine == "graph":
-        edges = spec.edge_array(n)
-        return lambda take: edge_pairs(rng, edges, take)
-    return lambda take: uniform_pairs(rng, n, take)
-
-
-def _replay(protocol, n, track, budget, draw) -> dict:
-    """Step the reference interpreter through the engine's schedule."""
-    interp = ReferenceInterpreter.at(protocol, protocol.initial_counts(n).tolist())
-    counts = interp.counts
-    pred = protocol.stability_predicate(n)
-    assert pred is not None
+def _recorded(protocol, n, track, budget, scheduler, seed) -> dict:
+    """The engine record the recording of this run implies."""
+    sched = None
+    if scheduler != "uniform":
+        sched = SchedulerSpec.parse(scheduler).build(n, ensure_generator(seed))
+    rec = record_schedule(
+        protocol, n, seed=seed, max_interactions=budget, scheduler=sched
+    )
+    # Milestones: replay the effective steps (null ones change nothing).
+    interp = ReferenceInterpreter.at(protocol, rec.initial_counts)
     t = protocol.space.index(track)
-    high_water = counts[t]
+    high_water = interp.counts[t]
     milestones: list[int] = []
-    interactions = effective = 0
-    converged = pred(counts)
-    while not converged and interactions < budget:
-        a_arr, b_arr = draw(min(PAIR_BLOCK, budget - interactions))
-        for a, b in zip(a_arr.tolist(), b_arr.tolist()):
-            interactions += 1
-            if not interp.step(a, b)[2]:
-                continue
-            effective += 1
-            while high_water < counts[t]:
-                high_water += 1
-                milestones.append(interactions)
-            if pred(counts):
-                converged = True
-                break
+    for i in rec.effective_steps:
+        interp.step(*rec.pairs[i])
+        while high_water < interp.counts[t]:
+            high_water += 1
+            milestones.append(i + 1)
+    assert interp.counts == rec.final_counts
     return {
-        "interactions": interactions,
-        "effective": effective,
-        "final_counts": list(counts),
-        "converged": converged,
+        "interactions": rec.interactions,
+        "effective": rec.effective_interactions,
+        "final_counts": rec.final_counts,
+        "converged": rec.converged,
         "milestones": milestones,
     }
 
@@ -89,9 +70,7 @@ def test_engine_record_matches_reference_replay(monkeypatch, case, backend):
     engine, scheduler, name, params, n, track, budget = CASES[case]
     protocol = build_protocol(name, **params)
     seed = 7
-    expected = _replay(
-        protocol, n, track, budget, _pair_source(engine, scheduler, n, seed)
-    )
+    expected = _recorded(protocol, n, track, budget, scheduler, seed)
     monkeypatch.setenv("REPRO_KERNEL", backend)
     reset_kernels()
     try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Population, record_script
+from repro.core import Population
 from repro.protocols import uniform_k_partition
 
 
@@ -92,8 +92,7 @@ class TestFigure2:
 
         # (a2,a5): a2 is already g1, so this interaction is null -
         # "transitions of the basic strategy are not applied" to it.
-        trace = record_script(pop, [(1, 4)], snapshots=False)
-        assert trace.num_effective == 0
+        assert pop.run_script([(1, 4)]) == 0
 
         # (a3,a5), (a4,a5): a5's chain absorbs a3 and a4 (b -> c).
         pop.run_script([(2, 4)])
@@ -125,8 +124,9 @@ class TestFigure2:
         assert states(pop) == ["initial"] * 6
 
     def test_lemma1_holds_at_every_figure2_step(self, pop6):
-        # Replay the whole Figure 2 script recording snapshots and
-        # verify the Lemma 1 invariant in each configuration.
+        # Replay the whole Figure 2 script, snapshotting the start and
+        # every step, and verify the Lemma 1 invariant in each
+        # configuration.
         pop = pop6
         proto = pop.protocol
         script = [
@@ -135,6 +135,9 @@ class TestFigure2:
             (4, 5),                           # rule 8
             (0, 5), (3, 4), (2, 4), (1, 4),   # unwind to all-initial
         ]
-        trace = record_script(pop, script)
-        for config in trace.configurations:
+        configurations = [pop.configuration()]
+        for a, b in script:
+            pop.interact(a, b)
+            configurations.append(pop.configuration())
+        for config in configurations:
             assert proto.satisfies_lemma1(config.counts)

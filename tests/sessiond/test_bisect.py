@@ -4,20 +4,22 @@ The acceptance case plants a corrupted transition rule with
 ``conform.mutation.mutate_protocol`` and requires the bisector to name
 the exact first interaction where the mutated trajectory departs from
 the clean one — verified against an exhaustive linear replay of both
-name-level interpreters, which is the ground truth the binary search
-must match.
+name-level interpreters, which is the ground truth the bisector must
+match, also when the two trajectories heal back into one configuration.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.conform.mutation import mutate_protocol
 from repro.core import SimulationError
 from repro.obs import Telemetry, use_telemetry
-from repro.sessiond import bisect_divergence
+from repro.sessiond import SessionManager, bisect_divergence
 
 
 def linear_first_divergence(clean, mutated, schedule):
@@ -49,9 +51,9 @@ def linear_first_divergence(clean, mutated, schedule):
 
 
 # Rule 1 is the seeded bug for this schedule: its corruption fires
-# early and the trajectories never reconcile, so the divergence is
-# still visible at the terminal configuration the bisector probes.
-# (Rule 0 fires too, but heals by schedule end here — covered below.)
+# early (rule 0 fires at the very first interaction, covered below).
+# Both trajectories end in the same configuration on this schedule, so
+# only a replay that compares step outcomes can find either split.
 SEEDED_RULE = 1
 
 
@@ -84,9 +86,9 @@ class TestBisect:
 
     def test_probe_count_is_logarithmic(self, pair_of_sessions, schedule):
         report = bisect_divergence(pair_of_sessions, "clean", "mutated")
-        # Binary search: ~log2(T) window probes plus bounded endpoint
-        # and verification probes — far below a linear scan.
-        assert report.probes <= 2 * schedule.interactions.bit_length() + 6
+        # One checkpoint restore per session, then a single lockstep
+        # replay: no probe sequence at all.
+        assert report.probes == 2
 
     def test_probes_are_counted_in_telemetry(self, pair_of_sessions):
         telemetry = Telemetry()
@@ -127,10 +129,10 @@ class TestBisect:
     def test_healed_divergence_is_honestly_reported_as_none(
         self, manager, driven_config, proto, schedule
     ):
-        # Rule 0 fires mid-run on this schedule but the two trajectories
-        # reconcile before the end, so the endpoint-probing bisector
-        # cannot see it — the documented caveat in ``bisect.py``.  It
-        # must say "no divergence" rather than guess.
+        # Rule 0 fires on this schedule but the two trajectories
+        # reconcile before the end: equal final configurations.  The
+        # bisector compares step outcomes, not configurations at probe
+        # points, so it still reports the first split.
         expected = linear_first_divergence(
             proto, mutate_protocol(proto, 0), schedule
         )
@@ -139,8 +141,13 @@ class TestBisect:
         manager.create(
             dict(driven_config, mutate_rule=0), session_id="healed"
         )
+        manager.advance("clean")
+        manager.advance("healed")
+        clean, healed = manager.result("clean"), manager.result("healed")
+        assert clean["final_counts"] == healed["final_counts"]  # ...and heals.
         report = bisect_divergence(manager, "clean", "healed")
-        assert not report.diverged  # ...yet the endpoints agree.
+        assert report.first_divergence == expected
+        assert report.counts_a != report.counts_b
 
     def test_checkpoint_density_never_changes_the_answer(
         self, manager, driven_config
@@ -155,6 +162,49 @@ class TestBisect:
         manager.advance("mutated")
         dense = bisect_divergence(manager, "clean", "mutated")
         assert dense.first_divergence == sparse.first_divergence
+
+    def test_trails_do_not_depend_on_checkpoint_placement(
+        self, manager, driven_config, schedule
+    ):
+        manager.create(dict(driven_config), session_id="a")
+        manager.create(
+            dict(driven_config, checkpoint_interval=96), session_id="b"
+        )
+        manager.advance("a")
+        manager.advance("b", 100)
+        manager.advance("b")
+        trails_a = manager.store.checkpoint_trails("a")
+        trails_b = manager.store.checkpoint_trails("b")
+        shared = set(trails_a) & set(trails_b)
+        assert {0, 192, schedule.interactions} <= shared
+        assert all(trails_a[t] == trails_b[t] for t in shared)
+        # Equal trails at the end: nothing to replay, nothing restored.
+        report = bisect_divergence(manager, "a", "b")
+        assert not report.diverged
+        assert report.probes == 0
+
+    def test_replay_starts_at_the_last_agreeing_checkpoint(
+        self, manager, driven_config, proto, schedule, monkeypatch
+    ):
+        expected = linear_first_divergence(
+            proto, mutate_protocol(proto, 5), schedule
+        )
+        assert expected is not None and expected > 64
+        manager.create(dict(driven_config), session_id="clean")
+        manager.create(dict(driven_config, mutate_rule=5), session_id="late")
+        manager.advance("clean")
+        manager.advance("late")
+        starts = []
+        probe = SessionManager.probe
+
+        def spy(self, session_id, t):
+            starts.append(t)
+            return probe(self, session_id, t)
+
+        monkeypatch.setattr(SessionManager, "probe", spy)
+        report = bisect_divergence(manager, "clean", "late")
+        assert report.first_divergence == expected
+        assert starts == [expected // 64 * 64] * 2
 
 
 class TestValidation:
@@ -176,6 +226,46 @@ class TestValidation:
         )
         with pytest.raises(SimulationError, match="different"):
             bisect_divergence(manager, "a", "b")
+
+
+#: A store written before checkpoints carried outcome trails: driven
+#: sessions ``clean`` (count) and ``mutated`` (batch, ``mutate_rule=1``)
+#: replaying ``record_schedule(uniform_k_partition(3), 24, seed=11)`` as
+#: that code recorded it, checkpointed every 64 interactions and closed
+#: at 150.  The JSON file holds the records (``elapsed`` stripped) each
+#: session finished with when resumed by the code that wrote the store.
+DATA = Path(__file__).parent / "data"
+PARENT_STORE = DATA / "parent-driven-sessions.db"
+PARENT_RECORDS = DATA / "parent-driven-sessions.expected.json"
+
+
+def test_parent_store_attaches_finishes_and_bisects(tmp_path, proto):
+    from repro.conform import InteractionSchedule
+
+    db = tmp_path / "sessions.db"
+    shutil.copy(PARENT_STORE, db)
+    expected = json.loads(PARENT_RECORDS.read_text())
+    manager = SessionManager(db, checkpoint_interval=64)
+    try:
+        schedule = InteractionSchedule.from_record(
+            manager.store.require_session("clean").config["schedule"]
+        )
+        linear = linear_first_divergence(
+            proto, mutate_protocol(proto, SEEDED_RULE), schedule
+        )
+        assert linear is not None
+        assert manager.store.checkpoint_trails("clean") == {}
+        assert bisect_divergence(manager, "clean", "mutated").first_divergence == linear
+        for sid in ("clean", "mutated"):
+            assert manager.attach(sid)["interactions"] == 150
+            manager.advance(sid)
+            result = manager.result(sid)
+            result.pop("elapsed")
+            assert result == expected[sid], sid
+        report = bisect_divergence(manager, "clean", "mutated")
+        assert report.first_divergence == linear
+    finally:
+        manager.close()
 
 
 class TestProbeReuse:

@@ -43,6 +43,29 @@ class TestLifecycle:
             manager.store.require_session("a").config
         )
 
+    def test_status_decodes_the_stored_config_once(
+        self, manager, driven_config, monkeypatch
+    ):
+        from repro.sessiond.store import SessionRow
+
+        manager.create(driven_config, session_id="a")
+        manager.advance("a", 64)
+        manager.fork("a", child_id="b")
+        manager.fork("b", child_id="c")
+        expected = manager.status("c")
+        decoded = []
+        from_row = SessionRow._from_row
+
+        def counting(row):
+            decoded.append(row["id"])
+            return from_row(row)
+
+        monkeypatch.setattr(SessionRow, "_from_row", staticmethod(counting))
+        payload = manager.status("c")
+        assert decoded == ["c"]
+        assert payload == expected
+        assert [hop["id"] for hop in payload["lineage"]] == ["a", "b", "c"]
+
     def test_unknown_mode_rejected(self, manager, free_config):
         with pytest.raises(SimulationError, match="unknown session mode"):
             manager.create(dict(free_config, mode="psychic"))

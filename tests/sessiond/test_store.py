@@ -203,6 +203,47 @@ class TestClose:
         assert store._conns == []
         store.close()  # idempotent
 
+    def test_close_releases_other_threads_connections(self, tmp_path):
+        # Regression: connections opened on other threads were bound to
+        # them, so close() on this thread failed on each one (the error
+        # was swallowed) and their file handles stayed open until a
+        # garbage collection.
+        import gc
+        import os
+        import threading
+
+        path = tmp_path / "store.db"
+        store = SnapshotStore(path)
+        make_session(store, "a")
+
+        def touch() -> None:
+            assert store.get_session("a") is not None
+
+        def open_handles() -> list[str]:
+            found = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:
+                    continue
+                if target.startswith(str(path)):
+                    found.append(target)
+            return found
+
+        gc.disable()
+        try:
+            threads = [threading.Thread(target=touch) for _ in range(5)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(store._conns) == 6
+            store.close()
+            assert open_handles() == []
+        finally:
+            gc.enable()
+
 
 class TestReleaseConnection:
     """A thread that is about to end closes its own connection."""
