@@ -8,17 +8,18 @@ jobs return to ``pending`` on the next start via
 polite version of the same thing — in-flight jobs are checkpointed
 back to ``pending`` synchronously before the executor returns.
 
-Workers: ``workers=1`` executes in-process through the resumable
-session path — each trial runs as an
-:class:`~repro.engine.session.EngineSession`, and whenever
+Jobs run their seeds through :func:`~repro.engine.runner.run_seeds`.
+``workers=1`` executes in-process through :func:`execute_spec_resumable`,
+which binds the store to that loop's by-work checkpointing: whenever
 ``checkpoint_interactions`` interactions have run since the last
 commit, the trials finished since then and the in-flight trial's
 snapshot are committed to the store together, so a killed executor
 loses at most that much work (plus the trial in flight), resumes
 *mid-trial* and still produces bit-identical results.  ``workers>1``
-fans jobs out over a ``ProcessPoolExecutor``, one job per submission,
-with the parent committing results — worker processes never touch
-SQLite, so pooled jobs checkpoint only at job granularity.
+fans :func:`execute_spec` calls out over a ``ProcessPoolExecutor``, one
+job per submission, with the parent committing results — worker
+processes never touch SQLite, so pooled jobs checkpoint only at job
+granularity.
 """
 
 from __future__ import annotations
@@ -28,12 +29,17 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from collections.abc import Callable
+from functools import partial
 
 from ..core.rng import spawn_seed_sequences
-from ..engine.base import SimulationResult
 from ..engine.registry import engine_for_scheduler
-from ..engine.runner import TrialSet, finalize_trials, trial_fingerprint
-from ..engine.session import SessionState
+from ..engine.runner import (
+    Checkpointing,
+    TrialSet,
+    finalize_trials,
+    run_seeds,
+    trial_fingerprint,
+)
 from .spec import JobSpec
 from .store import DEFAULT_TENANT, CampaignStore, JobRecord
 
@@ -66,28 +72,68 @@ def execute_spec(spec_dict: dict) -> dict:
     statistics, the runner-level cache key (so the parent can populate
     ``trial_cache`` without rebuilding the protocol), and wall time.
     """
-    spec = JobSpec.from_dict(spec_dict)
-    protocol = spec.build_protocol()
-    t0 = time.perf_counter()
-    from ..engine.runner import run_trials
+    return _execute(JobSpec.from_dict(spec_dict))
 
-    ts = run_trials(
+
+def execute_spec_resumable(
+    spec_dict: dict,
+    store: CampaignStore,
+    *,
+    digest: str,
+    checkpoint_interactions: int = DEFAULT_CHECKPOINT_INTERACTIONS,
+    on_slice: Callable[[int, int], None] | None = None,
+    tenant: str = DEFAULT_TENANT,
+) -> dict:
+    """Run one job spec with mid-trial checkpointing; resume if possible.
+
+    :func:`execute_spec` with by-work
+    :class:`~repro.engine.runner.Checkpointing` bound to the store:
+    :meth:`CampaignStore.save_checkpoint` receives the records of the
+    trials finished since the last commit (one appended row each) and
+    the in-flight snapshot, and the job's stored checkpoint, if any, is
+    the resume point, so completed trials are not re-run and the
+    interrupted one restarts *mid-flight*.  A job whose whole work stays
+    below ``checkpoint_interactions`` commits nothing here;
+    :meth:`CampaignStore.mark_done` stores its record.  Because sliced
+    session execution is bit-identical to straight execution, the
+    payload is the one an uninterrupted :func:`execute_spec` run
+    produces.  ``on_slice(trial_index, interactions)`` fires after each
+    mid-trial checkpoint — the kill/resume tests' interruption hook.
+    """
+    ckpt = store.load_checkpoint(digest, tenant=tenant)
+    checkpoint = Checkpointing(
+        partial(store.save_checkpoint, digest, tenant=tenant),
+        checkpoint_interactions,
+        on_slice=on_slice,
+        **(ckpt or {}),
+    )
+    payload = _execute(JobSpec.from_dict(spec_dict), checkpoint)
+    payload["resumed"] = ckpt is not None
+    return payload
+
+
+def _execute(spec: JobSpec, checkpoint: Checkpointing | None = None) -> dict:
+    """Run a job's seeds through the trial loop and build its payload."""
+    protocol = spec.build_protocol()
+    engine = engine_for_scheduler(spec.engine, spec.scheduler)
+    t0 = time.perf_counter()
+    results = run_seeds(
+        engine,
         protocol,
         spec.n,
-        trials=spec.trials,
-        engine=spec.engine,
-        seed=spec.seed,
+        spawn_seed_sequences(spec.seed, spec.trials),
         max_interactions=spec.max_interactions,
         track_state=spec.track_state,
-        scheduler=spec.scheduler,
-        require_convergence=spec.max_interactions is None,
-        cache=_NO_CACHE,
+        checkpoint=checkpoint,
     )
-    wall = time.perf_counter() - t0
-    return _payload(spec, protocol, ts, wall)
-
-
-def _payload(spec: JobSpec, protocol, ts: TrialSet, wall: float) -> dict:
+    ts = finalize_trials(
+        protocol,
+        engine.name,
+        results,
+        seed=spec.seed,
+        require_convergence=spec.max_interactions is None,
+        elapsed=time.perf_counter() - t0,
+    )
     key = trial_fingerprint(
         protocol,
         spec.n,
@@ -102,164 +148,8 @@ def _payload(spec: JobSpec, protocol, ts: TrialSet, wall: float) -> dict:
         "record": ts.to_record(),
         "summary": ts.stats(),
         "trial_key": key,
-        "wall_time": wall,
+        "wall_time": time.perf_counter() - t0,
     }
-
-
-def execute_spec_resumable(
-    spec_dict: dict,
-    store: CampaignStore,
-    *,
-    digest: str,
-    checkpoint_interactions: int = DEFAULT_CHECKPOINT_INTERACTIONS,
-    on_slice: Callable[[int, int], None] | None = None,
-    tenant: str = DEFAULT_TENANT,
-) -> dict:
-    """Run one job spec with mid-trial checkpointing; resume if possible.
-
-    The session-based twin of :func:`execute_spec`: each trial is an
-    :class:`~repro.engine.session.EngineSession`, checkpointed by work.
-    Sessions advance in slices that end when ``checkpoint_interactions``
-    scheduler interactions have run since the last commit; then the
-    records of the trials finished since that commit (one appended row
-    each, never the whole history) and the in-flight session's snapshot
-    commit together, or just the records when the budget runs out at a
-    trial boundary.  A ``KeyboardInterrupt`` commits the finished trials
-    before it propagates; a job whose whole work stays below the budget
-    commits nothing here, and :meth:`CampaignStore.mark_done` stores its
-    record.  When a checkpoint for ``digest`` already exists, execution
-    picks up where it was saved: completed trials are not re-run and the
-    interrupted trial restarts *mid-flight* from its snapshot.  Because
-    sliced session execution is bit-identical to straight execution,
-    the payload is byte-for-byte the one an uninterrupted
-    :func:`execute_spec` run would have produced.
-
-    ``on_slice(trial_index, interactions)`` fires after each mid-trial
-    checkpoint — the deterministic interruption hook the kill/resume
-    tests use.
-    """
-    spec = JobSpec.from_dict(spec_dict)
-    protocol = spec.build_protocol()
-    engine = engine_for_scheduler(spec.engine, spec.scheduler)
-    t0 = time.perf_counter()
-
-    ckpt = store.load_checkpoint(digest, tenant=tenant)
-    completed: list[dict] = ckpt["completed"] if ckpt else []
-    resume_index = ckpt["trial_index"] if ckpt else 0
-    session_bytes: bytes | None = ckpt["session"] if ckpt else None
-
-    seeds = spawn_seed_sequences(spec.seed, spec.trials)
-    kwargs = dict(
-        max_interactions=spec.max_interactions,
-        track_state=spec.track_state,
-    )
-
-    start_batch = getattr(engine, "start_batch", None)
-    if start_batch is not None:
-        # Vectorized engines simulate every trial in one batch session;
-        # the whole batch is the checkpoint unit (trial_index stays 0).
-        session = start_batch(protocol, spec.n, seeds=list(seeds), **kwargs)
-        if session_bytes is not None:
-            session.restore(SessionState.from_bytes(session_bytes))
-        while not session.advance(checkpoint_interactions).terminal:
-            store.save_checkpoint(
-                digest,
-                trial_index=0,
-                completed=[],
-                session=session.snapshot().to_bytes(),
-                tenant=tenant,
-            )
-            if on_slice is not None:
-                on_slice(0, session.interactions)
-        results = session.results()
-    else:
-        results = [SimulationResult.from_record(r) for r in completed]
-        # Trials whose records the store holds, and interactions run
-        # since the last commit: the finished trials and the in-flight
-        # snapshot commit when that work reaches checkpoint_interactions.
-        saved = len(results)
-        unsaved = 0
-        try:
-            for t in range(len(results), spec.trials):
-                session = engine.start(protocol, spec.n, seed=seeds[t], **kwargs)
-                if session_bytes is not None and t == resume_index:
-                    session.restore(SessionState.from_bytes(session_bytes))
-                session_bytes = None
-                while True:
-                    before = session.interactions
-                    status = session.advance(checkpoint_interactions - unsaved)
-                    unsaved += session.interactions - before
-                    if status.terminal:
-                        break
-                    # The slice ran out of unsaved budget mid-trial.
-                    saved = _save_progress(
-                        store, digest, results, saved,
-                        session.snapshot().to_bytes(), tenant,
-                    )
-                    unsaved = 0
-                    if on_slice is not None:
-                        on_slice(t, session.interactions)
-                results.append(session.result())
-                if unsaved >= checkpoint_interactions:
-                    saved = _save_progress(store, digest, results, saved, None, tenant)
-                    unsaved = 0
-        except KeyboardInterrupt:
-            # Keep every finished trial; the trial in flight restarts
-            # from its seed (or from its last snapshot when no trial
-            # finished since that was taken).
-            if saved < len(results):
-                _save_progress(store, digest, results, saved, None, tenant)
-            raise
-
-    ts = finalize_trials(
-        protocol,
-        engine.name,
-        results,
-        seed=spec.seed,
-        require_convergence=spec.max_interactions is None,
-        elapsed=time.perf_counter() - t0,
-    )
-    payload = _payload(spec, protocol, ts, time.perf_counter() - t0)
-    payload["resumed"] = ckpt is not None
-    return payload
-
-
-def _save_progress(
-    store: CampaignStore,
-    digest: str,
-    results: list[SimulationResult],
-    saved: int,
-    session: bytes | None,
-    tenant: str,
-) -> int:
-    """Commit the trials finished since the first ``saved`` ones, with
-    the in-flight trial's snapshot; returns the new saved count."""
-    store.save_checkpoint(
-        digest,
-        trial_index=len(results),
-        completed=[result.to_record() for result in results[saved:]],
-        session=session,
-        tenant=tenant,
-    )
-    return len(results)
-
-
-class _NullCache:
-    """Sentinel cache that never hits nor stores.
-
-    Passed explicitly so a process-wide :func:`use_trial_cache` context
-    cannot double-report job executions as runner-level hits — the
-    executor owns store population itself.
-    """
-
-    def get(self, key: str) -> None:
-        return None
-
-    def put(self, key: str, record: dict) -> None:
-        return None
-
-
-_NO_CACHE = _NullCache()
 
 
 @dataclass(slots=True)
@@ -357,25 +247,39 @@ def _commit_success(
     )
 
 
-def _handle_failure(
+def _settle(
     store: CampaignStore,
-    job: JobRecord,
-    error: str,
-    retries: int,
     report: CampaignReport,
+    retries: int,
     progress: Callable[[str], None] | None,
+    sink: "ShardWriter | None",
+    job: JobRecord,
+    outcome: dict | BaseException,
 ) -> None:
-    if job.attempts <= retries:
-        store.reset_to_pending(job.digest, tenant=job.tenant)
-        report.retried += 1
-        if progress is not None:
-            progress(f"retry {job.attempts}/{retries + 1} {job.spec.label()}: {error}")
+    """Commit a job's payload, or re-queue or fail it after an error."""
+    if isinstance(outcome, BaseException):
+        error = "".join(traceback.format_exception_only(outcome)).strip()
+        if job.attempts <= retries:
+            store.reset_to_pending(job.digest, tenant=job.tenant)
+            report.retried += 1
+            message = f"retry {job.attempts}/{retries + 1} {job.spec.label()}: {error}"
+        else:
+            store.mark_failed(job.digest, error, tenant=job.tenant)
+            report.failed += 1
+            report.errors.append(f"{job.digest[:12]}: {error}")
+            message = f"FAILED {job.spec.label()}: {error}"
     else:
-        store.mark_failed(job.digest, error, tenant=job.tenant)
-        report.failed += 1
-        report.errors.append(f"{job.digest[:12]}: {error}")
-        if progress is not None:
-            progress(f"FAILED {job.spec.label()}: {error}")
+        _commit_success(
+            store, job.digest, outcome, job.tenant, sink=sink, spec=job.spec
+        )
+        report.executed += 1
+        resumed = outcome.get("resumed", False)
+        if resumed:
+            report.resumed += 1
+        tag = " (resumed)" if resumed else ""
+        message = f"done {job.spec.label()} in {outcome['wall_time']:.2f}s{tag}"
+    if progress is not None:
+        progress(message)
 
 
 def run_campaign(
@@ -416,17 +320,13 @@ def run_campaign(
     report = CampaignReport()
     report.recovered = store.recover_running()
     report.cache_hits = store.counts()["done"]
+    settle = partial(_settle, store, report, retries, progress, sink)
     t0 = time.perf_counter()
     try:
         if workers <= 1:
-            _drain_serial(
-                store, retries, max_jobs, progress, report,
-                checkpoint_interactions, sink,
-            )
+            _drain_serial(store, settle, report, max_jobs, checkpoint_interactions)
         else:
-            _drain_pool(
-                store, workers, retries, max_jobs, progress, report, sink
-            )
+            _drain_pool(store, settle, report, max_jobs, workers)
     except KeyboardInterrupt:
         report.interrupted = True
         if progress is not None:
@@ -437,19 +337,17 @@ def run_campaign(
 
 def _drain_serial(
     store: CampaignStore,
-    retries: int,
-    max_jobs: int | None,
-    progress: Callable[[str], None] | None,
+    settle: Callable[[JobRecord, dict | BaseException], None],
     report: CampaignReport,
-    checkpoint_interactions: int = DEFAULT_CHECKPOINT_INTERACTIONS,
-    sink: "ShardWriter | None" = None,
+    max_jobs: int | None,
+    checkpoint_interactions: int,
 ) -> None:
     while max_jobs is None or report.executed < max_jobs:
         job = store.claim_next()
         if job is None:
             return
         try:
-            payload = execute_spec_resumable(
+            outcome = execute_spec_resumable(
                 job.spec.canonical(),
                 store,
                 digest=job.digest,
@@ -462,31 +360,16 @@ def _drain_serial(
             store.reset_to_pending(job.digest, tenant=job.tenant)
             raise
         except Exception as exc:  # noqa: BLE001 — any job error is recorded
-            _handle_failure(
-                store, job, _format_error(exc), retries, report, progress
-            )
-            continue
-        _commit_success(
-            store, job.digest, payload, job.tenant, sink=sink, spec=job.spec
-        )
-        report.executed += 1
-        if payload.get("resumed"):
-            report.resumed += 1
-        if progress is not None:
-            tag = " (resumed)" if payload.get("resumed") else ""
-            progress(
-                f"done {job.spec.label()} in {payload['wall_time']:.2f}s{tag}"
-            )
+            outcome = exc
+        settle(job, outcome)
 
 
 def _drain_pool(
     store: CampaignStore,
-    workers: int,
-    retries: int,
-    max_jobs: int | None,
-    progress: Callable[[str], None] | None,
+    settle: Callable[[JobRecord, dict | BaseException], None],
     report: CampaignReport,
-    sink: "ShardWriter | None" = None,
+    max_jobs: int | None,
+    workers: int,
 ) -> None:
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
@@ -507,22 +390,7 @@ def _drain_pool(
                 finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in finished:
                     job = in_flight.pop(future)
-                    exc = future.exception()
-                    if exc is not None:
-                        _handle_failure(
-                            store, job, _format_error(exc), retries, report, progress
-                        )
-                        continue
-                    payload = future.result()
-                    _commit_success(
-                        store, job.digest, payload, job.tenant,
-                        sink=sink, spec=job.spec,
-                    )
-                    report.executed += 1
-                    if progress is not None:
-                        progress(
-                            f"done {job.spec.label()} in {payload['wall_time']:.2f}s"
-                        )
+                    settle(job, future.exception() or future.result())
     except KeyboardInterrupt:
         # Checkpoint everything in flight before propagating: those
         # jobs were claimed (status running) but their results are lost.
@@ -530,11 +398,6 @@ def _drain_pool(
             future.cancel()
             store.reset_to_pending(job.digest, tenant=job.tenant)
         raise
-
-
-def _format_error(exc: BaseException) -> str:
-    tb = traceback.format_exception_only(type(exc), exc)
-    return "".join(tb).strip()
 
 
 def fetch_trial_set(store: CampaignStore, spec: JobSpec) -> TrialSet | None:

@@ -81,36 +81,6 @@ class InteractionSchedule:
             meta=dict(self.meta, truncated_at=steps),
         )
 
-    def slice(self, start: int, stop: int) -> "InteractionSchedule":
-        """The window ``pairs[start:stop]`` as a standalone schedule.
-
-        Unlike :meth:`prefix`, the window may start *inside* the run
-        (where a replay resumed from a mid-run checkpoint starts).
-        ``effective_steps`` is re-based to the
-        window (step ``s`` becomes ``s - start``).  ``initial_counts``
-        is carried over only when ``start == 0`` and ``final_counts``
-        only when ``stop`` reaches the end — a mid-run window cannot
-        know either without a replay, and leaves them empty instead of
-        lying.  The original coordinates are recorded in
-        ``meta["window"]``.
-        """
-        start = max(0, min(start, len(self.pairs)))
-        stop = max(start, min(stop, len(self.pairs)))
-        at_end = stop == len(self.pairs)
-        return InteractionSchedule(
-            protocol=self.protocol,
-            n=self.n,
-            seed=self.seed,
-            pairs=self.pairs[start:stop],
-            effective_steps=[
-                s - start for s in self.effective_steps if start <= s < stop
-            ],
-            initial_counts=list(self.initial_counts) if start == 0 else [],
-            final_counts=list(self.final_counts) if at_end else [],
-            converged=self.converged and at_end,
-            meta=dict(self.meta, window=[start, stop]),
-        )
-
     def to_record(self) -> dict:
         """JSON-safe serialization (the reproducer format)."""
         return {

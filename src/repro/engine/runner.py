@@ -13,7 +13,7 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Callable, Iterator, Sequence
 from typing import Protocol as TypingProtocol
 
@@ -33,9 +33,11 @@ from .base import Engine, SimulationResult
 from .registry import engine_for_scheduler
 
 __all__ = [
+    "Checkpointing",
     "TrialSet",
     "TrialCache",
     "InMemoryTrialCache",
+    "run_seeds",
     "run_trials",
     "finalize_trials",
     "trial_fingerprint",
@@ -291,10 +293,9 @@ def run_trials(
     engine:
         An :class:`Engine` instance, a registered engine name (see
         :func:`~repro.engine.registry.available_engines`), or None for
-        the default count-based engine.  Engines that expose a
-        ``run_batch`` method (the ensemble engine) simulate all trials
-        of a chunk in one call; the runner detects and uses it
-        automatically.
+        the default count-based engine.  Trials run through
+        :func:`run_seeds`, which hands a vectorized engine (one with
+        ``start_batch``, the ensembles) all of a chunk's seeds at once.
     scheduler:
         Scheduler name or :class:`~repro.scheduling.spec.SchedulerSpec`
         (``None``/``"uniform"`` = the paper's uniform scheduler).
@@ -378,9 +379,9 @@ def run_trials(
     seeds = spawn_seed_sequences(seed, trials)
 
     if workers == 1:
-        results = _run_chunk(
+        results = run_seeds(
             engine, protocol, n, seeds, init, max_interactions, track_state,
-            progress=progress, total=trials,
+            progress=progress,
         )
     else:
         from concurrent.futures import ProcessPoolExecutor
@@ -390,7 +391,7 @@ def run_trials(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _run_chunk, engine, protocol, n, seeds[lo:hi], init,
+                    run_seeds, engine, protocol, n, seeds[lo:hi], init,
                     max_interactions, track_state,
                 )
                 for lo, hi in spans
@@ -428,9 +429,9 @@ def finalize_trials(
     The shared tail of every multi-trial execution path: convergence
     enforcement, conformance checking, :class:`TrialSet` assembly, and
     observability reporting happen here exactly as :func:`run_trials`
-    performs them — so alternative drivers (the campaign executor's
-    resumable session loop) produce trial sets indistinguishable from a
-    straight ``run_trials`` call with the same inputs.
+    performs them — so the campaign executors, which call
+    :func:`run_seeds` themselves, produce trial sets indistinguishable
+    from a straight ``run_trials`` call with the same inputs.
     """
     if not results:
         raise SimulationError("finalize_trials needs at least one result")
@@ -494,53 +495,123 @@ def _enforce_convergence(
             )
 
 
-def _run_chunk(
+@dataclass(slots=True)
+class Checkpointing:
+    """By-work checkpointing of one :func:`run_seeds` call.
+
+    Sessions advance in slices that end when ``interactions`` scheduler
+    interactions have run since the last save.  Then
+    ``save(trial_index=t, completed=records, session=snapshot)``
+    receives the records of trials ``t - len(records)`` … ``t - 1``
+    (those finished since the last save) and the in-flight trial's
+    snapshot, or ``None`` at a trial boundary and when a
+    ``KeyboardInterrupt`` saves the finished trials on its way out.  A
+    vectorized batch is one unit, saved whole at trial index 0.  The
+    resume point continues a saved run: ``completed`` holds the records
+    of the first trials, which are not re-run, and ``session`` the
+    snapshot of trial ``trial_index``.  ``on_slice(trial_index,
+    interactions)`` fires after each mid-trial save.  The save keywords
+    and the resume fields are those of
+    :meth:`~repro.campaign.store.CampaignStore.save_checkpoint` and
+    :meth:`~repro.campaign.store.CampaignStore.load_checkpoint`.
+    """
+
+    save: Callable[..., None]
+    interactions: int
+    completed: list[dict] = field(default_factory=list)
+    trial_index: int = 0
+    session: bytes | None = None
+    on_slice: Callable[[int, int], None] | None = None
+
+
+def run_seeds(
     engine: Engine,
     protocol: Protocol,
     n: int | None,
     seeds: Sequence[np.random.SeedSequence],
-    initial_counts: np.ndarray | None,
-    max_interactions: int | None,
-    track_state: str | int | None,
+    initial_counts: np.ndarray | None = None,
+    max_interactions: int | None = None,
+    track_state: str | int | None = None,
+    *,
     progress: ProgressCallback | None = None,
-    total: int | None = None,
+    checkpoint: Checkpointing | None = None,
 ) -> list[SimulationResult]:
-    """A contiguous run of trials — module-level so pools can pickle it.
+    """The one trial loop: a session per seed, advanced to its end.
 
-    Engines with a ``run_batch`` method simulate the whole chunk in one
-    vectorized call; scalar engines loop, one independent run per seed.
-    ``progress`` is only wired on the in-process path (callbacks do not
-    cross the pickle boundary); pooled runs report per chunk instead.
+    ``run_trials`` (serially and per pooled chunk) and both campaign
+    executors run their seeds here; module-level so pools can pickle
+    it.  Engines with ``start_batch`` (the vectorized ensembles) run
+    every seed in one batch session, through ``run_batch`` (which may
+    fan shards out over processes) when not checkpointing.
+    ``progress(done, total)`` fires as trials finish; ``checkpoint``
+    adds by-work saves and a resume point.  Sliced session execution is
+    bit-identical to straight execution, so the results do not depend
+    on ``checkpoint``.
     """
-    total = total if total is not None else len(seeds)
     t0 = time.perf_counter()
-    run_batch = getattr(engine, "run_batch", None)
-    if run_batch is not None:
-        results = run_batch(
-            protocol,
-            n,
-            seeds=list(seeds),
-            initial_counts=initial_counts,
-            max_interactions=max_interactions,
-            track_state=track_state,
-        )
+    kwargs = dict(
+        initial_counts=initial_counts,
+        max_interactions=max_interactions,
+        track_state=track_state,
+    )
+    ck = checkpoint
+    if hasattr(engine, "start_batch"):
+        if ck is None:
+            results = engine.run_batch(protocol, n, seeds=list(seeds), **kwargs)
+        else:
+            batch = engine.start_batch(protocol, n, seeds=list(seeds), **kwargs)
+            if ck.session is not None:
+                batch.restore(ck.session)
+            while not batch.advance(ck.interactions).terminal:
+                snapshot = batch.snapshot().to_bytes()
+                ck.save(trial_index=0, completed=[], session=snapshot)
+                if ck.on_slice is not None:
+                    ck.on_slice(0, batch.interactions)
+            results = batch.results()
+        if progress is not None:
+            progress(len(results), len(seeds))
         record_chunk_seconds(time.perf_counter() - t0)
-        if progress is not None:
-            progress(len(results), total)
         return results
-    results = []
-    for s in seeds:
-        results.append(
-            engine.run(
-                protocol,
-                n,
-                seed=s,
-                initial_counts=initial_counts,
-                max_interactions=max_interactions,
-                track_state=track_state,
-            )
-        )
-        if progress is not None:
-            progress(len(results), total)
+
+    completed = [] if ck is None else ck.completed
+    results = [SimulationResult.from_record(r) for r in completed]
+    # Finished trials the last save holds, and interactions run since it.
+    saved, unsaved = len(results), 0
+
+    def save(snapshot: bytes | None) -> None:
+        nonlocal saved, unsaved
+        completed = [r.to_record() for r in results[saved:]]
+        ck.save(trial_index=len(results), completed=completed, session=snapshot)
+        saved, unsaved = len(results), 0
+
+    try:
+        for t in range(len(results), len(seeds)):
+            session = engine.start(protocol, n, seed=seeds[t], **kwargs)
+            if ck is not None and ck.session is not None and t == ck.trial_index:
+                session.restore(ck.session)
+            while True:
+                before = session.interactions
+                status = session.advance(
+                    None if ck is None else ck.interactions - unsaved
+                )
+                unsaved += session.interactions - before
+                if status.terminal:
+                    break
+                # The slice ran out of unsaved budget mid-trial.
+                save(session.snapshot().to_bytes())
+                if ck.on_slice is not None:
+                    ck.on_slice(t, session.interactions)
+            results.append(session.result())
+            if progress is not None:
+                progress(len(results), len(seeds))
+            if ck is not None and unsaved >= ck.interactions:
+                save(None)
+    except KeyboardInterrupt:
+        # Keep every finished trial; the trial in flight restarts from
+        # its seed (or from its last snapshot when no trial finished
+        # since that was taken).
+        if ck is not None and saved < len(results):
+            save(None)
+        raise
     record_chunk_seconds(time.perf_counter() - t0)
     return results

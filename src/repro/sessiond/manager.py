@@ -617,20 +617,22 @@ class SessionManager:
         """One session's full status (the GET /sessions/<id> payload)."""
         with self._lock:
             ms = self._live.get(session_id)
-            row = self.store.require_session(session_id)
-            status = ms.status.value if ms is not None else row.status
-            cursor = ms.cursor if ms is not None else row.cursor
-            effective = ms.effective if ms is not None else row.effective
+            row = self.store.session_header(session_id)
+            status = ms.status.value if ms is not None else row["status"]
+            cursor = ms.cursor if ms is not None else row["cursor"]
+            effective = ms.effective if ms is not None else row["effective"]
             payload = {
                 "id": session_id,
-                "engine": row.engine,
-                "protocol": row.protocol,
-                "mode": row.mode,
+                "engine": row["engine"],
+                "protocol": row["protocol"],
+                "mode": row["mode"],
                 "status": status,
                 "interactions": cursor,
                 "effective": effective,
                 "live": ms is not None,
-                "config_digest": config_digest(row.config),
+                # The stored text is the canonical encoding config_digest
+                # hashes, so a driven session's schedule is never decoded.
+                "config_digest": hashlib.sha256(row["config"].encode()).hexdigest(),
                 "lineage": [
                     {"id": ancestor, "forked_at": fork_at}
                     for ancestor, fork_at in self.store.lineage(session_id)

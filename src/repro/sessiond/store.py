@@ -220,8 +220,19 @@ class SnapshotStore(WalStore):
         return None if row is None else SessionRow._from_row(row)
 
     def require_session(self, session_id: str) -> SessionRow:
-        row = self.get_session(session_id)
-        if row is None or row.status == "deleted":
+        return SessionRow._from_row(self.session_header(session_id, "*"))
+
+    def session_header(
+        self,
+        session_id: str,
+        columns: str = "engine, protocol, mode, status, cursor, effective, config",
+    ) -> sqlite3.Row:
+        """A live session's row, undecoded: by default its scalar columns
+        and its config text, the canonical JSON it was created with."""
+        row = self._query(
+            f"SELECT {columns} FROM sessions WHERE id = ?", (session_id,)
+        ).fetchone()
+        if row is None or row["status"] == "deleted":
             raise SimulationError(f"no session {session_id!r} in {self.path}")
         return row
 

@@ -6,6 +6,12 @@ import pytest
 
 from repro.campaign import CampaignStore, JobSpec, run_campaign
 from repro.campaign import executor as executor_module
+from repro.engine import available_engines, run_trials
+from repro.obs import Telemetry, use_telemetry
+
+#: The scheduler each registry engine's parity test runs under: the
+#: agent and graph engines take their non-uniform schedulers.
+PARITY_SCHEDULERS = {"agent": "roundrobin", "graph": "graph:cycle"}
 
 
 def make_spec(seed: int = 0, **overrides) -> JobSpec:
@@ -157,11 +163,31 @@ class TestMidTrialResume:
     """Killing a job between slices and re-running must reproduce the
     uninterrupted trial records bit-for-bit (minus wall-clock)."""
 
-    @pytest.mark.parametrize("engine", ["count", "ensemble"])
+    @pytest.mark.parametrize("engine", available_engines())
     def test_kill_resume_matches_uninterrupted(self, store, engine):
-        spec = make_spec(n=40, trials=3, seed=7, engine=engine)
+        # run_trials, execute_spec and execute_spec_resumable (straight,
+        # and killed then resumed) share one trial loop, so every engine
+        # gives the same records on all four paths.
+        spec = make_spec(
+            n=40, trials=3, seed=7, engine=engine, track_state="g3",
+            scheduler=PARITY_SCHEDULERS.get(engine, "uniform"),
+            max_interactions=20_000,
+        )
         digest, _ = store.submit(spec)
         baseline = executor_module.execute_spec(spec.canonical())
+        expected = scientific_content(baseline["record"])
+        assert scientific_content(run_trials(
+            spec.build_protocol(), spec.n, trials=spec.trials,
+            engine=spec.engine, seed=spec.seed, scheduler=spec.scheduler,
+            max_interactions=spec.max_interactions,
+            track_state=spec.track_state, require_convergence=False,
+        ).to_record()) == expected
+        straight = executor_module.execute_spec_resumable(
+            spec.canonical(), store, digest=digest
+        )
+        assert not straight["resumed"]
+        assert store.load_checkpoint(digest) is None
+        assert scientific_content(straight["record"]) == expected
 
         slices = []
 
@@ -183,8 +209,7 @@ class TestMidTrialResume:
             spec.canonical(), store, digest=digest, checkpoint_interactions=40
         )
         assert resumed["resumed"]
-        assert scientific_content(resumed["record"]) == \
-            scientific_content(baseline["record"])
+        assert scientific_content(resumed["record"]) == expected
 
     def test_run_campaign_resumes_mid_trial(self, store, monkeypatch):
         spec = make_spec(n=40, trials=2, seed=11)
@@ -368,6 +393,19 @@ run_campaign(CampaignStore({str(path)!r}), checkpoint_interactions={budget})
         finally:
             store.close()
         assert scientific_content(record) == scientific_content(baseline)
+
+
+class TestTelemetry:
+    """A job run consults no trial cache, so it counts no cache lookup."""
+
+    def test_execute_spec_consults_no_trial_cache(self):
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            executor_module.execute_spec(make_spec().canonical())
+            executor_module.execute_spec(make_spec(seed=1).canonical())
+        counters = telemetry.snapshot()["counters"]
+        assert counters["runner.calls"] == 2
+        assert not [name for name in counters if name.startswith("runner.cache.")]
 
 
 class TestColumnarSink:

@@ -346,6 +346,19 @@ class TestWorkerPool:
         assert metrics["executed"] == 3
         assert metrics["jobs"]["done"] == 3
 
+    def test_drained_job_consults_no_trial_cache(self, tmp_path):
+        svc = AsyncCampaignService(
+            tmp_path / "c.db", workers=1, poll_interval=0.02
+        ).start()
+        try:
+            _, body, _ = http_json(svc.url + "/submit", {"specs": [SPEC]})
+            assert wait_done(svc, body["digests"][0])["status"] == "done"
+            counters = svc.telemetry.snapshot()["counters"]
+        finally:
+            svc.stop()
+        assert counters["runner.calls"] == 1
+        assert not [name for name in counters if name.startswith("runner.cache.")]
+
     def test_worker_records_failures(self, worker_service):
         bad = {**SPEC, "params": {"k": 3, "bogus": 1}}
         _, body, _ = http_json(worker_service.url + "/submit", {"specs": [bad]})

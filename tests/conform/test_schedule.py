@@ -210,42 +210,3 @@ class TestSerialization:
         sched = record_schedule(proto, 8, seed=6)
         assert sched.prefix(10**9).interactions == sched.interactions
         assert sched.prefix(-5).interactions == 0
-
-
-class TestSlice:
-    def test_mid_run_window(self, proto):
-        sched = record_schedule(proto, 12, seed=1)
-        lo, hi = 3, max(5, sched.interactions // 2)
-        win = sched.slice(lo, hi)
-        assert win.pairs == sched.pairs[lo:hi]
-        assert win.effective_steps == [
-            s - lo for s in sched.effective_steps if lo <= s < hi
-        ]
-        # A mid-run window cannot know the boundary configurations.
-        assert win.initial_counts == []
-        assert win.final_counts == []
-        assert not win.converged
-        assert win.meta["window"] == [lo, hi]
-
-    def test_full_slice_keeps_endpoints(self, proto):
-        sched = record_schedule(proto, 12, seed=1)
-        win = sched.slice(0, sched.interactions)
-        assert win.pairs == sched.pairs
-        assert win.initial_counts == sched.initial_counts
-        assert win.final_counts == sched.final_counts
-        assert win.converged == sched.converged
-
-    def test_clamps_out_of_range(self, proto):
-        sched = record_schedule(proto, 10, seed=4)
-        assert sched.slice(-5, 10**9).pairs == sched.pairs
-        assert sched.slice(7, 3).pairs == []
-
-    def test_json_round_trip(self, proto):
-        import json
-
-        sched = record_schedule(proto, 12, seed=1)
-        win = sched.slice(2, 9)
-        back = InteractionSchedule.from_record(
-            json.loads(json.dumps(win.to_record()))
-        )
-        assert back == win

@@ -43,9 +43,7 @@ class TestLifecycle:
             manager.store.require_session("a").config
         )
 
-    def test_status_decodes_the_stored_config_once(
-        self, manager, driven_config, monkeypatch
-    ):
+    def test_status_decodes_no_config(self, manager, driven_config, monkeypatch):
         from repro.sessiond.store import SessionRow
 
         manager.create(driven_config, session_id="a")
@@ -54,17 +52,40 @@ class TestLifecycle:
         manager.fork("b", child_id="c")
         expected = manager.status("c")
         decoded = []
-        from_row = SessionRow._from_row
+        from_row, loads = SessionRow._from_row, json.loads
 
-        def counting(row):
+        def counting_rows(row):
             decoded.append(row["id"])
             return from_row(row)
 
-        monkeypatch.setattr(SessionRow, "_from_row", staticmethod(counting))
+        def counting_loads(text, *args, **kwargs):
+            if "schedule" in str(text):
+                decoded.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(SessionRow, "_from_row", staticmethod(counting_rows))
+        monkeypatch.setattr(json, "loads", counting_loads)
         payload = manager.status("c")
-        assert decoded == ["c"]
+        monkeypatch.undo()
+        assert decoded == []
         assert payload == expected
         assert [hop["id"] for hop in payload["lineage"]] == ["a", "b", "c"]
+
+    def test_config_digest_pinned(self, manager, free_config, driven_config):
+        # Values written by the code that decoded and re-encoded the
+        # config; hashing the stored text must give the same digests.
+        manager.create(free_config, session_id="f")
+        manager.create(driven_config, session_id="d")
+        manager.advance("d", 64)
+        manager.fork("d", child_id="c")
+        free = "b7ee29a7dd0caaae4cbaa5e7dbb4e5a06d810a08d6195753ff990d9222dc2b6a"
+        driven = "0ba364fca351a162713d756511c0805cf03e3c9f3b0c542a108cad3bfadee0f2"
+        assert manager.status("f")["config_digest"] == free
+        assert manager.status("d")["config_digest"] == driven
+        assert manager.status("c")["config_digest"] == driven
+        for sid in "fdc":
+            stored = manager.store.require_session(sid).config
+            assert manager.status(sid)["config_digest"] == config_digest(stored)
 
     def test_unknown_mode_rejected(self, manager, free_config):
         with pytest.raises(SimulationError, match="unknown session mode"):
