@@ -43,20 +43,21 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
-from ..core.errors import (
-    CampaignError,
-    ReproError,
-    UnknownEngineError,
-    UnknownProtocolError,
+from ..core.errors import CampaignError, ReproError
+from ..core.httputil import (
+    BadRequest,
+    Daemon,
+    json_response,
+    parse_content_length,
+    parse_json_object,
+    parse_limit,
 )
-from ..core.httputil import BadRequest, parse_content_length, parse_limit
-from ..obs import Telemetry, get_telemetry, set_telemetry
+from ..engine.registry import engine_for_scheduler
 from .executor import _commit_success, execute_spec
 from .grids import experiment_specs
 from .spec import JobSpec
@@ -68,32 +69,15 @@ __all__ = ["AsyncCampaignService"]
 _MAX_HEAD_BYTES = 32 * 1024
 
 
-class _Metrics:
-    """Cumulative service counters, behind a lock so any thread may read them."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.started_at = time.time()
-        self.requests = 0
-        self.submitted = 0
-        self.executed = 0
-        self.failed = 0
-        self.wall_time_total = 0.0
-
-    def bump(self, field: str, amount: float = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
-
-    def snapshot(self) -> dict[str, object]:
-        with self._lock:
-            return {
-                "uptime_seconds": time.time() - self.started_at,
-                "requests": self.requests,
-                "submitted": self.submitted,
-                "executed": self.executed,
-                "failed": self.failed,
-                "wall_time_total": self.wall_time_total,
-            }
+def _ran_scheduler(engine: str, scheduler: str) -> str | None:
+    """The scheduler a job runs: ``graph`` under ``uniform`` runs
+    ``graph:complete``; the count-level engines run ``uniform``."""
+    try:
+        built = engine_for_scheduler(engine, scheduler)
+    except ReproError:  # an engine registered only in another process
+        return None
+    spec = getattr(built, "spec", None)
+    return "uniform" if spec is None else spec.name
 
 
 def _specs_from_body(body: dict) -> list[JobSpec]:
@@ -114,14 +98,17 @@ def _specs_from_body(body: dict) -> list[JobSpec]:
 class _HTTPError(Exception):
     """Internal: abort request handling with a specific status."""
 
-    def __init__(self, code: int, message: str, **extra: object) -> None:
+    def __init__(
+        self, code: int, message: str, headers: dict[str, str] | None = None,
+        **extra: object,
+    ) -> None:
         super().__init__(message)
         self.code = code
         self.payload = {"error": message, **extra}
-        self.headers: dict[str, str] = {}
+        self.headers = headers or {}
 
 
-class AsyncCampaignService:
+class AsyncCampaignService(Daemon):
     """Asyncio HTTP facade plus a worker pool over one campaign store.
 
     Parameters
@@ -145,6 +132,15 @@ class AsyncCampaignService:
         Default poll cadence of the streaming endpoints, in seconds.
     """
 
+    thread_name = "campaign-v2"
+    COUNTERS = {
+        "requests": "campaign.http.requests",
+        "submitted": "campaign.jobs.submitted",
+        "executed": "campaign.jobs.executed",
+        "failed": "campaign.jobs.failed",
+        "wall_time_total": "campaign.jobs.wall_time",
+    }
+
     def __init__(
         self,
         store_path: str | Path,
@@ -160,13 +156,8 @@ class AsyncCampaignService:
         if queue_limit < 1:
             raise CampaignError(f"queue_limit must be positive, got {queue_limit}")
         self.store = CampaignStore(store_path)
-        self.metrics = _Metrics()
-        #: Live engine/runner telemetry, installed process-wide while
-        #: the service runs and exposed verbatim under ``/metrics``.
-        self.telemetry = Telemetry()
-        self._previous_telemetry = None
-        self._host = host
-        self._port = port
+        super().__init__(self.store, host, port)
+        self.count("wall_time_total", 0.0)  # a float total from the start
         self.workers = workers
         self.queue_limit = queue_limit
         self.poll_interval = poll_interval
@@ -178,80 +169,23 @@ class AsyncCampaignService:
             for i in range(workers)
         ]
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
         self._stop_event: asyncio.Event | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._address: tuple[str, int] | None = None
         self._db_pool: ThreadPoolExecutor | None = None
         self._exec_pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle (the rest is Daemon's)
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """Actual bound ``(host, port)``."""
-        if self._address is None:
-            raise CampaignError("service not started")
-        return self._address
+    def _serve(self) -> None:
+        asyncio.run(self._main())
 
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "AsyncCampaignService":
-        """Serve on a dedicated event-loop thread; returns self."""
-        self._previous_telemetry = set_telemetry(self.telemetry)
-        self._thread = threading.Thread(
-            target=self._run_loop, name="campaign-v2", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=30)
-        if self._startup_error is not None:
-            raise self._startup_error
-        if self._address is None:
-            raise CampaignError("campaign service v2 failed to start in time")
-        return self
-
-    def serve_forever(self) -> None:
-        """Block until Ctrl-C, then stop; starts the service if not running."""
-        if self._thread is None:
-            self.start()
-        try:
-            while self._thread is not None and self._thread.is_alive():
-                self._thread.join(timeout=0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def stop(self) -> None:
+    def _shutdown(self) -> None:
         loop, stop = self._loop, self._stop_event
         if loop is not None and stop is not None and not loop.is_closed():
             try:
                 loop.call_soon_threadsafe(stop.set)
             except RuntimeError:
                 pass  # loop already closed between checks
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-        self.store.close()
-        if self._previous_telemetry is not None:
-            # Only restore if our telemetry is still the installed one —
-            # a later service may have replaced it, and re-installing our
-            # saved predecessor would leak a stale hook process-wide.
-            if get_telemetry() is self.telemetry:
-                set_telemetry(self._previous_telemetry)
-            self._previous_telemetry = None
-
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # noqa: BLE001 — surfaced via start()
-            self._startup_error = exc
-            self._ready.set()
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -268,22 +202,18 @@ class AsyncCampaignService:
             self._depth = counts["pending"] + counts["running"]
             if recovered:
                 self.telemetry.counter("campaign.jobs.recovered").inc(recovered)
-            server = await asyncio.start_server(
-                self._client, self._host, self._port
-            )
-            self._address = server.sockets[0].getsockname()[:2]
+            server = await asyncio.start_server(self._client, *self._bind)
             worker_tasks = [
                 asyncio.create_task(self._worker(i), name=f"campaign-worker-{i}")
                 for i in range(self.workers)
             ]
-            self._ready.set()
+            self._listening(server.sockets[0].getsockname())
             async with server:
                 await self._stop_event.wait()
             for task in worker_tasks:
                 task.cancel()
             await asyncio.gather(*worker_tasks, return_exceptions=True)
         finally:
-            self._ready.set()
             self._db_pool.shutdown(wait=False)
             self._exec_pool.shutdown(wait=False, cancel_futures=True)
 
@@ -348,9 +278,8 @@ class AsyncCampaignService:
             return
         self._depth = max(0, self._depth - 1)
         state["executed"] += 1
-        self.metrics.bump("executed")
-        self.metrics.bump("wall_time_total", payload["wall_time"])
-        self.telemetry.counter("campaign.jobs.executed").inc()
+        self.count("executed")
+        self.count("wall_time_total", payload["wall_time"])
 
     async def _record_failure(self, job, error: str) -> None:
         try:
@@ -360,8 +289,7 @@ class AsyncCampaignService:
         except Exception:  # noqa: BLE001 — the job re-queues via recovery
             pass
         self._depth = max(0, self._depth - 1)
-        self.metrics.bump("failed")
-        self.telemetry.counter("campaign.jobs.failed").inc()
+        self.count("failed")
 
     def worker_status(self) -> list[dict]:
         now = time.time()
@@ -390,8 +318,7 @@ class AsyncCampaignService:
                 method, path, query, headers, body = request
                 keep_alive = headers.get("connection", "").lower() != "close"
                 t0 = time.perf_counter()
-                self.metrics.bump("requests")
-                self.telemetry.counter("campaign.http.requests").inc()
+                self.count("requests")
                 try:
                     handled = await self._route(
                         method, path, query, headers, body, writer
@@ -489,19 +416,10 @@ class AsyncCampaignService:
     ) -> None:
         if writer.is_closing():
             return
-        body = json.dumps(payload).encode()
         if 400 <= code < 500:
             self.telemetry.counter(f"campaign.http.{code}").inc()
-        headers = {
-            "Content-Type": "application/json",
-            "Content-Length": str(len(body)),
-            "Connection": "keep-alive" if keep_alive else "close",
-            **(extra or {}),
-        }
-        head = f"HTTP/1.1 {code} {_REASONS.get(code, 'OK')}\r\n" + "".join(
-            f"{k}: {v}\r\n" for k, v in headers.items()
-        )
-        writer.write(head.encode() + b"\r\n" + body)
+        headers = {"Connection": "keep-alive" if keep_alive else "close"}
+        writer.write(json_response(code, payload, {**headers, **(extra or {})}))
 
     # ------------------------------------------------------------------
     # Routing
@@ -551,20 +469,19 @@ class AsyncCampaignService:
                 "trial_cache_entries": await self._db(
                     self.store.trial_cache_size, tenant=tenant
                 ),
-                "uptime_seconds": time.time() - self.metrics.started_at,
+                "uptime_seconds": self.uptime_seconds,
             }
             return 200, payload, None
         if path == "/tenants":
             return 200, {"tenants": await self._db(self.store.tenants)}, None
         if path == "/metrics":
             tenant = self._tenant_of(query)
-            payload = self.metrics.snapshot()
-            payload["tenant"] = tenant
-            payload["jobs"] = await self._db(self.store.counts, tenant=tenant)
-            payload["queue_depth"] = self._depth
-            payload["queue_limit"] = self.queue_limit
-            payload["telemetry"] = self.telemetry.snapshot()
-            return 200, payload, None
+            return 200, self.metrics_payload(
+                tenant=tenant,
+                jobs=await self._db(self.store.counts, tenant=tenant),
+                queue_depth=self._depth,
+                queue_limit=self.queue_limit,
+            ), None
         if path == "/jobs":
             status = query.get("status")
             if status is not None and status not in JOB_STATUSES:
@@ -598,6 +515,7 @@ class AsyncCampaignService:
                 "tenant": job.tenant,
                 "status": job.status,
                 "spec": job.spec.canonical(),
+                "ran_scheduler": _ran_scheduler(job.spec.engine, job.spec.scheduler),
                 "summary": job.summary,
                 "error": job.error,
                 "attempts": job.attempts,
@@ -608,12 +526,7 @@ class AsyncCampaignService:
         raise _HTTPError(404, f"no route for GET {path}")
 
     async def _post(self, path: str, query: dict, body_bytes: bytes):
-        try:
-            body = json.loads(body_bytes or b"{}")
-            if not isinstance(body, dict):
-                raise ValueError("request body must be a JSON object")
-        except ValueError as exc:
-            raise _HTTPError(400, f"bad JSON body: {exc}") from None
+        body = parse_json_object(body_bytes)
         if path != "/submit":
             raise _HTTPError(404, f"no route for POST {path}")
         tenant = body.pop("tenant", None) or self._tenant_of(query, DEFAULT_TENANT)
@@ -621,29 +534,24 @@ class AsyncCampaignService:
         # Backpressure: refuse before any parsing or SQL when the
         # submit queue is saturated, and tell the client when to retry.
         if self._depth >= self.queue_limit:
-            error = _HTTPError(
+            raise _HTTPError(
                 429,
                 f"submit queue saturated ({self._depth} >= {self.queue_limit})",
+                {"Retry-After": f"{self.retry_after:g}"},
                 retry_after=self.retry_after,
             )
-            error.headers["Retry-After"] = f"{self.retry_after:g}"
-            raise error
-        try:
-            specs = _specs_from_body(body)
-        except (ReproError, TypeError, ValueError, KeyError) as exc:
-            raise _HTTPError(400, str(exc)) from None
-        try:
-            outcome = await self._db(
-                self.store.submit_many,
-                specs,
-                campaign=body.get("campaign"),
-                tenant=tenant,
-            )
-        except (UnknownEngineError, UnknownProtocolError) as exc:
-            raise _HTTPError(400, str(exc)) from None
+        # Bad specs (ReproError, TypeError, ValueError, KeyError) are
+        # rendered as 400s by _client.
+        specs = _specs_from_body(body)
+        outcome = await self._db(
+            self.store.submit_many,
+            specs,
+            campaign=body.get("campaign"),
+            tenant=tenant,
+        )
         self._depth += outcome["created"]
         self.telemetry.gauge("campaign.queue.depth").set(self._depth)
-        self.metrics.bump("submitted", outcome["created"])
+        self.count("submitted", outcome["created"])
         return 200, {
             "submitted": outcome["created"],
             "already_known": outcome["existing"],
@@ -663,6 +571,7 @@ class AsyncCampaignService:
             "Connection: close\r\n\r\n"
         )
         writer.write(head.encode())
+        self.telemetry.counter("campaign.http.streams").inc()
 
     async def _emit(self, writer: asyncio.StreamWriter, record: dict) -> None:
         data = json.dumps(record).encode() + b"\n"
@@ -698,7 +607,6 @@ class AsyncCampaignService:
         limit = parse_limit(query.get("limit"), default=1000)
         once, interval = self._stream_params(query)
         self._start_stream(writer)
-        self.telemetry.counter("campaign.http.streams").inc()
         seen: dict[tuple[str, str], str] = {}
         jobs = await self._db(
             self.store.list_jobs, status=status, limit=limit, tenant=tenant
@@ -709,38 +617,28 @@ class AsyncCampaignService:
                 "type": "snapshot", "digest": j.digest, "tenant": j.tenant,
                 "status": j.status, "label": j.spec.label(),
             })
-        if once:
-            await self._end_stream(writer)
-            return
-        try:
-            while not self._stop_event.is_set() and not writer.is_closing():
-                await asyncio.sleep(interval)
-                jobs = await self._db(
-                    self.store.list_jobs, status=status, limit=limit,
-                    tenant=tenant,
-                )
-                changed = 0
-                for j in jobs:
-                    key = (j.tenant, j.digest)
-                    if seen.get(key) != j.status:
-                        seen[key] = j.status
-                        changed += 1
-                        await self._emit(writer, {
-                            "type": "status", "digest": j.digest,
-                            "tenant": j.tenant, "status": j.status,
-                        })
-                if not changed:
-                    counts = await self._db(self.store.counts, tenant=tenant)
+        while not once and not self._stop_event.is_set() and not writer.is_closing():
+            await asyncio.sleep(interval)
+            jobs = await self._db(
+                self.store.list_jobs, status=status, limit=limit, tenant=tenant,
+            )
+            changed = 0
+            for j in jobs:
+                key = (j.tenant, j.digest)
+                if seen.get(key) != j.status:
+                    seen[key] = j.status
+                    changed += 1
                     await self._emit(writer, {
-                        "type": "heartbeat", "jobs": counts,
-                        "queue_depth": counts["pending"] + counts["running"],
+                        "type": "status", "digest": j.digest,
+                        "tenant": j.tenant, "status": j.status,
                     })
-        except (ConnectionResetError, BrokenPipeError):
-            return
-        try:
-            await self._end_stream(writer)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+            if not changed:
+                counts = await self._db(self.store.counts, tenant=tenant)
+                await self._emit(writer, {
+                    "type": "heartbeat", "jobs": counts,
+                    "queue_depth": counts["pending"] + counts["running"],
+                })
+        await self._end_stream(writer)
 
     async def _stream_progress(self, writer, digest: str, query: dict) -> None:
         """Chunked JSONL following one job to a terminal state.
@@ -756,46 +654,29 @@ class AsyncCampaignService:
                 404, f"no job with digest {digest!r} for tenant {tenant!r}"
             )
         self._start_stream(writer)
-        self.telemetry.counter("campaign.http.streams").inc()
-        try:
-            while True:
-                job = await self._db(self.store.get, digest, tenant=tenant)
-                if job is None:
-                    await self._emit(writer, {
-                        "type": "gone", "digest": digest, "tenant": tenant,
-                    })
-                    break
-                record = {
-                    "type": "progress",
-                    "digest": digest,
-                    "tenant": tenant,
-                    "status": job.status,
-                    "attempts": job.attempts,
-                    "trials": job.spec.trials,
-                }
-                if job.status in ("done", "failed"):
-                    record["wall_time"] = job.wall_time
-                    record["error"] = job.error
-                await self._emit(writer, record)
-                if once or job.status in ("done", "failed"):
-                    break
-                if self._stop_event.is_set() or writer.is_closing():
-                    break
-                await asyncio.sleep(interval)
-        except (ConnectionResetError, BrokenPipeError):
-            return
-        try:
-            await self._end_stream(writer)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
+        while True:
+            job = await self._db(self.store.get, digest, tenant=tenant)
+            if job is None:
+                await self._emit(writer, {
+                    "type": "gone", "digest": digest, "tenant": tenant,
+                })
+                break
+            record = {
+                "type": "progress",
+                "digest": digest,
+                "tenant": tenant,
+                "status": job.status,
+                "attempts": job.attempts,
+                "trials": job.spec.trials,
+            }
+            if job.status in ("done", "failed"):
+                record["wall_time"] = job.wall_time
+                record["error"] = job.error
+            await self._emit(writer, record)
+            if once or job.status in ("done", "failed"):
+                break
+            if self._stop_event.is_set() or writer.is_closing():
+                break
+            await asyncio.sleep(interval)
+        await self._end_stream(writer)
 
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    429: "Too Many Requests",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-}

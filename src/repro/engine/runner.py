@@ -31,6 +31,7 @@ from ..obs.trace import active_trace_writer
 from ..scheduling.spec import SchedulerSpec
 from .base import Engine, SimulationResult
 from .registry import engine_for_scheduler
+from .session import protocol_fingerprint
 
 __all__ = [
     "Checkpointing",
@@ -214,17 +215,6 @@ def use_trial_cache(cache: TrialCache | None) -> Iterator[TrialCache | None]:
         _ACTIVE_CACHE = previous
 
 
-def _protocol_fingerprint(protocol: Protocol) -> str:
-    """Content hash of a protocol's full behaviour description.
-
-    Built from :meth:`Protocol.describe`, which renders the state
-    space, group map, and every transition rule — two protocols with
-    the same digest are behaviourally identical regardless of how they
-    were constructed (registry, composition, or hand-built).
-    """
-    return hashlib.sha256(protocol.describe().encode()).hexdigest()
-
-
 def trial_fingerprint(
     protocol: Protocol,
     n: int | None,
@@ -251,7 +241,7 @@ def trial_fingerprint(
     if not (seed is None or isinstance(seed, int)):
         return None
     payload = {
-        "protocol": _protocol_fingerprint(protocol),
+        "protocol": protocol_fingerprint(protocol),
         "n": n,
         "trials": trials,
         "engine": engine,

@@ -288,7 +288,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.host,
         args.port,
         checkpoint_interval=args.checkpoint_interval,
-    )
+    ).start()
     print(f"sessiond listening on {service.url} (store: {args.store})")
     service.serve_forever()
     return 0

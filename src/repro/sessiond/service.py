@@ -34,15 +34,19 @@ the full API table and examples.
 
 from __future__ import annotations
 
-import json
-import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import parse_qsl, urlsplit
 
 from ..core.errors import ReproError, SimulationError
-from ..core.httputil import BadRequest, parse_content_length, parse_limit
-from ..obs import Telemetry, get_telemetry, set_telemetry
+from ..core.httputil import (
+    BadRequest,
+    Daemon,
+    json_response,
+    parse_content_length,
+    parse_json_object,
+    parse_limit,
+)
 from .bisect import bisect_divergence
 from .manager import SessionManager
 from .store import SnapshotStore
@@ -50,37 +54,7 @@ from .store import SnapshotStore
 __all__ = ["SessionService"]
 
 
-class _Metrics:
-    """Cumulative counters, guarded by a lock (handler threads write)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.started_at = time.time()
-        self.requests = 0
-        self.created = 0
-        self.advanced_interactions = 0
-        self.forks = 0
-        self.rewinds = 0
-        self.bisections = 0
-
-    def bump(self, field: str, amount: float = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
-
-    def snapshot(self) -> dict[str, object]:
-        with self._lock:
-            return {
-                "uptime_seconds": time.time() - self.started_at,
-                "requests": self.requests,
-                "created": self.created,
-                "advanced_interactions": self.advanced_interactions,
-                "forks": self.forks,
-                "rewinds": self.rewinds,
-                "bisections": self.bisections,
-            }
-
-
-class SessionService:
+class SessionService(Daemon):
     """HTTP facade over one session manager.
 
     Parameters
@@ -94,6 +68,16 @@ class SessionService:
         Default automatic-checkpoint cadence for new sessions.
     """
 
+    thread_name = "sessiond-http"
+    COUNTERS = {
+        "requests": "sessiond.http.requests",
+        "created": "sessiond.sessions.created",
+        "advanced_interactions": "sessiond.sessions.advanced_interactions",
+        "forks": "sessiond.sessions.forks",
+        "rewinds": "sessiond.sessions.rewinds",
+        "bisections": "sessiond.bisect.runs",
+    }
+
     def __init__(
         self,
         store_path: str | Path,
@@ -106,81 +90,35 @@ class SessionService:
         if checkpoint_interval is not None:
             kwargs["checkpoint_interval"] = checkpoint_interval
         self.manager = SessionManager(SnapshotStore(store_path), **kwargs)
-        self.metrics = _Metrics()
-        #: Live telemetry (sessiond.* instruments), installed
-        #: process-wide while the service runs, exposed under /metrics.
-        self.telemetry = Telemetry()
-        self._previous_telemetry = None
-        self._stop = threading.Event()
-        self._server_thread: threading.Thread | None = None
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        # Closing the manager checkpoints its live sessions, then the store.
+        super().__init__(self.manager, host, port)
+        self._httpd: ThreadingHTTPServer | None = None
+
+    # ------------------------------------------------------------------
+    # Lifecycle (the rest is Daemon's)
+    # ------------------------------------------------------------------
+    def _serve(self) -> None:
+        self._httpd = ThreadingHTTPServer(self._bind, _make_handler(self))
         self._httpd.daemon_threads = True
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """Actual bound ``(host, port)``."""
-        return self._httpd.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
-
-    def start(self) -> "SessionService":
-        """Serve in a background thread; returns self for chaining."""
-        self._previous_telemetry = set_telemetry(self.telemetry)
-        self._server_thread = threading.Thread(
-            target=self._httpd.serve_forever, name="sessiond-http", daemon=True
-        )
-        self._server_thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Blocking variant for the CLI ``serve`` verb."""
-        self.start()
         try:
-            while not self._stop.is_set():
-                time.sleep(0.5)
-        except KeyboardInterrupt:
-            pass
+            self._listening(self._httpd.server_address)
+            self._httpd.serve_forever()
         finally:
-            self.stop()
+            self._httpd.server_close()
 
-    def stop(self) -> None:
-        self._stop.set()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._server_thread is not None:
-            self._server_thread.join(timeout=10)
-        self.manager.close()
-        if self._previous_telemetry is not None:
-            # Only restore if our telemetry is still the installed one —
-            # a later service may have replaced it, and re-installing our
-            # saved predecessor would displace that service's registry.
-            if get_telemetry() is self.telemetry:
-                set_telemetry(self._previous_telemetry)
-            self._previous_telemetry = None
+    def _shutdown(self) -> None:
+        if self._httpd is not None:
+            self._httpd.shutdown()
 
     # ------------------------------------------------------------------
     # Request handling (called from handler threads)
     # ------------------------------------------------------------------
     def handle_get(self, path: str, query: dict[str, str]) -> tuple[int, dict]:
-        self.metrics.bump("requests")
         if path == "/healthz":
             return 200, {"ok": True, "store": str(self.manager.store.path)}
         if path == "/metrics":
-            body = self.metrics.snapshot()
-            body["store"] = self.manager.store.stats()
-            body["telemetry"] = self.telemetry.snapshot()
-            return 200, body
-        try:
-            limit = parse_limit(query.get("limit"), default=1000)
-        except BadRequest as exc:
-            return 400, {"error": str(exc)}
+            return 200, self.metrics_payload(store=self.manager.store.stats())
+        limit = parse_limit(query.get("limit"), default=1000)
         if path == "/sessions":
             return 200, {"sessions": self.manager.sessions()[:limit]}
         sid, _, tail = path.removeprefix("/sessions/").partition("/")
@@ -200,13 +138,12 @@ class SessionService:
         return 404, {"error": f"no route for GET {path}"}
 
     def handle_post(self, path: str, body: dict) -> tuple[int, dict]:
-        self.metrics.bump("requests")
         try:
             if path == "/sessions":
                 payload = self.manager.create(
                     body, session_id=body.pop("id", None)
                 )
-                self.metrics.bump("created")
+                self.count("created")
                 return 200, payload
             if path == "/bisect":
                 report = bisect_divergence(
@@ -215,7 +152,7 @@ class SessionService:
                     body["b"],
                     reproducer_dir=body.get("reproducer_dir"),
                 )
-                self.metrics.bump("bisections")
+                self.count("bisections")
                 return 200, report.to_record()
             if path == "/gc":
                 return 200, self.manager.gc(keep_every=body.get("keep_every"))
@@ -223,7 +160,7 @@ class SessionService:
             if path.startswith("/sessions/") and sid:
                 if verb == "advance":
                     payload = self.manager.advance(sid, body.get("budget"))
-                    self.metrics.bump("advanced_interactions", payload["advanced"])
+                    self.count("advanced_interactions", payload["advanced"])
                     return 200, payload
                 if verb == "snapshot":
                     return 200, self.manager.snapshot(sid)
@@ -231,13 +168,13 @@ class SessionService:
                     payload = self.manager.fork(
                         sid, at=body.get("at"), child_id=body.get("id")
                     )
-                    self.metrics.bump("forks")
+                    self.count("forks")
                     return 200, payload
                 if verb == "rewind":
                     if "at" not in body:
                         return 400, {"error": "rewind body needs 'at'"}
                     payload = self.manager.rewind(sid, int(body["at"]))
-                    self.metrics.bump("rewinds")
+                    self.count("rewinds")
                     return 200, payload
             return 404, {"error": f"no route for POST {path}"}
         except KeyError as exc:
@@ -246,7 +183,6 @@ class SessionService:
             return 400, {"error": str(exc)}
 
     def handle_delete(self, path: str) -> tuple[int, dict]:
-        self.metrics.bump("requests")
         sid = path.removeprefix("/sessions/")
         if not path.startswith("/sessions/") or not sid or "/" in sid:
             return 404, {"error": f"no route for DELETE {path}"}
@@ -279,59 +215,41 @@ def _make_handler(service: SessionService) -> type[BaseHTTPRequestHandler]:
                 service.manager.store.release_connection()
 
         def _respond(self, code: int, payload: dict) -> None:
-            # Status line, headers and body leave in one write.  Written
-            # separately, the body of a keep-alive response waited for
-            # the client's delayed ACK of the head (about 40 ms).
-            body = json.dumps(payload).encode()
-            head = (
-                f"{self.protocol_version} {code} {self.responses[code][0]}\r\n"
-                f"Server: {self.version_string()}\r\n"
-                f"Date: {self.date_time_string()}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n"
-            )
-            self.wfile.write(head.encode("latin-1") + body)
+            self.wfile.write(json_response(code, payload, {
+                "Server": self.version_string(),
+                "Date": self.date_time_string(),
+            }))
 
-        def do_GET(self) -> None:  # noqa: N802 — http.server API
-            from urllib.parse import parse_qsl, urlsplit
-
-            parts = urlsplit(self.path)
-            query = dict(parse_qsl(parts.query))
+        def _reply(self, handle, *args) -> None:
+            """Count the request and respond with what ``handle(*args)``
+            returns: a :class:`BadRequest` is a 400, any other crash a 500."""
+            service.count("requests")
             try:
-                code, payload = service.handle_get(parts.path, query)
+                code, payload = handle(*args)
+            except BadRequest as exc:
+                code, payload = 400, {"error": str(exc)}
             except Exception as exc:  # noqa: BLE001 — surface as 500
                 code, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
             self._respond(code, payload)
 
-        def do_POST(self) -> None:  # noqa: N802 — http.server API
+        def _post(self) -> tuple[int, dict]:
             try:
                 length = parse_content_length(self.headers)
-            except BadRequest as exc:
-                # A malformed header used to raise out of the handler
-                # and drop the connection with no response at all.
+            except BadRequest:
                 # The body length is unknowable, so close afterwards.
                 self.close_connection = True
-                self._respond(400, {"error": str(exc)})
-                return
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                body = json.loads(raw or b"{}")
-                if not isinstance(body, dict):
-                    raise ValueError("request body must be a JSON object")
-            except ValueError as exc:
-                self._respond(400, {"error": f"bad JSON body: {exc}"})
-                return
-            try:
-                code, payload = service.handle_post(self.path, body)
-            except Exception as exc:  # noqa: BLE001 — surface as 500
-                code, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            self._respond(code, payload)
+                raise
+            body = parse_json_object(self.rfile.read(length))
+            return service.handle_post(self.path, body)
+
+        def do_GET(self) -> None:  # noqa: N802 — http.server API
+            parts = urlsplit(self.path)
+            self._reply(service.handle_get, parts.path, dict(parse_qsl(parts.query)))
+
+        def do_POST(self) -> None:  # noqa: N802 — http.server API
+            self._reply(self._post)
 
         def do_DELETE(self) -> None:  # noqa: N802 — http.server API
-            try:
-                code, payload = service.handle_delete(self.path)
-            except Exception as exc:  # noqa: BLE001 — surface as 500
-                code, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-            self._respond(code, payload)
+            self._reply(service.handle_delete, self.path)
 
     return Handler

@@ -120,6 +120,17 @@ class TestRoutes:
         assert body["status"] == "pending" and body["summary"] is None
         assert body["spec"]["n"] == SPEC["n"]
 
+    @pytest.mark.parametrize("engine, ran", [
+        ("graph", "graph:complete"), ("count", "uniform"),
+    ])
+    def test_result_says_which_scheduler_ran(self, service, engine, ran):
+        spec = {**SPEC, "engine": engine}
+        _, body, _ = http_json(service.url + "/submit", {"specs": [spec]})
+        code, body, _ = http_json(service.url + "/result/" + body["digests"][0])
+        assert code == 200
+        assert body["spec"]["scheduler"] == "uniform"
+        assert body["ran_scheduler"] == ran
+
     def test_submit_experiment_grid(self, service):
         code, body, _ = http_json(
             service.url + "/submit",

@@ -342,3 +342,22 @@ class TestEngineResolution:
 
         record = run_trials(proto, 20, trials=2, seed=0, engine="count-jit").to_record()
         assert json.loads(json.dumps(record)) == record
+
+
+class TestTrialFingerprint:
+    """Trial-cache keys: any change orphans every cached trial set."""
+
+    @pytest.mark.parametrize("kwargs, digest", [
+        (
+            {"engine": "count"},
+            "ce0fd2d8e3c4f6dbae16671bb5e495fb0e42a8f3c38bcc7599b17bc10f1a7fa8",
+        ),
+        (
+            {"engine": "agent", "max_interactions": 5000, "scheduler": "roundrobin"},
+            "8c60483feec1bafaf26284a8e7d167f59256bbad6c19179be03bbefb0e9ec60f",
+        ),
+    ])
+    def test_pinned_digest(self, proto, kwargs, digest):
+        from repro.engine.runner import trial_fingerprint
+
+        assert trial_fingerprint(proto, 30, trials=10, seed=7, **kwargs) == digest
