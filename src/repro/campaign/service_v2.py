@@ -14,6 +14,10 @@ Pure stdlib ``asyncio``:
 * **streaming** endpoints push chunked JSON lines: ``GET /jobs/stream``
   follows queue status changes live, ``GET /jobs/<digest>/progress``
   follows one job to completion;
+* **wake-ups, not timers**: a submit that creates jobs wakes idle
+  workers, and a claim or commit wakes the streams that follow its
+  job (:class:`_Notices`).  ``poll_interval`` and the stream
+  ``interval`` only bound the wait for rows another process writes;
 * **backpressure**: when the submit queue is saturated
   (``pending + running >= queue_limit``) submissions are refused with
   ``429`` and a ``Retry-After`` header instead of being buried;
@@ -45,6 +49,7 @@ import asyncio
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
@@ -95,6 +100,59 @@ def _specs_from_body(body: dict) -> list[JobSpec]:
     raise CampaignError("submit body needs either 'specs' or 'experiment'")
 
 
+#: Waiter key of the worker pool: a submit that creates jobs notifies it.
+_WORK = "work"
+#: Waiter key of ``/jobs/stream``: every job status change notifies it.
+_ANY = "any"
+
+
+class _Notices:
+    """Wake-ups from this daemon's own commits to the tasks waiting on them.
+
+    A waiter is an :class:`asyncio.Event` registered under a key before
+    the store read it follows, so a commit that lands between that read
+    and the wait still sets it.  Keys are :data:`_WORK`, :data:`_ANY` or
+    a job's ``(tenant, digest)``; a key is held only while it has
+    waiters, so no per-job state outlives the streams that follow it.
+    Rows that another process writes raise no notice, so every wait is
+    still bounded by a timer.  Used on the event loop only.
+    """
+
+    def __init__(self) -> None:
+        self._waiters: dict[object, list[asyncio.Event]] = {}
+
+    @contextmanager
+    def watching(self, key: object):
+        """A fresh waiter of ``key`` for the length of a ``with`` block."""
+        event = asyncio.Event()
+        waiters = self._waiters.setdefault(key, [])
+        waiters.append(event)
+        try:
+            yield event
+        finally:
+            waiters.remove(event)
+            if not waiters:
+                del self._waiters[key]
+
+    def notify(self, key: object, limit: int | None = None) -> None:
+        """Set up to ``limit`` (default: all) waiters of ``key`` not yet set."""
+        for event in self._waiters.get(key, ()):
+            if limit is not None and limit <= 0:
+                return
+            if not event.is_set():
+                event.set()
+                if limit is not None:
+                    limit -= 1
+
+
+async def _wait(event: asyncio.Event, timeout: float) -> None:
+    """Until ``event`` is set or ``timeout`` seconds have passed."""
+    try:
+        await asyncio.wait_for(event.wait(), timeout)
+    except asyncio.TimeoutError:
+        pass
+
+
 class _HTTPError(Exception):
     """Internal: abort request handling with a specific status."""
 
@@ -125,11 +183,16 @@ class AsyncCampaignService(Daemon):
         Submit-queue bound: when ``pending + running`` reaches this,
         ``POST /submit`` returns 429 with ``Retry-After``.
     poll_interval:
-        Worker sleep between empty-queue polls, in seconds.
+        Longest wait of an idle worker before it claims again, in
+        seconds.  A submit to this daemon wakes a worker at once; the
+        timer only picks up jobs that another process submits.
     retry_after:
         Seconds advertised in the 429 ``Retry-After`` header.
     stream_interval:
-        Default poll cadence of the streaming endpoints, in seconds.
+        Default ``interval`` of the streaming endpoints, in seconds: the
+        longest wait between store reads when no claim or commit of this
+        daemon notifies the stream, and the heartbeat cadence of
+        ``/jobs/stream``.
     """
 
     thread_name = "campaign-v2"
@@ -168,6 +231,7 @@ class AsyncCampaignService(Daemon):
             {"id": i, "busy": False, "beat": None, "current": None, "executed": 0}
             for i in range(workers)
         ]
+        self._notices = _Notices()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
         self._db_pool: ThreadPoolExecutor | None = None
@@ -232,15 +296,19 @@ class AsyncCampaignService(Daemon):
         while not self._stop_event.is_set():
             state["beat"] = time.time()
             try:
-                job = await self._db(self.store.claim_next)
-                if job is None:
-                    try:
-                        await asyncio.wait_for(
-                            self._stop_event.wait(), self.poll_interval
-                        )
-                    except asyncio.TimeoutError:
-                        pass
-                    continue
+                # Watching before the claim: a submit that commits while
+                # the claim is in flight sets ``wake``, so a claim that
+                # came back empty is retried at once.
+                with self._notices.watching(_WORK) as wake:
+                    job = await self._db(self.store.claim_next)
+                    if job is None:
+                        await _wait(wake, self.poll_interval)
+                        continue
+                if wake.is_set():
+                    # The claim took an older job than the one that
+                    # notified it: hand the notice to another worker.
+                    self._notices.notify(_WORK, 1)
+                self._changed(job)
                 state["busy"] = True
                 state["current"] = job.digest
                 busy_gauge.set(sum(1 for w in self._worker_state if w["busy"]))
@@ -254,6 +322,11 @@ class AsyncCampaignService(Daemon):
                 state["busy"] = False
                 state["current"] = None
                 busy_gauge.set(sum(1 for w in self._worker_state if w["busy"]))
+
+    def _changed(self, job) -> None:
+        """Notify the streams that follow ``job`` of a status change."""
+        self._notices.notify((job.tenant, job.digest))
+        self._notices.notify(_ANY)
 
     async def _execute_one(self, job, state: dict) -> None:
         try:
@@ -276,6 +349,7 @@ class AsyncCampaignService(Daemon):
                 job, f"result commit failed: {type(exc).__name__}: {exc}"
             )
             return
+        self._changed(job)
         self._depth = max(0, self._depth - 1)
         state["executed"] += 1
         self.count("executed")
@@ -288,6 +362,7 @@ class AsyncCampaignService(Daemon):
             )
         except Exception:  # noqa: BLE001 — the job re-queues via recovery
             pass
+        self._changed(job)
         self._depth = max(0, self._depth - 1)
         self.count("failed")
 
@@ -550,6 +625,9 @@ class AsyncCampaignService(Daemon):
             tenant=tenant,
         )
         self._depth += outcome["created"]
+        if outcome["created"]:
+            self._notices.notify(_WORK, outcome["created"])
+            self._notices.notify(_ANY)
         self.telemetry.gauge("campaign.queue.depth").set(self._depth)
         self.count("submitted", outcome["created"])
         return 200, {
@@ -597,8 +675,11 @@ class AsyncCampaignService(Daemon):
 
         Every line is a JSON object: first a ``snapshot`` line per
         current job (bounded by ``limit``), then — unless ``once`` —
-        ``status`` lines as jobs change state plus periodic
-        ``heartbeat`` lines until the client disconnects.
+        ``status`` lines as jobs change state, plus a ``heartbeat`` line
+        whenever ``interval`` passes without one, until the client
+        disconnects.  A status change this daemon commits wakes the
+        stream at once; ``interval`` bounds the wait for changes that
+        another process writes.
         """
         tenant = self._tenant_of(query)
         status = query.get("status")
@@ -608,75 +689,85 @@ class AsyncCampaignService(Daemon):
         once, interval = self._stream_params(query)
         self._start_stream(writer)
         seen: dict[tuple[str, str], str] = {}
-        jobs = await self._db(
-            self.store.list_jobs, status=status, limit=limit, tenant=tenant
-        )
-        for j in jobs:
-            seen[(j.tenant, j.digest)] = j.status
-            await self._emit(writer, {
-                "type": "snapshot", "digest": j.digest, "tenant": j.tenant,
-                "status": j.status, "label": j.spec.label(),
-            })
-        while not once and not self._stop_event.is_set() and not writer.is_closing():
-            await asyncio.sleep(interval)
+        with self._notices.watching(_ANY) as changed:
             jobs = await self._db(
-                self.store.list_jobs, status=status, limit=limit, tenant=tenant,
+                self.store.list_jobs, status=status, limit=limit, tenant=tenant
             )
-            changed = 0
             for j in jobs:
-                key = (j.tenant, j.digest)
-                if seen.get(key) != j.status:
-                    seen[key] = j.status
-                    changed += 1
-                    await self._emit(writer, {
-                        "type": "status", "digest": j.digest,
-                        "tenant": j.tenant, "status": j.status,
-                    })
-            if not changed:
-                counts = await self._db(self.store.counts, tenant=tenant)
+                seen[(j.tenant, j.digest)] = j.status
                 await self._emit(writer, {
-                    "type": "heartbeat", "jobs": counts,
-                    "queue_depth": counts["pending"] + counts["running"],
+                    "type": "snapshot", "digest": j.digest, "tenant": j.tenant,
+                    "status": j.status, "label": j.spec.label(),
                 })
+            last_line = self._loop.time()
+            while (not once and not self._stop_event.is_set()
+                   and not writer.is_closing()):
+                await _wait(changed, last_line + interval - self._loop.time())
+                changed.clear()
+                jobs = await self._db(
+                    self.store.list_jobs, status=status, limit=limit, tenant=tenant,
+                )
+                changes = 0
+                for j in jobs:
+                    key = (j.tenant, j.digest)
+                    if seen.get(key) != j.status:
+                        seen[key] = j.status
+                        changes += 1
+                        await self._emit(writer, {
+                            "type": "status", "digest": j.digest,
+                            "tenant": j.tenant, "status": j.status,
+                        })
+                if changes:
+                    last_line = self._loop.time()
+                elif self._loop.time() - last_line >= interval:
+                    counts = await self._db(self.store.counts, tenant=tenant)
+                    await self._emit(writer, {
+                        "type": "heartbeat", "jobs": counts,
+                        "queue_depth": counts["pending"] + counts["running"],
+                    })
+                    last_line = self._loop.time()
         await self._end_stream(writer)
 
     async def _stream_progress(self, writer, digest: str, query: dict) -> None:
         """Chunked JSONL following one job to a terminal state.
 
         Lines carry the job status and attempts, plus wall time and
-        error once the job is terminal.
+        error once the job is terminal.  This daemon's claim and commit
+        of the job wake the stream at once; ``interval`` bounds the wait
+        when another process runs the job.
         """
         tenant = self._tenant_of(query, DEFAULT_TENANT)
         once, interval = self._stream_params(query)
-        job = await self._db(self.store.get, digest, tenant=tenant)
-        if job is None:
-            raise _HTTPError(
-                404, f"no job with digest {digest!r} for tenant {tenant!r}"
-            )
-        self._start_stream(writer)
-        while True:
+        with self._notices.watching((tenant, digest)) as changed:
             job = await self._db(self.store.get, digest, tenant=tenant)
             if job is None:
-                await self._emit(writer, {
-                    "type": "gone", "digest": digest, "tenant": tenant,
-                })
-                break
-            record = {
-                "type": "progress",
-                "digest": digest,
-                "tenant": tenant,
-                "status": job.status,
-                "attempts": job.attempts,
-                "trials": job.spec.trials,
-            }
-            if job.status in ("done", "failed"):
-                record["wall_time"] = job.wall_time
-                record["error"] = job.error
-            await self._emit(writer, record)
-            if once or job.status in ("done", "failed"):
-                break
-            if self._stop_event.is_set() or writer.is_closing():
-                break
-            await asyncio.sleep(interval)
+                raise _HTTPError(
+                    404, f"no job with digest {digest!r} for tenant {tenant!r}"
+                )
+            self._start_stream(writer)
+            while True:
+                record = {
+                    "type": "progress",
+                    "digest": digest,
+                    "tenant": tenant,
+                    "status": job.status,
+                    "attempts": job.attempts,
+                    "trials": job.spec.trials,
+                }
+                if job.status in ("done", "failed"):
+                    record["wall_time"] = job.wall_time
+                    record["error"] = job.error
+                await self._emit(writer, record)
+                if once or job.status in ("done", "failed"):
+                    break
+                if self._stop_event.is_set() or writer.is_closing():
+                    break
+                await _wait(changed, interval)
+                changed.clear()
+                job = await self._db(self.store.get, digest, tenant=tenant)
+                if job is None:
+                    await self._emit(writer, {
+                        "type": "gone", "digest": digest, "tenant": tenant,
+                    })
+                    break
         await self._end_stream(writer)
-

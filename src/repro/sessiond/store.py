@@ -26,11 +26,13 @@ checkpoint sits from *what* it contains:
 
 Concurrency follows the campaign store through the shared
 :class:`~repro.core.sqliteutil.WalStore`: WAL journaling, one
-connection per thread, writes serialized per connection.  :meth:`gc` deletes
-*dominated* snapshots — checkpoints that are neither a session's first
-or latest, nor a fork base some child was cut from, nor on the
-caller's keep-grid — then drops orphaned blobs and reports how many
-bytes the store shrank by.
+connection per thread, writes serialized per connection.  Deleting a
+session drops its own checkpoints, and deleting or replacing a
+checkpoint drops its blob unless another checkpoint shares it;
+:meth:`gc` deletes *dominated* snapshots — checkpoints that are
+neither a session's first or latest, nor a fork base some child was cut
+from, nor on the caller's keep-grid — then sweeps every orphaned blob
+in the store and reports how many bytes the store shrank by.
 """
 
 from __future__ import annotations
@@ -273,7 +275,14 @@ class SnapshotStore(WalStore):
             )
 
     def delete_session(self, session_id: str, *, drop_snapshots: bool = True) -> None:
-        """Tombstone a session (its row stays for lineage queries)."""
+        """Tombstone a session (its row stays for lineage queries).
+
+        With ``drop_snapshots`` its checkpoints go too, and with them
+        the blobs that only they referenced, in the same transaction.
+        The cost of a delete follows the session, not the store: orphans
+        from elsewhere (a store written before deletes and re-checkpoints
+        dropped their own blobs) wait for :meth:`gc`.
+        """
         with self._write() as conn:
             conn.execute(
                 "UPDATE sessions SET status = 'deleted', updated_at = ? "
@@ -281,10 +290,16 @@ class SnapshotStore(WalStore):
                 (time.time(), session_id),
             )
             if drop_snapshots:
+                digests = [
+                    row["digest"] for row in conn.execute(
+                        "SELECT DISTINCT digest FROM snapshots WHERE session_id = ?",
+                        (session_id,),
+                    )
+                ]
                 conn.execute(
                     "DELETE FROM snapshots WHERE session_id = ?", (session_id,)
                 )
-        self._drop_orphan_blobs()
+                self._drop_unreferenced(conn, digests)
 
     def children(self, session_id: str) -> list[SessionRow]:
         """Sessions forked from ``session_id`` (one lineage hop)."""
@@ -338,8 +353,9 @@ class SnapshotStore(WalStore):
         stays a pure content-addressed :class:`SessionState`.
         Re-checkpointing the same ``(session_id, interactions)`` slot
         replaces the pointer row (a rewound-and-replayed session visits
-        the same coordinates again); the blob is written only when its
-        digest is new.  ``digest`` skips hashing when the caller already
+        the same coordinates again) and drops the old blob unless another
+        checkpoint shares it; the blob is written only when its digest is
+        new.  ``digest`` skips hashing when the caller already
         holds the payload's content address (a fork passes the digest of
         the checkpoint it copies).
         """
@@ -360,6 +376,11 @@ class SnapshotStore(WalStore):
                 (digest, payload, len(payload), now),
             )
             blob_created = cur.rowcount == 1
+            replaced = conn.execute(
+                "SELECT digest FROM snapshots "
+                "WHERE session_id = ? AND interactions = ?",
+                (session_id, interactions),
+            ).fetchone()
             conn.execute(
                 "INSERT OR REPLACE INTO snapshots "
                 "(session_id, interactions, effective, digest, driver, created_at) "
@@ -369,6 +390,8 @@ class SnapshotStore(WalStore):
                     None if driver is None else json.dumps(driver), now,
                 ),
             )
+            if replaced is not None and replaced["digest"] != digest:
+                self._drop_unreferenced(conn, [replaced["digest"]])
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.counter("sessiond.snapshots.stored").inc()
@@ -541,7 +564,11 @@ class SnapshotStore(WalStore):
                         (sid, at),
                     )
                     removed_snapshots += 1
-        removed_blobs = self._drop_orphan_blobs()
+            # The store-wide sweep: every blob no checkpoint references.
+            removed_blobs = conn.execute(
+                "DELETE FROM blobs WHERE digest NOT IN "
+                "(SELECT DISTINCT digest FROM snapshots)"
+            ).rowcount
         if vacuum:
             self._conn().execute("VACUUM")
         after = self.stats()["bytes"]
@@ -551,10 +578,12 @@ class SnapshotStore(WalStore):
             "bytes_freed": before - after,
         }
 
-    def _drop_orphan_blobs(self) -> int:
-        with self._write() as conn:
-            cur = conn.execute(
-                "DELETE FROM blobs WHERE digest NOT IN "
-                "(SELECT DISTINCT digest FROM snapshots)"
-            )
-        return cur.rowcount
+    @staticmethod
+    def _drop_unreferenced(conn: sqlite3.Connection, digests: list[str]) -> None:
+        """Delete the blobs among ``digests`` that no checkpoint references
+        (one ``snapshots_by_digest`` lookup each)."""
+        conn.executemany(
+            "DELETE FROM blobs WHERE digest = ? AND NOT EXISTS "
+            "(SELECT 1 FROM snapshots WHERE snapshots.digest = blobs.digest)",
+            [(d,) for d in digests],
+        )

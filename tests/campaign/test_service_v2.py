@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import queue
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -542,3 +544,154 @@ class TestDrainDifferential:
         finally:
             newer.stop()
             set_telemetry(original)
+
+
+class TestWakeups:
+    """Submits wake workers and commits wake streams; the timers only
+    bound the wait for rows another process writes.
+
+    Each test sets a timer far longer than its deadline, so it passes
+    only if a notice, not the timer, ends the wait.
+    """
+
+    SLOW = 2.0  # poll_interval / stream interval no test may wait out
+    DEADLINE = 0.5
+
+    @staticmethod
+    def started(service, digest, timeout):
+        """Seconds until ``digest`` leaves ``pending``, or None."""
+        t0 = time.monotonic()
+        while time.monotonic() - t0 < timeout:
+            _, body, _ = http_json(service.url + f"/result/{digest}")
+            if body["status"] != "pending":
+                return time.monotonic() - t0
+            time.sleep(0.005)
+        return None
+
+    def test_submit_wakes_an_idle_worker(self, tmp_path):
+        svc = AsyncCampaignService(
+            tmp_path / "c.db", workers=2, poll_interval=self.SLOW
+        ).start()
+        try:
+            time.sleep(0.2)  # both workers have claimed nothing and wait
+            _, body, _ = http_json(svc.url + "/submit", {"specs": [SPEC]})
+            waited = self.started(svc, body["digests"][0], self.DEADLINE)
+            assert waited is not None, "the submit did not wake a worker"
+        finally:
+            svc.stop()
+
+    def test_submit_during_an_empty_claim_is_not_lost(self, tmp_path):
+        """A submit that commits while a worker's empty claim is still
+        in flight is claimed at once, not after ``poll_interval``."""
+        svc = AsyncCampaignService(
+            tmp_path / "c.db", workers=1, poll_interval=self.SLOW
+        ).start()
+        real_claim = svc.store.claim_next
+        armed = threading.Event()
+        held: queue.Queue[threading.Event] = queue.Queue()
+
+        def claim_next(**kwargs):
+            job = real_claim(**kwargs)
+            if job is None and armed.is_set():
+                armed.clear()
+                release = threading.Event()
+                held.put(release)
+                release.wait(10)  # hold the empty answer past the submit
+            return job
+
+        svc.store.claim_next = claim_next
+        try:
+            armed.set()
+            for round_ in range(50):
+                release = held.get(timeout=10)  # an empty claim in flight
+                _, body, _ = http_json(
+                    svc.url + "/submit", {"specs": [{**SPEC, "seed": 1000 + round_}]}
+                )
+                armed.set()  # hold the empty claim that follows this job
+                release.set()
+                waited = self.started(svc, body["digests"][0], self.DEADLINE)
+                assert waited is not None, f"round {round_}: wake-up lost"
+                wait_done(svc, body["digests"][0])
+        finally:
+            armed.clear()
+            while not held.empty():
+                held.get().set()
+            svc.stop()
+
+    def test_commit_wakes_the_progress_stream(self, tmp_path, monkeypatch):
+        from repro.campaign import service_v2
+
+        gate = threading.Event()
+        real_execute = service_v2.execute_spec
+
+        def gated_execute(spec):
+            gate.wait(10)
+            return real_execute(spec)
+
+        monkeypatch.setattr(service_v2, "execute_spec", gated_execute)
+        svc = AsyncCampaignService(
+            tmp_path / "c.db", workers=1, poll_interval=0.02
+        ).start()
+        host, port = svc.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            _, body, _ = http_json(svc.url + "/submit", {"specs": [SPEC]})
+            conn.request(
+                "GET", f"/jobs/{body['digests'][0]}/progress?interval={self.SLOW:g}"
+            )
+            resp = conn.getresponse()
+            assert resp.status == 200
+            status = None
+            while status != "running":  # the worker holds the job at the gate
+                status = json.loads(resp.readline())["status"]
+            gate.set()
+            released = time.monotonic()
+            while status not in ("done", "failed"):
+                status = json.loads(resp.readline())["status"]
+            lag = time.monotonic() - released
+            assert status == "done"
+            assert lag < self.DEADLINE, f"terminal line {lag:.2f}s after release"
+        finally:
+            gate.set()
+            conn.close()
+            svc.stop()
+
+    def test_external_submit_is_picked_up_by_the_timer(self, tmp_path):
+        poll = 0.3
+        svc = AsyncCampaignService(
+            tmp_path / "c.db", workers=1, poll_interval=poll
+        ).start()
+        outside = CampaignStore(tmp_path / "c.db")
+        try:
+            time.sleep(0.1)
+            digest, created = outside.submit(JobSpec.from_dict(SPEC))
+            assert created
+            waited = self.started(svc, digest, poll + 1.0)
+            assert waited is not None, "the fallback poll never claimed the job"
+            assert wait_done(svc, digest)["status"] == "done"
+        finally:
+            outside.close()
+            svc.stop()
+
+    def test_progress_stream_follows_an_external_runner(self, tmp_path):
+        """No notice comes from another process; the stream's interval
+        still bounds its wait, so it ends on the terminal line."""
+        svc = AsyncCampaignService(tmp_path / "c.db", workers=0).start()
+        outside = CampaignStore(tmp_path / "c.db")
+        host, port = svc.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            _, body, _ = http_json(svc.url + "/submit", {"specs": [SPEC]})
+            conn.request("GET", f"/jobs/{body['digests'][0]}/progress?interval=0.05")
+            resp = conn.getresponse()
+            assert json.loads(resp.readline())["status"] == "pending"
+            assert run_campaign(outside).executed == 1
+            last = None
+            for line in resp.read().decode().splitlines():
+                if line:
+                    last = json.loads(line)
+            assert last["status"] == "done"
+        finally:
+            conn.close()
+            outside.close()
+            svc.stop()

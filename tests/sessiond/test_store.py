@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import pytest
 
 from repro.core import SimulationError
@@ -184,6 +187,77 @@ class TestGC:
     def test_rejects_bad_keep_every(self, store):
         with pytest.raises(SimulationError, match="keep_every"):
             store.gc(keep_every=0)
+
+
+class TestDelete:
+    def test_drops_own_blobs_keeps_shared_ones(self, store):
+        make_session(store, "a")
+        make_session(store, "b")
+        store.put_snapshot("a", 0, state(x="shared"))
+        store.put_snapshot("b", 0, state(x="shared"))
+        store.put_snapshot("b", 64, state(x="b only"))
+        store.delete_session("b")
+        assert store.stats()["blobs"] == 1
+        ckpt = store.get_snapshot("a", 0)
+        assert SessionState.from_bytes(ckpt.payload).extra == {"x": "shared"}
+
+    def test_unrelated_orphans_wait_for_gc(self, store):
+        # An unreferenced blob, as a store written by an earlier version
+        # can hold; deleting an unrelated session does not sweep it.
+        planted = state(x="orphan")
+        with store._write() as conn:
+            conn.execute(
+                "INSERT INTO blobs (digest, payload, size, created_at) "
+                "VALUES (?, ?, 1, 0)",
+                (planted.digest(), planted.to_bytes()),
+            )
+        make_session(store, "a")
+        store.put_snapshot("a", 0, state(x="a"))
+        make_session(store, "b")
+        store.put_snapshot("b", 0, state(x="b"))
+        store.delete_session("b")
+        assert store.stats()["blobs"] == 2  # a's live blob and the orphan
+        assert store.gc()["blobs_removed"] == 1
+        assert store.stats()["blobs"] == 1
+
+    def test_replaced_checkpoint_drops_its_unshared_blob(self, store):
+        make_session(store, "a")
+        make_session(store, "b")
+        store.put_snapshot("a", 0, state(x="shared"))
+        store.put_snapshot("b", 0, state(x="shared"))
+        store.put_snapshot("a", 64, state(x="old"))
+        store.put_snapshot("a", 64, state(x="new"))  # drops "old"
+        store.put_snapshot("b", 0, state(x="b"))  # "shared" stays for a
+        assert store.stats()["blobs"] == 3
+        assert store.gc(vacuum=False)["blobs_removed"] == 0
+
+    def test_latency_does_not_grow_with_the_store(self, tmp_path):
+        """Deleting a session costs about the same beside 800 kept
+        sessions as beside 50: it touches only that session's rows.
+        A whole-store orphan sweep made it about 10x slower."""
+        doomed = 21
+
+        def build(name: str, kept: int) -> SnapshotStore:
+            s = SnapshotStore(tmp_path / name)
+            for i in range(kept + doomed):
+                make_session(s, f"s{i}")
+                for at in (0, 4096, 8192):
+                    s.put_snapshot(f"s{i}", at, state(x=[i, at]))
+            return s
+
+        small, large = build("small.db", 50), build("large.db", 800)
+        times: dict[int, list[float]] = {50: [], 800: []}
+        try:
+            for i in range(doomed):  # alternate, so drift hits both alike
+                for s, kept in ((small, 50), (large, 800)):
+                    t0 = time.perf_counter()
+                    s.delete_session(f"s{kept + i}")
+                    times[kept].append(time.perf_counter() - t0)
+        finally:
+            small.close()
+            large.close()
+        ratio = statistics.median(times[800]) / statistics.median(times[50])
+        assert ratio < 2.0, times
 
 
 class TestClose:
